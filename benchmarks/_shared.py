@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import os
 import platform
+import time
 from functools import lru_cache
 from pathlib import Path
 
@@ -80,6 +81,8 @@ def bench_metadata(**extra) -> dict:
 
     record = {
         "cpu_count": os.cpu_count(),
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
@@ -91,6 +94,21 @@ def bench_metadata(**extra) -> dict:
     }
     record.update(extra)
     return record
+
+
+def interleaved_min(calls: dict, rounds: int) -> dict:
+    """Best wall time (s) of each zero-argument callable in ``calls``.
+
+    Every round times each callable once, in rotation, so slow drift of a
+    shared machine hits all of them alike; each reports its fastest round.
+    """
+    best = {name: float("inf") for name in calls}
+    for _ in range(rounds):
+        for name, call in calls.items():
+            t0 = time.perf_counter()
+            call()
+            best[name] = min(best[name], time.perf_counter() - t0)
+    return best
 
 
 def write_report(name: str, text: str) -> None:

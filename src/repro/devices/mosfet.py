@@ -56,7 +56,7 @@ def _interp_f_and_deriv(u: np.ndarray, xp=np) -> Tuple[np.ndarray, np.ndarray]:
     # sigmoid(u/2) from the always-decaying exponential: stable in both
     # tails and branch-free (this sits in the innermost solver loop).
     decay = xp.exp(-xp.abs(half))
-    sig = xp.where(half >= 0.0, 1.0 / (1.0 + decay), decay / (1.0 + decay))
+    sig = xp.where(half >= 0.0, 1.0, decay) / (1.0 + decay)
     return soft * soft, soft * sig
 
 

@@ -26,6 +26,17 @@ safeguarded Newton* — the single-node KCL residual is strictly increasing in
 the node voltage (every device's output conductance is positive), so a
 bracketed Newton/bisection hybrid is globally convergent.
 
+A Gibbs conditional simulates one or two rows at a time, so those solves
+run on arrays of a few hundred lanes, where numpy's per-call dispatch — not
+arithmetic — sets the cost.  Two measures keep the dispatch count down:
+``half_cell_vtc`` solves both butterfly sides in one coarse-grid plus one
+full-grid Newton loop (not two of each), and while the active lane set is
+small the half-cell residual evaluates the pull-down, pull-up and access
+devices in one stacked EKV call (one dispatch per ufunc for all three).
+Lanes never interact, so both are bit-identical per lane to the per-side,
+per-device solve; ``benchmarks/bench_backend_kernels.py`` times them against
+that solve, kept as the oracle in ``tests/test_sram_cell.py``.
+
 The batched analyses are array-API generic: the namespace is inferred from
 the ``delta_vth`` arrays (:func:`repro.backend.array_namespace`), so numpy
 callers execute the exact historical instruction stream (bit-identical)
@@ -41,7 +52,7 @@ import numpy as np
 from repro.backend import array_namespace, astype, errstate, gather_1d
 from repro.circuit.netlist import Circuit
 from repro.telemetry import context as _telemetry
-from repro.devices.mosfet import Mosfet
+from repro.devices.mosfet import Mosfet, ekv_current_and_derivs
 from repro.devices.technology import (
     DEFAULT_GEOMETRIES,
     DeviceGeometry,
@@ -73,7 +84,7 @@ def _solve_monotone_node(residual, lo: float, hi: float, shape,
 
     The loop maintains a shrinking **active set**: a lane whose residual
     drops under ``tol`` is written back and exits immediately, so every
-    subsequent residual evaluation — the dominant cost, six transistor
+    subsequent residual evaluation — the dominant cost, three transistor
     models per lane — covers only the still-running lanes.  In a
     Monte-Carlo batch the bulk converges within a few Newton steps and a
     handful of collapsed-lobe stragglers run long, so the tail iterations
@@ -139,6 +150,19 @@ def _solve_monotone_node(residual, lo: float, hi: float, shape,
 
 #: Input-grid stride of the coarse continuation pass in ``half_cell_vtc``.
 _VTC_COARSE_STRIDE = 8
+
+#: Newton lanes per row block of ``half_cell_vtc``: 256 rows of a two-side
+#: solve on the metrics' 81-point grid.  Blocks bound peak memory; on a
+#: 2-vCPU AVX-512 VM (numpy 2.4), 4,096-row RNM chunks also ran ~20% faster
+#: in 256-row blocks than in 2,048-row ones.
+_VTC_BLOCK_LANES = 2 * 81 * 256
+
+#: Active-lane count under which the half-cell residual evaluates its three
+#: devices in one stacked EKV call instead of three per-device calls.  On
+#: the same VM the stacked call was 1.3-1.8x faster up to 512 lanes, even
+#: from 1,024 to 2,560, and ~2x slower from 3,000 lanes on, where its
+#: three-device temporaries no longer stay in cache.
+_STACKED_MAX_LANES = 1024
 
 
 def _interp_along_axis0(x_full, x_coarse, y_coarse, xp=np):
@@ -218,45 +242,81 @@ class SixTransistorCell:
         return c
 
     # ------------------------------------------------- half-cell response
-    def _half_cell_residual(self, side: str, vin, bl_voltage, wl_voltage,
-                            delta_vth: Mapping[str, np.ndarray], shape, xp=np):
-        """Residual factory: KCL current leaving the storage node of ``side``.
+    def _matched_sides(self, sides) -> bool:
+        """Whether every side in ``sides`` has the same device parameters."""
+        return len(set(sides)) == 1 or all(
+            self.devices[role + "_l"].params == self.devices[role + "_r"].params
+            for role in ("pd", "pu", "ax")
+        )
 
-        Inputs (input voltage and per-device mismatches) are broadcast to
-        ``shape`` and flattened once, so the returned ``residual(v, idx)``
-        can evaluate any *subset* of lanes — the contract
+    def _half_cell_residual(self, sides, vin, bl_voltage, wl_voltage,
+                            delta_vth: Mapping[str, np.ndarray], shape, xp=np):
+        """Residual factory: KCL current leaving the storage node of each side.
+
+        ``sides`` is a side name with its bitline voltage ``bl_voltage``, or
+        a tuple of side names with one bitline voltage each.  The lanes are
+        side-major: each side contributes ``prod(shape)`` lanes, its input
+        voltage and that side's per-device mismatches broadcast to ``shape``
+        and flattened once, so the returned ``residual(v, idx)`` can
+        evaluate any *subset* of lanes — the contract
         :func:`_solve_monotone_node`'s active-set loop relies on.  Subset
         evaluation is elementwise, hence bit-identical to evaluating the
-        full batch and slicing.
+        full batch and slicing.  The sides must share device parameters
+        (:meth:`_matched_sides`).
+
+        Below ``_STACKED_MAX_LANES`` active lanes the pull-down, pull-up and
+        access devices run as one EKV call with a leading device axis and
+        ``(3, 1)`` parameter columns — a third of the ufunc dispatches of
+        three per-device calls, which is what a one- or two-row Gibbs
+        simulation pays for.  Both forms perform the same elementwise
+        operations in the same order, so every lane is bit-identical
+        whichever form evaluates it, and the switch may happen mid-solve.
         """
-        suffix = "_l" if side == "left" else "_r"
-        pd = self.devices["pd" + suffix]
-        pu = self.devices["pu" + suffix]
-        ax = self.devices["ax" + suffix]
+        if isinstance(sides, str):
+            sides, bl_voltage = (sides,), (bl_voltage,)
+        suffixes = ["_l" if side == "left" else "_r" for side in sides]
+        pd, pu, ax = (self.devices[role + suffixes[0]] for role in ("pd", "pu", "ax"))
         vdd = self.vdd
-        n = int(np.prod(shape)) if shape else 1
-
-        def flat(value):
-            return xp.reshape(
-                xp.broadcast_to(xp.asarray(value, dtype=xp.float64), shape), (n,)
-            )
-
-        vin_f = flat(vin)
-        d_pd = flat(delta_vth.get("pd" + suffix, 0.0))
-        d_pu = flat(delta_vth.get("pu" + suffix, 0.0))
-        d_ax = flat(delta_vth.get("ax" + suffix, 0.0))
+        # Per-lane terminal voltages and mismatches of the three devices,
+        # rows ordered so every argument of the stacked call is a row slice
+        # — sources 0:3, drains 2:5, mismatches 5:8, gates 8:11, with rows
+        # 2-3 the node voltage, written per call — and the per-device calls
+        # need rows 4:9 only.
+        lanes = xp.empty((11, len(sides)) + tuple(shape), dtype=xp.float64)
+        lanes[0] = 0.0
+        lanes[1] = vdd
+        lanes[8:10] = xp.asarray(vin, dtype=xp.float64)
+        lanes[10] = wl_voltage
+        for k, (suffix, bl) in enumerate(zip(suffixes, bl_voltage)):
+            lanes[4, k] = bl
+            for row, role in ((5, "pd"), (6, "pu"), (7, "ax")):
+                lanes[row, k] = xp.asarray(
+                    delta_vth.get(role + suffix, 0.0), dtype=xp.float64
+                )
+        lanes = xp.reshape(lanes, (11, -1))
+        columns = [
+            xp.asarray([[float(getattr(dev.params, name))] for dev in (pd, pu, ax)],
+                       dtype=xp.float64)
+            for name in ("polarity", "vth", "beta", "n", "lam")
+        ]
+        vb = xp.asarray([[0.0], [vdd], [0.0]], dtype=xp.float64)
 
         def residual(v_node, idx=None):
-            if idx is None:
-                vin_x, dpd_x, dpu_x, dax_x = vin_f, d_pd, d_pu, d_ax
-            else:
-                vin_x, dpd_x, dpu_x, dax_x = (
-                    vin_f[idx], d_pd[idx], d_pu[idx], d_ax[idx]
+            if int(v_node.shape[0]) < _STACKED_MAX_LANES:
+                at = lanes if idx is None else xp.take(lanes, idx, axis=1)
+                at[2:4] = v_node
+                i, _, dd, ds = ekv_current_and_derivs(
+                    at[8:11], at[2:5], at[0:3], vb, *columns,
+                    delta_vth=at[5:8], xp=xp,
                 )
+                return i[0] + i[1] - i[2], dd[0] + dd[1] - ds[2]
+            bl_x, dpd_x, dpu_x, dax_x, vin_x = (
+                lanes[4:9] if idx is None else xp.take(lanes[4:9], idx, axis=1)
+            )
             i_pd, _, dd_pd, _ = pd.current_and_derivs(vin_x, v_node, 0.0, 0.0, dpd_x)
             i_pu, _, dd_pu, _ = pu.current_and_derivs(vin_x, v_node, vdd, vdd, dpu_x)
             i_ax, _, _, ds_ax = ax.current_and_derivs(
-                wl_voltage, bl_voltage, v_node, 0.0, dax_x
+                wl_voltage, bl_x, v_node, 0.0, dax_x
             )
             # i_pd and i_pu leave the node (their drain is the node); the
             # access current flows bitline -> node, so it enters the node.
@@ -268,78 +328,133 @@ class SixTransistorCell:
 
     def half_cell_vtc(
         self,
-        side: str,
+        side,
         vin_grid: np.ndarray,
-        bl_voltage: float,
+        bl_voltage,
         delta_vth: Optional[Mapping[str, np.ndarray]] = None,
         wl_voltage: Optional[float] = None,
-        v0: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Voltage transfer curve of one half-cell with its access device.
+        v0=None,
+    ):
+        """Voltage transfer curves of half-cells with their access devices.
 
         Solves the storage-node voltage for every input-grid point and every
-        mismatch sample at once.  Returns shape ``(n_grid, *batch)`` where
-        ``batch`` is the broadcast shape of the ``delta_vth`` arrays
-        (``(n_grid,)`` if no mismatch given).
+        mismatch sample at once.  ``side`` is ``"left"``, ``"right"``, or a
+        tuple of side names solved together; each VTC has shape
+        ``(n_grid, *batch)`` where ``batch`` is the broadcast shape of the
+        ``delta_vth`` arrays (``(n_grid,)`` if no mismatch given).  A single
+        side name returns one array, a tuple returns a tuple of arrays.
 
-        ``bl_voltage`` selects the configuration: VDD for read (both
-        bitlines precharged) and 0 V for the write-driven side.
+        ``bl_voltage`` selects the configuration — VDD for read (both
+        bitlines precharged) and 0 V for the write-driven side — and is one
+        voltage per side when ``side`` is a tuple.
+
+        Every side's lanes run in one coarse-grid Newton loop plus one
+        full-grid loop, in row blocks of at most ``_VTC_BLOCK_LANES`` lanes
+        (a bound on peak memory).  Lanes never interact, so each side's
+        curve is bit-identical to solving that side alone.
 
         ``v0`` optionally seeds the Newton solve with a previously converged
-        VTC of matching shape (the cross-round warm start of
-        :mod:`repro.circuit.warm`), replacing the internal coarse
-        grid-continuation pass.  As with that pass, the full ``[lo, hi]``
-        bracket and tolerance are retained — a stale seed costs Newton
-        iterations, never correctness — so warm results agree with cold
-        ones to solver tolerance but are not bitwise identical.  A ``v0``
-        whose shape does not match the solve is ignored.
+        VTC of matching shape (one seed, or one per side, ``None`` for a
+        cold side) — the cross-round warm start of :mod:`repro.circuit.warm`
+        — replacing the internal coarse grid-continuation pass.  As with
+        that pass, the full ``[lo, hi]`` bracket and tolerance are retained
+        — a stale seed costs Newton iterations, never correctness — so warm
+        results agree with cold ones to solver tolerance but are not bitwise
+        identical.  A seed whose shape does not match the solve is ignored.
         """
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        single = isinstance(side, str)
+        sides = (side,) if single else tuple(side)
+        for name in sides:
+            if name not in ("left", "right"):
+                raise ValueError(f"side must be 'left' or 'right', got {name!r}")
+        n_sides = len(sides)
+        bls = (bl_voltage,) if single else tuple(bl_voltage)
+        seeds = (v0,) if single else (tuple(v0) if v0 is not None else (None,) * n_sides)
+        if len(bls) != n_sides or len(seeds) != n_sides:
+            raise ValueError("bl_voltage and v0 need one entry per side")
+        if not self._matched_sides(sides):
+            return tuple(
+                self.half_cell_vtc(s, vin_grid, b, delta_vth, wl_voltage, v)
+                for s, b, v in zip(sides, bls, seeds)
+            )
         delta_vth = dict(delta_vth or {})
         xp = array_namespace(vin_grid, *delta_vth.values())
         wl_voltage = self.vdd if wl_voltage is None else float(wl_voltage)
+        bls = tuple(float(b) for b in bls)
         vin_grid = xp.asarray(vin_grid, dtype=xp.float64)
         if vin_grid.ndim != 1:
             raise ValueError("vin_grid must be 1-D")
 
         batch_shape = np.broadcast_shapes(*(_shape_of(d) for d in delta_vth.values())) \
             if delta_vth else ()
-        # Broadcast grid against batch: grid axis first.
-        vin = xp.reshape(vin_grid, (-1,) + (1,) * len(batch_shape))
         n_grid = int(vin_grid.shape[0])
+        n_rows = int(np.prod(batch_shape)) if batch_shape else 1
         shape = (n_grid,) + batch_shape
-        residual = self._half_cell_residual(
-            side, vin, float(bl_voltage), wl_voltage, delta_vth, shape, xp
-        )
-        lo, hi = -0.2, self.vdd + 0.2
-        if v0 is not None:
-            seed = xp.asarray(v0, dtype=xp.float64)
-            if tuple(seed.shape) == shape:
-                return _solve_monotone_node(residual, lo, hi, shape, v0=seed, xp=xp)
-        if n_grid < 2 * _VTC_COARSE_STRIDE:
-            return _solve_monotone_node(residual, lo, hi, shape, xp=xp)
-        # Grid continuation: solve every ``stride``-th input point first,
-        # then seed the full solve by linear interpolation along the grid
-        # axis.  The VTC is continuous in the input voltage, so the
-        # interpolant lands within a few Newton steps of the answer; the
-        # full solve keeps the complete [lo, hi] bracket, so convergence
-        # (and the bisection safety net) is untouched — only the Newton
-        # starting point changes, within the solver tolerance.
-        coarse_idx = xp.arange(0, n_grid, _VTC_COARSE_STRIDE)
-        if int(coarse_idx[-1]) != n_grid - 1:
-            coarse_idx = xp.concat(
-                [coarse_idx, xp.asarray([n_grid - 1], dtype=coarse_idx.dtype)]
+        # Rows are flattened so they can be blocked; per-lane results do
+        # not depend on the block they run in.
+        deltas = {
+            name: xp.reshape(
+                xp.broadcast_to(xp.asarray(d, dtype=xp.float64), batch_shape), (n_rows,)
             )
-        coarse_shape = (int(coarse_idx.shape[0]),) + batch_shape
-        vin_coarse = xp.take(vin_grid, coarse_idx, axis=0)
-        coarse_res = self._half_cell_residual(
-            side, xp.reshape(vin_coarse, (-1,) + (1,) * len(batch_shape)),
-            float(bl_voltage), wl_voltage, delta_vth, coarse_shape, xp,
-        )
-        v_coarse = _solve_monotone_node(coarse_res, lo, hi, coarse_shape, xp=xp)
-        interp = _interp_along_axis0(vin_grid, vin_coarse, v_coarse, xp)
-        return _solve_monotone_node(residual, lo, hi, shape, v0=interp, xp=xp)
+            for name, d in delta_vth.items()
+        }
+        seeds = [
+            None if s is None or tuple(_shape_of(s)) != shape
+            else xp.reshape(xp.asarray(s, dtype=xp.float64), (n_grid, n_rows))
+            for s in seeds
+        ]
+        lo, hi = -0.2, self.vdd + 0.2
+        # Grid continuation for the sides without a seed: solve every
+        # ``stride``-th input point first, then seed the full solve by
+        # linear interpolation along the grid axis.  The VTC is continuous
+        # in the input voltage, so the interpolant lands within a few Newton
+        # steps of the answer; the full solve keeps the complete [lo, hi]
+        # bracket, so convergence (and the bisection safety net) is
+        # untouched — only the Newton starting point changes, within the
+        # solver tolerance.  Grids too short to thin start at the midpoint.
+        continuation = n_grid >= 2 * _VTC_COARSE_STRIDE
+        if continuation:
+            coarse_idx = xp.arange(0, n_grid, _VTC_COARSE_STRIDE)
+            if int(coarse_idx[-1]) != n_grid - 1:
+                coarse_idx = xp.concat(
+                    [coarse_idx, xp.asarray([n_grid - 1], dtype=coarse_idx.dtype)]
+                )
+            vin_coarse = xp.take(vin_grid, coarse_idx, axis=0)
+        out = xp.empty((n_sides, n_grid, n_rows), dtype=xp.float64)
+        block = max(1, _VTC_BLOCK_LANES // (n_sides * n_grid))
+        for r0 in range(0, n_rows, block):
+            r1 = min(r0 + block, n_rows)
+            d_block = {name: d[r0:r1] for name, d in deltas.items()}
+            init = [None if s is None else s[:, r0:r1] for s in seeds]
+            cold = [k for k, s in enumerate(init) if s is None]
+            if cold and continuation:
+                coarse_shape = (int(vin_coarse.shape[0]), r1 - r0)
+                coarse_res = self._half_cell_residual(
+                    tuple(sides[k] for k in cold), vin_coarse[:, None],
+                    tuple(bls[k] for k in cold), wl_voltage, d_block,
+                    coarse_shape, xp,
+                )
+                v_coarse = _solve_monotone_node(
+                    coarse_res, lo, hi, (len(cold),) + coarse_shape, xp=xp
+                )
+                for j, k in enumerate(cold):
+                    init[k] = _interp_along_axis0(vin_grid, vin_coarse, v_coarse[j], xp)
+            if any(s is not None for s in init):
+                # A side still without a seed starts where the solver's own
+                # cold start would: the bracket midpoint.
+                midpoint = xp.full((n_grid, r1 - r0), 0.5 * (lo + hi), dtype=xp.float64)
+                v_init = xp.stack([midpoint if s is None else s for s in init])
+            else:
+                v_init = None
+            residual = self._half_cell_residual(
+                sides, vin_grid[:, None], bls, wl_voltage, d_block,
+                (n_grid, r1 - r0), xp,
+            )
+            out[:, :, r0:r1] = _solve_monotone_node(
+                residual, lo, hi, (n_sides, n_grid, r1 - r0), v0=v_init, xp=xp
+            )
+        vtcs = tuple(xp.reshape(out[k], shape) for k in range(n_sides))
+        return vtcs[0] if single else vtcs
 
     # ------------------------------------------------------- read state
     def solve_read_state(

@@ -30,7 +30,7 @@ from repro.circuit import warm as _warm
 from repro.sram.butterfly import lobe_margins, write_margin
 from repro.sram.cell import SixTransistorCell
 from repro.sram.variation import VthMismatch
-from repro.utils.validation import as_sample_matrix
+from repro.utils.validation import as_sample_matrix, check_finite
 
 
 class SramMetric:
@@ -72,8 +72,12 @@ class SramMetric:
         return self.mismatch.dimension
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Metric values for every row of the ``(n, M)`` sample matrix."""
-        x = as_sample_matrix(x, self.dimension)
+        """Metric values for every row of the ``(n, M)`` sample matrix.
+
+        Rows must be finite: a NaN or infinite mismatch has no circuit, and
+        simulating one would report a margin that reads as a real failure.
+        """
+        x = check_finite("sample matrix", as_sample_matrix(x, self.dimension))
         xp = get_namespace(self.backend)
         numpy_path = is_numpy_namespace(xp)
         n = x.shape[0]
@@ -109,12 +113,15 @@ class SramMetric:
     def _evaluate_chunk(self, deltas) -> np.ndarray:
         raise NotImplementedError
 
-    def _warm_vtc(self, key, side, bl_voltage, deltas, wl_voltage=None):
-        """``half_cell_vtc`` with per-lane cross-round Newton warm seeding.
+    def _warm_vtc(self, key, bl_voltages, deltas, wl_voltage=None):
+        """Both half-cell VTCs with per-lane cross-round Newton warm seeding.
 
-        Cold path (no active carrier, or no lane tag for this batch) is a
-        plain VTC solve.  Warm path seeds the solve from the lanes' last
-        converged VTC under ``key`` and stores the new solution back.  The
+        One ``half_cell_vtc`` call solves the left and right sides (bitline
+        voltages ``bl_voltages``) together.  Cold path (no active carrier,
+        or no lane tag for this batch) is a plain VTC solve.  Warm path
+        seeds each side from the lanes' last converged VTC under that
+        side's key (``key`` + ``"-left"`` / ``"-right"``) and stores the
+        new solutions back.  The
         unique-solution monotone solve keeps warm results within solver
         tolerance of cold ones (see the warm-start note in DESIGN.md) —
         which is why only the VTC metrics warm-start: the bistable read
@@ -122,13 +129,16 @@ class SramMetric:
         change, so :class:`ReadCurrentMetric` deliberately stays cold.
         """
         carrier = _warm.get_active()
-        v0 = carrier.chunk_seed(key) if carrier is not None else None
-        vtc = self.cell.half_cell_vtc(
-            side, self.grid, bl_voltage, deltas, wl_voltage=wl_voltage, v0=v0
+        keys = (key + "-left", key + "-right")
+        seeds = tuple(carrier.chunk_seed(k) for k in keys) if carrier is not None else None
+        vtcs = self.cell.half_cell_vtc(
+            ("left", "right"), self.grid, bl_voltages, deltas,
+            wl_voltage=wl_voltage, v0=seeds,
         )
         if carrier is not None:
-            carrier.chunk_store(key, to_numpy(vtc))
-        return vtc
+            for key, vtc in zip(keys, vtcs):
+                carrier.chunk_store(key, to_numpy(vtc))
+        return vtcs
 
 
 class ReadNoiseMarginMetric(SramMetric):
@@ -142,8 +152,7 @@ class ReadNoiseMarginMetric(SramMetric):
 
     def _evaluate_chunk(self, deltas) -> np.ndarray:
         vdd = self.cell.vdd
-        vtc_left = self._warm_vtc("rnm-left", "left", vdd, deltas)
-        vtc_right = self._warm_vtc("rnm-right", "right", vdd, deltas)
+        vtc_left, vtc_right = self._warm_vtc("rnm", (vdd, vdd), deltas)
         margin_pos, _ = lobe_margins(self.grid, vtc_left, vtc_right, self.n_lines)
         return margin_pos
 
@@ -160,8 +169,7 @@ class WriteNoiseMarginMetric(SramMetric):
     def _evaluate_chunk(self, deltas) -> np.ndarray:
         vdd = self.cell.vdd
         # Left half is write-driven (BL = 0); right half sees BLB = VDD.
-        vtc_left = self._warm_vtc("wnm-left", "left", 0.0, deltas)
-        vtc_right = self._warm_vtc("wnm-right", "right", vdd, deltas)
+        vtc_left, vtc_right = self._warm_vtc("wnm", (0.0, vdd), deltas)
         return write_margin(self.grid, vtc_left, vtc_right)
 
 
@@ -183,8 +191,7 @@ class HoldNoiseMarginMetric(SramMetric):
 
     def _evaluate_chunk(self, deltas) -> np.ndarray:
         vdd = self.cell.vdd
-        vtc_left = self._warm_vtc("hold-left", "left", vdd, deltas, wl_voltage=0.0)
-        vtc_right = self._warm_vtc("hold-right", "right", vdd, deltas, wl_voltage=0.0)
+        vtc_left, vtc_right = self._warm_vtc("hold", (vdd, vdd), deltas, wl_voltage=0.0)
         margin_pos, _ = lobe_margins(self.grid, vtc_left, vtc_right, self.n_lines)
         return margin_pos
 

@@ -5,14 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.circuit import solve_dc
+from repro.circuit import warm
 from repro.devices.technology import DeviceGeometry
+from repro.sram import cell as cell_module
 from repro.sram.cell import (
+    _VTC_BLOCK_LANES,
+    _VTC_COARSE_STRIDE,
     DEVICE_NAMES,
     PAPER_INDEX,
     SixTransistorCell,
+    _interp_along_axis0,
+    _shape_of,
     _solve_monotone_node,
 )
+from repro.sram.metrics import (
+    HoldNoiseMarginMetric,
+    ReadNoiseMarginMetric,
+    WriteNoiseMarginMetric,
+)
+from repro.sram.problems import fragile_cell
 
 
 def _solve_monotone_node_reference(residual, lo, hi, shape,
@@ -43,6 +56,132 @@ def _solve_monotone_node_reference(residual, lo, hi, shape,
         v_next = np.where(inside, candidate, 0.5 * (lo_arr + hi_arr))
         v = np.where(done, v, v_next)
     return v.reshape(shape)
+
+
+def _half_cell_residual_reference(cell, side, vin, bl_voltage, wl_voltage,
+                                  delta_vth, shape):
+    """The per-side, per-device half-cell residual before the two sides
+    were fused, verbatim (numpy): three EKV calls per evaluation."""
+    suffix = "_l" if side == "left" else "_r"
+    pd = cell.devices["pd" + suffix]
+    pu = cell.devices["pu" + suffix]
+    ax = cell.devices["ax" + suffix]
+    vdd = cell.vdd
+    n = int(np.prod(shape)) if shape else 1
+
+    def flat(value):
+        return np.reshape(
+            np.broadcast_to(np.asarray(value, dtype=np.float64), shape), (n,)
+        )
+
+    vin_f = flat(vin)
+    d_pd = flat(delta_vth.get("pd" + suffix, 0.0))
+    d_pu = flat(delta_vth.get("pu" + suffix, 0.0))
+    d_ax = flat(delta_vth.get("ax" + suffix, 0.0))
+
+    def residual(v_node, idx=None):
+        if idx is None:
+            vin_x, dpd_x, dpu_x, dax_x = vin_f, d_pd, d_pu, d_ax
+        else:
+            vin_x, dpd_x, dpu_x, dax_x = (
+                vin_f[idx], d_pd[idx], d_pu[idx], d_ax[idx]
+            )
+        i_pd, _, dd_pd, _ = pd.current_and_derivs(vin_x, v_node, 0.0, 0.0, dpd_x)
+        i_pu, _, dd_pu, _ = pu.current_and_derivs(vin_x, v_node, vdd, vdd, dpu_x)
+        i_ax, _, _, ds_ax = ax.current_and_derivs(
+            wl_voltage, bl_voltage, v_node, 0.0, dax_x
+        )
+        f = i_pd + i_pu - i_ax
+        dfdv = dd_pd + dd_pu - ds_ax
+        return f, dfdv
+
+    return residual
+
+
+def _half_cell_vtc_reference(cell, side, vin_grid, bl_voltage, delta_vth=None,
+                             wl_voltage=None, v0=None):
+    """The per-side VTC before the two sides were fused, verbatim (numpy).
+
+    Kept as the ground truth the fused kernel must match bit for bit: one
+    coarse and one full Newton loop per side, four per butterfly.
+    """
+    delta_vth = dict(delta_vth or {})
+    wl_voltage = cell.vdd if wl_voltage is None else float(wl_voltage)
+    vin_grid = np.asarray(vin_grid, dtype=np.float64)
+    batch_shape = np.broadcast_shapes(*(_shape_of(d) for d in delta_vth.values())) \
+        if delta_vth else ()
+    vin = np.reshape(vin_grid, (-1,) + (1,) * len(batch_shape))
+    n_grid = int(vin_grid.shape[0])
+    shape = (n_grid,) + batch_shape
+    residual = _half_cell_residual_reference(
+        cell, side, vin, float(bl_voltage), wl_voltage, delta_vth, shape
+    )
+    lo, hi = -0.2, cell.vdd + 0.2
+    if v0 is not None:
+        seed = np.asarray(v0, dtype=np.float64)
+        if tuple(seed.shape) == shape:
+            return _solve_monotone_node(residual, lo, hi, shape, v0=seed)
+    if n_grid < 2 * _VTC_COARSE_STRIDE:
+        return _solve_monotone_node(residual, lo, hi, shape)
+    coarse_idx = np.arange(0, n_grid, _VTC_COARSE_STRIDE)
+    if int(coarse_idx[-1]) != n_grid - 1:
+        coarse_idx = np.concat(
+            [coarse_idx, np.asarray([n_grid - 1], dtype=coarse_idx.dtype)]
+        )
+    coarse_shape = (int(coarse_idx.shape[0]),) + batch_shape
+    vin_coarse = np.take(vin_grid, coarse_idx, axis=0)
+    coarse_res = _half_cell_residual_reference(
+        cell, side, np.reshape(vin_coarse, (-1,) + (1,) * len(batch_shape)),
+        float(bl_voltage), wl_voltage, delta_vth, coarse_shape,
+    )
+    v_coarse = _solve_monotone_node(coarse_res, lo, hi, coarse_shape)
+    interp = _interp_along_axis0(vin_grid, vin_coarse, v_coarse)
+    return _solve_monotone_node(residual, lo, hi, shape, v0=interp)
+
+
+class ReferenceCell(SixTransistorCell):
+    """A cell whose every half-cell solve runs the per-side oracle above:
+    metrics and the read-state straggler path built on it reproduce the
+    pre-fusion arithmetic."""
+
+    def _half_cell_residual(self, sides, vin, bl_voltage, wl_voltage,
+                            delta_vth, shape, xp=np):
+        if not isinstance(sides, str):
+            (sides,), (bl_voltage,) = sides, bl_voltage
+        return _half_cell_residual_reference(
+            self, sides, vin, bl_voltage, wl_voltage, delta_vth, shape
+        )
+
+    def half_cell_vtc(self, side, vin_grid, bl_voltage, delta_vth=None,
+                      wl_voltage=None, v0=None):
+        if isinstance(side, str):
+            return _half_cell_vtc_reference(
+                self, side, vin_grid, bl_voltage, delta_vth, wl_voltage, v0
+            )
+        seeds = v0 if v0 is not None else (None,) * len(side)
+        return tuple(
+            _half_cell_vtc_reference(self, s, vin_grid, b, delta_vth, wl_voltage, v)
+            for s, b, v in zip(side, bl_voltage, seeds)
+        )
+
+
+def _newton_counted(fn):
+    """``fn()`` under a fresh recorder: (result, lane_solves, lane_iters)."""
+    recorder = telemetry.Recorder(run_id="newton-counts")
+    with telemetry.activate(recorder):
+        result = fn()
+    counters = recorder.counters
+    return (result, counters.get("newton.lane_solves", 0),
+            counters.get("newton.lane_iters", 0))
+
+
+def _assert_same_solves(fused, oracle):
+    """Same arrays bit for bit, and the same Newton lane work."""
+    (got, solves, iters), (want, ref_solves, ref_iters) = fused, oracle
+    for g, w in zip(got if isinstance(got, tuple) else (got,),
+                    want if isinstance(want, tuple) else (want,)):
+        np.testing.assert_array_equal(g, w)
+    assert (solves, iters) == (ref_solves, ref_iters)
 
 
 class TestActiveSetSolverBitIdentity:
@@ -207,6 +346,181 @@ class TestHalfCellVtc:
         f_sub, df_sub = residual(v[idx], idx)
         np.testing.assert_array_equal(f_sub, f_all[idx])
         np.testing.assert_array_equal(df_sub, df_all[idx])
+
+
+def _mixed_rows(n, dim, seed):
+    """Whitened samples with every third row far in the tail, so
+    collapsed-lobe (slow, straggling) lanes sit among benign ones."""
+    x = np.random.default_rng(seed).standard_normal((n, dim))
+    x[::3] *= 6.0
+    return x
+
+
+#: Rows of one two-side block on the metrics' 81-point grid.
+_BLOCK_ROWS = _VTC_BLOCK_LANES // (2 * 81)
+
+
+class TestFusedKernelMatchesPerSideOracle:
+    """Solving both butterfly sides in one Newton loop, with the stacked
+    device evaluation, reproduces the per-side per-device kernel bit for
+    bit — and does the same Newton work, lane for lane."""
+
+    METRICS = {
+        "rnm": ReadNoiseMarginMetric,
+        "wnm": WriteNoiseMarginMetric,
+        "hold": HoldNoiseMarginMetric,
+    }
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, _BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("name", sorted(METRICS))
+    def test_margin_metrics(self, name, rows):
+        fused = self.METRICS[name](SixTransistorCell())
+        oracle = self.METRICS[name](ReferenceCell())
+        x = _mixed_rows(rows, 6, seed=rows)
+        _assert_same_solves(
+            _newton_counted(lambda: fused(x)), _newton_counted(lambda: oracle(x))
+        )
+
+    @pytest.mark.parametrize("n_grid", [9, 81])
+    def test_two_side_vtc(self, cell, n_grid):
+        """Direct call with a 2-D batch, the write configuration's split
+        bitlines, and grids with and without the coarse pass."""
+        gen = np.random.default_rng(n_grid)
+        deltas = {name: gen.normal(0.0, 0.12, (3, 4)) for name in DEVICE_NAMES}
+        grid = np.linspace(0.0, cell.vdd, n_grid)
+        sides = (("left", 0.0), ("right", cell.vdd))
+        _assert_same_solves(
+            _newton_counted(lambda: cell.half_cell_vtc(
+                ("left", "right"), grid, (0.0, cell.vdd), deltas)),
+            _newton_counted(lambda: tuple(
+                _half_cell_vtc_reference(cell, s, grid, b, deltas) for s, b in sides)),
+        )
+
+    @pytest.mark.parametrize("n_grid", [9, 81])
+    def test_one_side_seeded(self, cell, n_grid):
+        """A seeded side skips the coarse pass while the other runs it (or,
+        on a grid too short to thin, starts at the bracket midpoint)."""
+        gen = np.random.default_rng(4)
+        deltas = {name: gen.normal(0.0, 0.1, 5) for name in DEVICE_NAMES}
+        grid = np.linspace(0.0, cell.vdd, n_grid)
+        seed = cell.half_cell_vtc("left", grid, cell.vdd, deltas) + 0.003
+        _assert_same_solves(
+            _newton_counted(lambda: cell.half_cell_vtc(
+                ("left", "right"), grid, (cell.vdd, cell.vdd), deltas,
+                v0=(seed, None))),
+            _newton_counted(lambda: (
+                _half_cell_vtc_reference(cell, "left", grid, cell.vdd, deltas, v0=seed),
+                _half_cell_vtc_reference(cell, "right", grid, cell.vdd, deltas),
+            )),
+        )
+
+    def test_unmatched_sides_solved_apart(self):
+        """A cell whose right devices differ from its left ones still gets
+        each side's own curve."""
+        cell = SixTransistorCell()
+        params = cell.devices["pd_r"].params
+        cell.devices["pd_r"] = type(cell.devices["pd_r"])(
+            params.with_vth_shift(0.05)
+        )
+        gen = np.random.default_rng(6)
+        deltas = {name: gen.normal(0.0, 0.1, 3) for name in DEVICE_NAMES}
+        grid = np.linspace(0.0, cell.vdd, 81)
+        _assert_same_solves(
+            _newton_counted(lambda: cell.half_cell_vtc(
+                ("left", "right"), grid, (cell.vdd, cell.vdd), deltas)),
+            _newton_counted(lambda: tuple(
+                _half_cell_vtc_reference(cell, s, grid, cell.vdd, deltas)
+                for s in ("left", "right"))),
+        )
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_stacked_residual_matches_per_device(self, cell, monkeypatch, offset):
+        """Active sets on both sides of the lane-count crossover, evaluated
+        stacked, per device and by the oracle, agree bit for bit."""
+        n_active = cell_module._STACKED_MAX_LANES + offset
+        rows = n_active // 81 + 2
+        gen = np.random.default_rng(n_active)
+        deltas = {name: gen.normal(0.0, 0.12, rows) for name in DEVICE_NAMES}
+        grid = np.linspace(0.0, cell.vdd, 81)
+        shape = (81, rows)
+        bls = (0.0, cell.vdd)
+        residual = cell._half_cell_residual(
+            ("left", "right"), grid[:, None], bls, cell.vdd, deltas, shape
+        )
+        per_side = 81 * rows
+        idx = np.sort(gen.choice(2 * per_side, n_active, replace=False))
+        v = gen.uniform(-0.2, cell.vdd + 0.2, n_active)
+        natural = residual(v, idx)
+        monkeypatch.setattr(cell_module, "_STACKED_MAX_LANES", 2 * per_side + 1)
+        stacked = residual(v, idx)
+        monkeypatch.setattr(cell_module, "_STACKED_MAX_LANES", 0)
+        per_device = residual(v, idx)
+        want = [np.empty(n_active), np.empty(n_active)]
+        for k, (side, bl) in enumerate(zip(("left", "right"), bls)):
+            lane = (idx // per_side) == k
+            ref = _half_cell_residual_reference(
+                cell, side, grid[:, None], bl, cell.vdd, deltas, shape
+            )
+            f, dfdv = ref(v[lane], idx[lane] - k * per_side)
+            want[0][lane], want[1][lane] = f, dfdv
+        for got in (natural, stacked, per_device):
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("stored_zero_at_q", [True, False])
+    def test_read_state_straggler_path(self, stored_zero_at_q):
+        """Read-upset samples leave Newton unconverged and run the
+        fixed-point construction, built on the same residual."""
+        fused = fragile_cell()
+        oracle = ReferenceCell(fused.technology, fused.geometries)
+        low = "_l" if stored_zero_at_q else "_r"
+        dv = {
+            "pd" + low: np.array([0.0, 0.5, 0.45, 0.6, 0.02, 0.55]),
+            "ax" + low: np.array([0.0, -0.4, -0.35, -0.45, 0.01, -0.3]),
+        }
+        got = _newton_counted(lambda: fused.solve_read_state(dv, stored_zero_at_q))
+        _assert_same_solves(
+            got, _newton_counted(lambda: oracle.solve_read_state(dv, stored_zero_at_q))
+        )
+        assert got[1] > 0  # the straggler path ran
+
+    @pytest.mark.parametrize("name,rows", [("rnm", 5), ("wnm", 5), ("rnm", _BLOCK_ROWS + 5)])
+    def test_warm_carrier_path(self, name, rows):
+        """Cross-round warm seeds reach both sides under their own keys,
+        block by block."""
+        fused = self.METRICS[name](SixTransistorCell())
+        oracle = self.METRICS[name](ReferenceCell())
+        x = _mixed_rows(rows, 6, seed=11)
+
+        def rounds(metric):
+            values = []
+            with warm.use_carrier(warm.SolverStateCarrier()):
+                for step in range(3):
+                    warm.set_lanes(np.arange(rows))
+                    values.append(metric(x + 0.05 * step))
+            return tuple(values)
+
+        _assert_same_solves(
+            _newton_counted(lambda: rounds(fused)),
+            _newton_counted(lambda: rounds(oracle)),
+        )
+
+
+    def test_warm_keys_hold_their_own_side(self):
+        """Each side's converged VTC is stored under that side's key."""
+        metric = WriteNoiseMarginMetric(SixTransistorCell())
+        x = _mixed_rows(4, 6, seed=12)
+        carrier = warm.SolverStateCarrier()
+        with warm.use_carrier(carrier):
+            warm.set_lanes(np.arange(4))
+            metric(x)
+        deltas = metric.mismatch.deltas(x)
+        for key, side, bl in (("wnm-left", "left", 0.0),
+                              ("wnm-right", "right", metric.cell.vdd)):
+            np.testing.assert_array_equal(
+                carrier.seed(key, np.arange(4)),
+                _half_cell_vtc_reference(metric.cell, side, metric.grid, bl, deltas),
+            )
 
 
 class TestBatchIndependence:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.sram.cell import _VTC_BLOCK_LANES
 from repro.sram.metrics import (
     ReadCurrentMetric,
     ReadNoiseMarginMetric,
@@ -32,6 +33,24 @@ class TestInterface:
         with pytest.raises(ValueError, match="chunk_size"):
             ReadCurrentMetric(cell, chunk_size=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, rnm_metric, iread_metric, bad):
+        """A non-finite mismatch is not a circuit: it must raise, not come
+        back as a margin or current that reads as a failure."""
+        from repro.sram.problems import read_current_problem, read_noise_margin_problem
+
+        rnm_row = np.zeros((2, 6))
+        rnm_row[1, 3] = bad
+        iread_row = np.array([[0.0, 0.0], [bad, 0.0]])
+        for call, x in (
+            (rnm_metric, rnm_row),
+            (iread_metric, iread_row),
+            (read_noise_margin_problem().indicator, np.full((1, 6), bad)),
+            (read_current_problem().indicator, np.array([[bad, 0.0]])),
+        ):
+            with pytest.raises(ValueError, match="non-finite"):
+                call(x)
+
     def test_base_class_not_implemented(self, cell):
         metric = SramMetric(cell)
         with pytest.raises(NotImplementedError):
@@ -43,6 +62,14 @@ class TestInterface:
         small = ReadCurrentMetric(cell, chunk_size=3)
         x = np.random.default_rng(0).standard_normal((10, 2))
         np.testing.assert_allclose(big(x), small(x), rtol=1e-12)
+        # The two-side VTC solve: a chunk spanning a row block against
+        # chunks of 3, bit for bit.
+        rows = _VTC_BLOCK_LANES // (2 * 81) + 3
+        x = 3.0 * np.random.default_rng(1).standard_normal((rows, 6))
+        np.testing.assert_array_equal(
+            ReadNoiseMarginMetric(cell)(x),
+            ReadNoiseMarginMetric(cell, chunk_size=3)(x),
+        )
 
 
 class TestReadNoiseMargin:
