@@ -77,19 +77,18 @@ def bench_metadata(**extra) -> dict:
     ``"environment"`` key.  Keyword arguments extend (and may override)
     the base fields for bench-specific context.
     """
-    from repro.backend import available_backends, device_info
-
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+        blas = "unknown"
     record = {
         "cpu_count": os.cpu_count(),
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": blas,
         "platform": platform.platform(),
-        "backends": {
-            name: device_info(None if name == "numpy" else name)
-            for name in available_backends()
-        },
         "bench_scale": SCALE,
     }
     record.update(extra)

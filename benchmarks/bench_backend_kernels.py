@@ -1,4 +1,4 @@
-"""Throughput of the hot simulation kernels across backends and fast paths.
+"""Throughput of the hot simulation kernels and their fast paths.
 
 Two families of rows.
 
@@ -9,15 +9,11 @@ cross-validation and netlist-defined circuits use it) over Monte-Carlo
 batches (64–1024) and the metric layer's default evaluation chunk (4096).
 Variants:
 
-* ``generic`` — the per-element stamping walk (``compiled=False``).  This
-  executes the identical instruction stream as the pre-backend releases
-  (the bit-identity battery in tests/test_backend_kernels.py enforces it),
-  so it doubles as the historical baseline.
+* ``generic`` — the per-element stamping walk (``compiled=False``), the
+  historical baseline and the compiled path's oracle.
 * ``compiled`` — the precompiled scatter-program stamper
-  (``compiled=None``/``True``, the new default on numpy).
-* ``compiled+tiny`` — adds the closed-form tiny-matrix Newton solve
-  (``tiny_solve=True``, tolerance contract).
-* ``torch`` — the same solve through the torch CPU backend, when installed.
+  (``compiled=None``/``True``, the default), bit-identical to ``generic``
+  (the battery in tests/test_backend_kernels.py enforces it).
 
 **SRAM metric kernels.**  The margin and read-current metrics bypass that
 solver (see the performance note in ``repro.sram.cell``): the read noise
@@ -37,10 +33,10 @@ container that is the only scheme that gave stable ratios; means drift by
 2x between runs.
 
 Headline numbers land in ``BENCH_backend_kernels.json`` at the repository
-root, with backend/BLAS metadata from :func:`repro.backend.device_info`
-and the usable core count.  Asserted floors: compiled >= 1.5x generic at a
-Gibbs-scale batch (measured 2.3x at 64–256 lanes), and fused >= 1.5x the
-oracle on every SRAM kernel call of at most two rows.
+root, with the numpy/BLAS versions and usable core count from
+:func:`benchmarks._shared.bench_metadata`.  Asserted floors: compiled >=
+1.5x generic at a Gibbs-scale batch, and fused >= 1.5x the oracle on every
+SRAM kernel call of at most two rows.
 """
 
 import json
@@ -49,7 +45,6 @@ from pathlib import Path
 import numpy as np
 
 from benchmarks._shared import SCALE, bench_metadata, interleaved_min, write_report
-from repro.backend import available_backends, get_namespace
 from repro.circuit import solve_dc
 from repro.sram.cell import DEVICE_NAMES, SixTransistorCell
 from repro.sram.metrics import ReadCurrentMetric, ReadNoiseMarginMetric
@@ -84,54 +79,29 @@ def _problem(n_batch, seed=17):
     return cell.build_circuit(), clamps, params
 
 
-def _variants():
-    out = [
-        ("generic", dict(compiled=False)),
-        ("compiled", dict(compiled=True)),
-        ("compiled+tiny", dict(compiled=True, tiny_solve=True)),
-    ]
-    if "torch" in available_backends():
-        out.append(("torch", dict(backend="torch", compiled=False)))
-    return out
-
-
-def _to_backend_params(params, backend):
-    if backend is None:
-        return params
-    xp = get_namespace(backend)
-    return {
-        name: {"delta_vth": xp.asarray(kw["delta_vth"], dtype=xp.float64)}
-        for name, kw in params.items()
-    }
-
-
-def bench_dc_solver_backends():
+def bench_dc_solver():
     rounds = max(3, int(round(5 * SCALE)))
-    variants = _variants()
+    variants = {"generic": False, "compiled": True}  # the ``compiled=`` value
     records = []
     for n_batch in BATCH_SIZES:
         circuit, clamps, params = _problem(n_batch)
-        prepared = {
-            name: (_to_backend_params(params, kw.get("backend")), kw)
-            for name, kw in variants
-        }
-        # Warm-up: compiles/caches the stamping plan and any backend JIT so
-        # the timed rounds measure steady-state solves only, and pins the
-        # convergence contract.
-        for name, (p, kw) in prepared.items():
-            sol = solve_dc(circuit, clamps, element_params=p, **kw)
+        # Warm-up: compiles/caches the stamping plan so the timed rounds
+        # measure steady-state solves only, and pins the convergence
+        # contract.
+        for compiled in variants.values():
+            sol = solve_dc(circuit, clamps, element_params=params, compiled=compiled)
             assert sol.iterations > 0
         best = interleaved_min(
             {
-                name: lambda p=p, kw=kw: solve_dc(
-                    circuit, clamps, element_params=p, **kw
+                name: lambda compiled=compiled: solve_dc(
+                    circuit, clamps, element_params=params, compiled=compiled
                 )
-                for name, (p, kw) in prepared.items()
+                for name, compiled in variants.items()
             },
             rounds,
         )
         base = best["generic"]
-        for name, _ in variants:
+        for name in variants:
             records.append(
                 {
                     "n_batch": n_batch,
@@ -210,7 +180,7 @@ def bench_sram_kernels():
 
 def test_backend_kernel_throughput():
     sram = bench_sram_kernels()
-    records = bench_dc_solver_backends()
+    records = bench_dc_solver()
     headline = max(
         r["speedup_vs_generic"]
         for r in records
@@ -235,7 +205,7 @@ def test_backend_kernel_throughput():
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
-    lines = ["backend kernel throughput (6T read DC solve)", ""]
+    lines = ["simulator kernel throughput (6T read DC solve)", ""]
     lines.append(f"{'n_batch':>8} {'variant':>14} {'samples/s':>12} {'vs generic':>11}")
     for r in records:
         lines.append(
@@ -257,7 +227,7 @@ def test_backend_kernel_throughput():
         )
     write_report("backend_kernels", "\n".join(lines))
 
-    # Floor, not a target: measured ~2.3x on the reference 1-core container.
+    # Floor, not a target (see BENCH_backend_kernels.json for measurements).
     assert headline >= 1.5, f"compiled speedup {headline:.2f}x under the 1.5x floor"
     for r in sram:
         if r["rows"] <= 2:

@@ -25,18 +25,10 @@ Two execution strategies share the loop:
 
 * the **compiled** stamping path (:mod:`repro.circuit.stamping`): fused
   per-device-class evaluation, a static scatter program and reused
-  workspaces.  Default on the numpy backend, where it is bit-identical to
-  the generic walk (the bit-identity battery gates this).
+  workspaces.  The default, bit-identical to the generic walk (the
+  bit-identity battery gates this).
 * the **generic** walk over ``Element.kcl_contributions``, which supports
-  arbitrary element classes and any array-API backend.  Select a non-numpy
-  backend per call (``backend="torch"``) or process-wide via
-  ``REPRO_BACKEND``; alternate backends carry a float64 *tolerance*
-  contract rather than bit-identity (see DESIGN.md, "Backends").
-
-``tiny_solve=True`` additionally replaces the stacked LAPACK solve with the
-closed-form batched kernel of :mod:`repro.backend.linalg` for systems with
-at most four free nodes.  It is opt-in because the elimination order
-perturbs results at round-off level.
+  arbitrary element classes and is the compiled path's test oracle.
 """
 
 from __future__ import annotations
@@ -46,8 +38,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.backend import get_namespace, is_numpy_namespace, to_numpy
-from repro.backend.linalg import can_solve_tiny, solve_tiny
 from repro.circuit import warm as _warm
 from repro.circuit.netlist import GROUND, Circuit
 from repro.circuit.stamping import compile_plan
@@ -63,8 +53,7 @@ class DCSolution:
         The solved circuit.
     voltages:
         Mapping from node name to an array of node voltages with the batch
-        shape of the solve (clamped nodes included).  Arrays belong to the
-        backend the solve ran on (numpy by default).
+        shape of the solve (clamped nodes included).
     converged:
         Boolean array (batch shape): which batch members satisfied the
         residual tolerance.
@@ -106,13 +95,12 @@ def _broadcast_batch(values) -> tuple:
 class _GenericEvaluator:
     """Residual/Jacobian via the per-element ``kcl_contributions`` walk.
 
-    Works for any :class:`~repro.circuit.netlist.Element` subclass and any
-    array-API backend; the compiled path (:mod:`repro.circuit.stamping`)
-    replaces it on the supported numpy fast path.
+    Works for any :class:`~repro.circuit.netlist.Element` subclass; the
+    compiled path (:mod:`repro.circuit.stamping`) replaces it whenever every
+    element is supported.
     """
 
-    def __init__(self, circuit, free_index, clamp_flat, params_flat, gmin, xp):
-        self.xp = xp
+    def __init__(self, circuit, free_index, clamp_flat, params_flat, gmin):
         self.gmin = gmin
         self.n_free = len(free_index)
         self.free_index = free_index
@@ -138,17 +126,17 @@ class _GenericEvaluator:
         parameters are sliced to match, so the per-iteration cost scales
         with the surviving active set rather than the full batch.
         """
-        xp, rows_idx, n_free = self.xp, self.rows_idx, self.n_free
+        rows_idx, n_free = self.rows_idx, self.n_free
         n_active = int(rows_idx.shape[0])
-        f = xp.zeros((n_active, n_free), dtype=xp.float64)
-        jac = xp.zeros((n_active, n_free, n_free), dtype=xp.float64)
-        node_v = {n: xp.take(self.clamp_flat[n], rows_idx, axis=0)
+        f = np.zeros((n_active, n_free), dtype=np.float64)
+        jac = np.zeros((n_active, n_free, n_free), dtype=np.float64)
+        node_v = {n: np.take(self.clamp_flat[n], rows_idx, axis=0)
                   for n in self.clamp_flat}
         for node, idx in self.free_index.items():
             node_v[node] = v_act[:, idx]
         for element, rows, kw in self.elements:
             terminal_v = tuple(node_v[n] for n in element.nodes)
-            kw_active = {k: xp.take(v, rows_idx, axis=0) for k, v in kw.items()}
+            kw_active = {k: np.take(v, rows_idx, axis=0) for k, v in kw.items()}
             currents, partials = element.kcl_contributions(
                 terminal_v, **kw_active
             )
@@ -159,7 +147,7 @@ class _GenericEvaluator:
                 for j, col in enumerate(rows):
                     if col >= 0:
                         jac[:, row, col] += partials[i][j]
-        diag = xp.arange(n_free)
+        diag = np.arange(n_free)
         jac[:, diag, diag] += self.gmin
         return f, jac
 
@@ -174,9 +162,7 @@ def solve_dc(
     max_step: float = 0.25,
     gmin: float = 1e-12,
     voltage_margin: float = 0.5,
-    backend=None,
     compiled: Optional[bool] = None,
-    tiny_solve: bool = False,
     warm_start: bool = False,
 ) -> DCSolution:
     """Solve the DC operating point of ``circuit``.
@@ -194,21 +180,12 @@ def solve_dc(
         Optional initial guesses for free nodes.  Bistable circuits (an SRAM
         cell!) converge to the stable state nearest the guess, so callers
         select the intended state here.
-    backend:
-        ``None`` (environment default — numpy unless ``REPRO_BACKEND`` says
-        otherwise), a backend name (``"numpy"`` / ``"torch"`` / ``"cupy"``)
-        or an array-API namespace object.
     compiled:
-        ``None`` (default) uses the compiled stamping fast path whenever the
-        backend is numpy and every element is supported, falling back to the
-        generic walk otherwise.  ``False`` forces the generic walk (useful
+        ``None`` (default) uses the compiled stamping fast path whenever
+        every element is supported, falling back to the generic walk
+        otherwise.  ``False`` forces the generic walk (useful
         for bit-identity checks); ``True`` requires the compiled path and
         raises ``ValueError`` when it is unavailable.
-    tiny_solve:
-        Use the closed-form batched tiny-matrix kernel for the Newton
-        updates when the system has at most four free nodes.  Opt-in:
-        results agree with the LAPACK solve to float64 round-off but are
-        not bitwise identical.
     warm_start:
         Consult the active :mod:`repro.circuit.warm` carrier (if any) for
         per-lane converged free-node voltages from an earlier solve of the
@@ -221,11 +198,6 @@ def solve_dc(
         the seed (like ``initial``) selects the nearest stable state — tag
         lanes consistently or leave this off.
     """
-    xp = get_namespace(backend)
-    is_numpy = is_numpy_namespace(xp)
-    if compiled is True and not is_numpy:
-        raise ValueError("compiled stamping requires the numpy backend")
-
     element_params = {name: dict(kw) for name, kw in (element_params or {}).items()}
     for name in element_params:
         circuit.element(name)  # validate names early
@@ -254,21 +226,21 @@ def solve_dc(
         everything the solver does with clamps and parameters (read-only
         gathers), so no ``(n_batch,)`` buffer is materialised per scalar.
         """
-        arr = xp.asarray(value, dtype=xp.float64)
+        arr = np.asarray(value, dtype=np.float64)
         shape = tuple(arr.shape)
         if shape == batch_shape:
-            return xp.reshape(arr, (n_batch,))
+            return np.reshape(arr, (n_batch,))
         if shape == ():
-            return xp.broadcast_to(arr, (n_batch,))
-        return xp.reshape(xp.broadcast_to(arr, batch_shape), (n_batch,))
+            return np.broadcast_to(arr, (n_batch,))
+        return np.reshape(np.broadcast_to(arr, batch_shape), (n_batch,))
 
     clamp_flat = {n: flat(v) for n, v in clamp_map.items()}
     params_flat = {
         name: {k: flat(v) for k, v in kw.items()} for name, kw in element_params.items()
     }
 
-    rail_hi = max((float(xp.max(v)) for v in clamp_flat.values()), default=1.0)
-    rail_lo = min((float(xp.min(v)) for v in clamp_flat.values()), default=0.0)
+    rail_hi = max((float(np.max(v)) for v in clamp_flat.values()), default=1.0)
+    rail_lo = min((float(np.min(v)) for v in clamp_flat.values()), default=0.0)
     # Node voltages are confined to a window around the rails (standard
     # SPICE practice for MOSFET circuits); widen ``voltage_margin`` for
     # circuits whose nodes legitimately swing beyond the rails (current
@@ -281,18 +253,18 @@ def solve_dc(
     def initial_guess(default: float, rows_idx=None):
         """Free-node guess rows — full batch, or just ``rows_idx`` of it."""
         n_rows = n_batch if rows_idx is None else int(rows_idx.shape[0])
-        guess = xp.full((n_rows, n_free), default, dtype=xp.float64)
+        guess = np.full((n_rows, n_free), default, dtype=np.float64)
         for node, value in (initial or {}).items():
             if node in free_index:
                 column = flat(value)
                 if rows_idx is not None:
-                    column = xp.take(column, rows_idx, axis=0)
+                    column = np.take(column, rows_idx, axis=0)
                 guess[:, free_index[node]] = column
         return guess
 
     # ------------------------------------------------- evaluator selection
     plan = None
-    if is_numpy and compiled is not False and n_free:
+    if compiled is not False and n_free:
         plan = compile_plan(circuit, free_index, list(clamp_map), element_params)
         if plan is None and compiled is True:
             raise ValueError(
@@ -303,10 +275,8 @@ def solve_dc(
         evaluator = plan.bind(clamp_flat, params_flat, n_batch, gmin)
     else:
         evaluator = _GenericEvaluator(
-            circuit, free_index, clamp_flat, params_flat, gmin, xp
+            circuit, free_index, clamp_flat, params_flat, gmin
         )
-
-    use_tiny = tiny_solve and can_solve_tiny(n_free)
 
     # Optional cross-call Newton warm start: claim the pending lane tag and
     # look up each lane's last converged solution for this topology.
@@ -330,7 +300,7 @@ def solve_dc(
         actually executed.
         """
         converged = ~active
-        idx = xp.nonzero(active)[0]
+        idx = np.nonzero(active)[0]
         evaluator.set_rows(idx)
         v_act = v_free[idx]
         n_iters = 0
@@ -338,9 +308,9 @@ def solve_dc(
             if int(idx.shape[0]) == 0:
                 break
             f, jac = evaluator.residual_and_jacobian(v_act)
-            err = xp.max(xp.abs(f), axis=1)
+            err = np.max(np.abs(f), axis=1)
             done = err < current_tol
-            if bool(xp.any(done)):
+            if bool(np.any(done)):
                 converged[idx[done]] = True
                 v_free[idx[done]] = v_act[done]
                 keep = ~done
@@ -348,19 +318,16 @@ def solve_dc(
                 evaluator.compact(keep)
                 if int(idx.shape[0]) == 0:
                     break
-            if use_tiny:
-                dv = solve_tiny(jac, -f, xp=xp)
-            else:
-                dv = xp.linalg.solve(jac, -f[..., None])[..., 0]
-            dv = xp.clip(dv, -step_cap, step_cap)
-            v_act = xp.clip(v_act + dv, v_min, v_max)
+            dv = np.linalg.solve(jac, -f[..., None])[..., 0]
+            dv = np.clip(dv, -step_cap, step_cap)
+            v_act = np.clip(v_act + dv, v_min, v_max)
             n_iters += 1
         else:
             # Iteration budget exhausted: one last residual check on the
             # stragglers (a final step may have just crossed the tolerance).
             if int(idx.shape[0]):
                 f, _ = evaluator.residual_and_jacobian(v_act)
-                done = xp.max(xp.abs(f), axis=1) < current_tol
+                done = np.max(np.abs(f), axis=1) < current_tol
                 converged[idx[done]] = True
         if int(idx.shape[0]):
             v_free[idx] = v_act
@@ -374,38 +341,36 @@ def solve_dc(
             # lanes, so it supersedes the generic guess (and any caller
             # ``initial``, which already did its basin-selection job on the
             # cold call that produced the seed).
-            v_free = xp.clip(
-                xp.asarray(warm_seed.T, dtype=xp.float64), v_min, v_max
+            v_free = np.clip(
+                np.asarray(warm_seed.T, dtype=np.float64), v_min, v_max
             )
-        active = xp.ones(n_batch, dtype=xp.bool)
+        active = np.ones(n_batch, dtype=np.bool)
         v_free, converged, n_iters = newton(
             v_free, active, max_iterations, max_step
         )
         iterations += n_iters
-        if not bool(xp.all(converged)):
+        if not bool(np.all(converged)):
             # Restart stragglers from a rail-adjacent guess with heavy
             # damping — built over the straggler rows only, not the batch.
             retry = ~converged
-            retry_idx = xp.nonzero(retry)[0]
+            retry_idx = np.nonzero(retry)[0]
             v_free[retry_idx] = initial_guess(0.9 * rail_hi, retry_idx)
             v_free, converged, n_iters = newton(
                 v_free, retry, max_iterations, 0.05
             )
             iterations += n_iters
     else:
-        v_free = xp.zeros((n_batch, 0), dtype=xp.float64)
-        converged = xp.ones(n_batch, dtype=xp.bool)
+        v_free = np.zeros((n_batch, 0), dtype=np.float64)
+        converged = np.ones(n_batch, dtype=np.bool)
 
-    if warm_lanes is not None:
-        ok = to_numpy(converged).astype(bool)
-        if ok.any():
-            carrier.store(warm_key, warm_lanes[ok], to_numpy(v_free)[ok].T)
+    if warm_lanes is not None and converged.any():
+        carrier.store(warm_key, warm_lanes[converged], v_free[converged].T)
 
     def unflatten(arr):
-        out = xp.reshape(arr, batch_shape)
+        out = np.reshape(arr, batch_shape)
         # flat() hands out read-only broadcast views for scalars; results
         # keep the historical contract of owning writable storage.
-        if isinstance(out, np.ndarray) and not out.flags.writeable:
+        if not out.flags.writeable:
             out = out.copy()
         return out
 

@@ -13,7 +13,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.backend import array_namespace
 from repro.devices.mosfet import Mosfet, MosfetParams
 
 #: Canonical name of the ground node.
@@ -68,7 +67,7 @@ class MosfetElement(Element):
         ids, d_dvg, d_dvd, d_dvs = self.device.current_and_derivs(
             vg, vd, vs, vb, delta_vth
         )
-        zero = array_namespace(ids).zeros_like(ids)
+        zero = np.zeros_like(ids)
         # By translation invariance the bulk partial is minus the sum of the
         # other three; it only matters if the bulk were a free node.
         d_dvb = -(d_dvg + d_dvd + d_dvs)
@@ -109,8 +108,7 @@ class Resistor(Element):
         i = (va - vb) * g
         shape = getattr(i, "shape", ())
         if shape:
-            xp = array_namespace(i)
-            g_arr = xp.broadcast_to(xp.asarray(g, dtype=i.dtype), shape)
+            g_arr = np.broadcast_to(np.asarray(g, dtype=i.dtype), shape)
         else:
             g_arr = g
         currents = (i, -i)
@@ -132,18 +130,16 @@ class CurrentSource(Element):
 
     def kcl_contributions(self, voltages):
         va, vb = voltages
-        xp = array_namespace(va)
         shape = getattr(va, "shape", ())
-        i = xp.full(shape, self.current, dtype=xp.float64)
-        zero = xp.zeros_like(i)
+        i = np.full(shape, self.current, dtype=np.float64)
+        zero = np.zeros_like(i)
         currents = (i, -i)
         jacobian = ((zero, zero), (zero, zero))
         return currents, jacobian
 
     def branch_current(self, voltages):
         va, _ = voltages
-        xp = array_namespace(va)
-        return xp.full(getattr(va, "shape", ()), self.current, dtype=xp.float64)
+        return np.full(getattr(va, "shape", ()), self.current, dtype=np.float64)
 
 
 class Circuit:

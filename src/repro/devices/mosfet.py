@@ -32,8 +32,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.backend import array_namespace
-
 #: Thermal voltage kT/q at 300 K, in volts.
 THERMAL_VOLTAGE = 0.02585
 
@@ -42,26 +40,26 @@ NMOS = 1
 PMOS = -1
 
 
-def _interp_f(u: np.ndarray, xp=np) -> np.ndarray:
+def _interp_f(u: np.ndarray) -> np.ndarray:
     """EKV interpolation function F(u) = ln(1 + exp(u/2))^2, stable for all u."""
-    half = 0.5 * xp.asarray(u, dtype=xp.float64)
-    soft = xp.logaddexp(xp.asarray(0.0, dtype=xp.float64), half)
+    half = 0.5 * np.asarray(u, dtype=np.float64)
+    soft = np.logaddexp(np.asarray(0.0, dtype=np.float64), half)
     return soft * soft  # ln(1 + exp(u/2)) without overflow
 
 
-def _interp_f_and_deriv(u: np.ndarray, xp=np) -> Tuple[np.ndarray, np.ndarray]:
+def _interp_f_and_deriv(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Return F(u) and dF/du = ln(1+exp(u/2)) * sigmoid(u/2)."""
-    half = 0.5 * xp.asarray(u, dtype=xp.float64)
-    soft = xp.logaddexp(xp.asarray(0.0, dtype=xp.float64), half)
+    half = 0.5 * np.asarray(u, dtype=np.float64)
+    soft = np.logaddexp(np.asarray(0.0, dtype=np.float64), half)
     # sigmoid(u/2) from the always-decaying exponential: stable in both
     # tails and branch-free (this sits in the innermost solver loop).
-    decay = xp.exp(-xp.abs(half))
-    sig = xp.where(half >= 0.0, 1.0, decay) / (1.0 + decay)
+    decay = np.exp(-np.abs(half))
+    sig = np.where(half >= 0.0, 1.0, decay) / (1.0 + decay)
     return soft * soft, soft * sig
 
 
 def ekv_current_and_derivs(vg, vd, vs, vb, polarity, vth, beta, n, lam,
-                           delta_vth=0.0, xp=None):
+                           delta_vth=0.0):
     """Vectorised EKV core: ``(ids, d_ids/d_vg, d_ids/d_vd, d_ids/d_vs)``.
 
     All arguments may be scalars or mutually broadcastable arrays — device
@@ -70,28 +68,23 @@ def ekv_current_and_derivs(vg, vd, vs, vb, polarity, vth, beta, n, lam,
     once* with a leading device axis.  The arithmetic is elementwise and
     performed in exactly the same operation order as the historical
     per-device code, so a stacked evaluation is bit-identical per lane to
-    per-device calls on the numpy backend.
-
-    ``xp`` is the array namespace (default: inferred from the array
-    arguments; numpy when all are numpy/scalars).
+    per-device calls.
     """
-    if xp is None:
-        xp = array_namespace(vg, vd, vs, vb, delta_vth)
-    f64 = xp.float64
+    f64 = np.float64
     # Reference to the bulk, then reflect PMOS into the NMOS frame:
     # v' = polarity * (v - vb), I' = polarity * I.
-    vb = xp.asarray(vb, dtype=f64)
-    vg_n = polarity * (xp.asarray(vg, dtype=f64) - vb)
-    vd_n = polarity * (xp.asarray(vd, dtype=f64) - vb)
-    vs_n = polarity * (xp.asarray(vs, dtype=f64) - vb)
+    vb = np.asarray(vb, dtype=f64)
+    vg_n = polarity * (np.asarray(vg, dtype=f64) - vb)
+    vd_n = polarity * (np.asarray(vd, dtype=f64) - vb)
+    vs_n = polarity * (np.asarray(vs, dtype=f64) - vb)
 
     ut = THERMAL_VOLTAGE
-    vth = vth + xp.asarray(delta_vth, dtype=f64)
+    vth = vth + np.asarray(delta_vth, dtype=f64)
     vp = (vg_n - vth) / n
     i_spec = 2.0 * n * beta * ut * ut
 
-    ff, dff = _interp_f_and_deriv((vp - vs_n) / ut, xp)
-    fr, dfr = _interp_f_and_deriv((vp - vd_n) / ut, xp)
+    ff, dff = _interp_f_and_deriv((vp - vs_n) / ut)
+    fr, dfr = _interp_f_and_deriv((vp - vd_n) / ut)
     core = ff - fr
     clm = 1.0 + lam * (vd_n - vs_n)
 

@@ -11,10 +11,12 @@ lifecycle state, timestamps, the result and the telemetry manifest.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.analysis.experiments import METHODS
+from repro.sram.corners import CORNERS
 
 #: Valid method labels a job may request.
 JOB_METHODS = METHODS + ("MC",)
@@ -112,6 +114,29 @@ class JobRequest:
             raise ValueError(
                 f"unknown method {self.method!r}; "
                 f"choose from {sorted(JOB_METHODS)}"
+            )
+        # The runner reads the corner case-insensitively.
+        if str(self.corner).upper() not in CORNERS:
+            raise ValueError(
+                f"unknown corner {self.corner!r}; choose from {sorted(CORNERS)}"
+            )
+        for name, choices in (("proposal_fit", ("normal", "mixture")),
+                              ("surrogate_order", ("linear", "quadratic"))):
+            if getattr(self, name) not in choices:
+                raise ValueError(
+                    f"unknown {name} {getattr(self, name)!r}; "
+                    f"choose from {sorted(choices)}"
+                )
+        # JSON bodies may carry NaN/Infinity, which slip past every range
+        # check below (``nan <= 0`` is False) and would disable the timeout.
+        for name in ("sigma_global", "threshold", "chain_jitter", "epsilon",
+                     "zeta", "timeout"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.sigma_global < 0:
+            raise ValueError(
+                f"sigma_global must be >= 0, got {self.sigma_global}"
             )
         if self.n_second_stage < 2:
             raise ValueError(

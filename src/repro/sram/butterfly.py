@@ -22,11 +22,6 @@ The right inverter (input ``v_q``, output ``v_qb``) plots as
 ``y = vtc_right(x)``; the left inverter (input ``v_qb``, output ``v_q``)
 plots as ``x = vtc_left(y)``.  The lobe at ``c = y - x > 0`` corresponds to
 the state storing 0 at ``q``; the ``c < 0`` lobe to storing 1.
-
-The extraction runs on any array-API backend: the namespace is inferred from
-the curve arrays (:func:`repro.backend.array_namespace`), so numpy callers
-are untouched and bit-identical while torch/cupy batches flow straight
-through.
 """
 
 from __future__ import annotations
@@ -35,10 +30,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.backend import array_namespace, errstate, gather_1d, take_along_axis
 
-
-def _interp_increasing(z, grid, c, xp=np):
+def _interp_increasing(z, grid, c):
     """Inverse-interpolate a batched monotone function.
 
     ``z`` has shape ``(P, *batch)`` and is strictly increasing along axis 0;
@@ -48,22 +41,22 @@ def _interp_increasing(z, grid, c, xp=np):
     """
     p = z.shape[0]
     batch_ndim = z.ndim - 1
-    c_col = xp.reshape(c, (-1, 1) + (1,) * batch_ndim)
+    c_col = np.reshape(c, (-1, 1) + (1,) * batch_ndim)
     # Count of z-samples strictly below each level: the upper bracket index.
-    k = xp.sum(z[None, ...] < c_col, axis=1)
-    k = xp.clip(k, 1, p - 1)
-    z0 = take_along_axis(xp, z[None, ...], (k - 1)[:, None, ...], axis=1)[:, 0, ...]
-    z1 = take_along_axis(xp, z[None, ...], k[:, None, ...], axis=1)[:, 0, ...]
-    g0 = gather_1d(xp, grid, k - 1)
-    g1 = gather_1d(xp, grid, k)
+    k = np.sum(z[None, ...] < c_col, axis=1)
+    k = np.clip(k, 1, p - 1)
+    z0 = np.take_along_axis(z[None, ...], (k - 1)[:, None, ...], axis=1)[:, 0, ...]
+    z1 = np.take_along_axis(z[None, ...], k[:, None, ...], axis=1)[:, 0, ...]
+    g0 = grid[k - 1]
+    g1 = grid[k]
     dz = z1 - z0
-    with errstate(xp, divide="ignore", invalid="ignore"):
-        frac = xp.where(dz > 0, (c_col[:, 0, ...] - z0) / xp.where(dz > 0, dz, 1.0), 0.0)
-    frac = xp.clip(frac, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(dz > 0, (c_col[:, 0, ...] - z0) / np.where(dz > 0, dz, 1.0), 0.0)
+    frac = np.clip(frac, 0.0, 1.0)
     return g0 + frac * (g1 - g0)
 
 
-def _interp_increasing_batched(z, grid, c, xp=np):
+def _interp_increasing_batched(z, grid, c):
     """Like :func:`_interp_increasing` but with per-batch query levels.
 
     ``z`` is ``(P, *batch)`` strictly increasing along axis 0; ``c`` is
@@ -71,15 +64,15 @@ def _interp_increasing_batched(z, grid, c, xp=np):
     """
     p = z.shape[0]
     cmp = z[None, ...] < c[:, None, ...]
-    k = xp.clip(xp.sum(cmp, axis=1), 1, p - 1)
-    z0 = take_along_axis(xp, z[None, ...], (k - 1)[:, None, ...], axis=1)[:, 0, ...]
-    z1 = take_along_axis(xp, z[None, ...], k[:, None, ...], axis=1)[:, 0, ...]
-    g0 = gather_1d(xp, grid, k - 1)
-    g1 = gather_1d(xp, grid, k)
+    k = np.clip(np.sum(cmp, axis=1), 1, p - 1)
+    z0 = np.take_along_axis(z[None, ...], (k - 1)[:, None, ...], axis=1)[:, 0, ...]
+    z1 = np.take_along_axis(z[None, ...], k[:, None, ...], axis=1)[:, 0, ...]
+    g0 = grid[k - 1]
+    g1 = grid[k]
     dz = z1 - z0
-    with errstate(xp, divide="ignore", invalid="ignore"):
-        frac = xp.where(dz > 0, (c - z0) / xp.where(dz > 0, dz, 1.0), 0.0)
-    frac = xp.clip(frac, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(dz > 0, (c - z0) / np.where(dz > 0, dz, 1.0), 0.0)
+    frac = np.clip(frac, 0.0, 1.0)
     return g0 + frac * (g1 - g0)
 
 
@@ -93,9 +86,8 @@ def slope_transforms(grid, vtc_left, vtc_right) -> Tuple[np.ndarray, np.ndarray]
     :func:`lobe_margins` are functions of these two arrays alone, so
     callers compute them once per batch and share them.
     """
-    xp = array_namespace(grid, vtc_left, vtc_right)
-    grid_col = xp.reshape(
-        xp.asarray(grid, dtype=xp.float64), (-1,) + (1,) * (vtc_right.ndim - 1)
+    grid_col = np.reshape(
+        np.asarray(grid, dtype=np.float64), (-1,) + (1,) * (vtc_right.ndim - 1)
     )
     return grid_col - vtc_left, vtc_right - grid_col
 
@@ -129,17 +121,16 @@ def line_family_sides(
     -------
     ``(C, *batch)`` array of ``t(c) = x_R(c) - x_L(c)``.
     """
-    xp = array_namespace(grid, vtc_left, vtc_right, c_levels)
-    grid = xp.asarray(grid, dtype=xp.float64)
-    c_levels = xp.asarray(c_levels, dtype=xp.float64)
+    grid = np.asarray(grid, dtype=np.float64)
+    c_levels = np.asarray(c_levels, dtype=np.float64)
     if transforms is None:
         transforms = slope_transforms(grid, vtc_left, vtc_right)
     z_left, z_right = transforms
     # Curve R: points (grid, vtc_right); z = y - x decreasing along the grid.
-    x_right = _interp_increasing(-z_right, grid, -c_levels, xp)
+    x_right = _interp_increasing(-z_right, grid, -c_levels)
     # Curve L: points (vtc_left, grid); z = y - x increasing along the grid.
-    y_left = _interp_increasing(z_left, grid, c_levels, xp)
-    x_left = y_left - xp.reshape(c_levels, (-1,) + (1,) * (y_left.ndim - 1))
+    y_left = _interp_increasing(z_left, grid, c_levels)
+    x_left = y_left - np.reshape(c_levels, (-1,) + (1,) * (y_left.ndim - 1))
     return x_right - x_left
 
 
@@ -154,14 +145,13 @@ def lobe_margins(grid, vtc_left, vtc_right, n_lines: int = 121):
     A margin is positive when its lobe exists (its value is the usual SNM of
     that state) and negative when mismatch has destroyed the state.
     """
-    xp = array_namespace(grid, vtc_left, vtc_right)
-    grid = xp.asarray(grid, dtype=xp.float64)
+    grid = np.asarray(grid, dtype=np.float64)
     span = float(grid[-1] - grid[0])
     if n_lines < 5 or n_lines % 2 == 0:
         raise ValueError(
             "n_lines must be an odd integer >= 5 so that c=0 is excluded symmetrically"
         )
-    c_levels = xp.linspace(-span, span, n_lines)
+    c_levels = np.linspace(-span, span, n_lines)
     transforms = slope_transforms(grid, vtc_left, vtc_right)
     t = line_family_sides(grid, vtc_left, vtc_right, c_levels, transforms)
 
@@ -170,22 +160,22 @@ def lobe_margins(grid, vtc_left, vtc_right, n_lines: int = 121):
     # spurious t = 0 entries that mask negative (failed-lobe) margins.
     batch_ndim = vtc_left.ndim - 1
     z_left, z_right = transforms
-    c_col = xp.reshape(c_levels, (-1,) + (1,) * batch_ndim)
+    c_col = np.reshape(c_levels, (-1,) + (1,) * batch_ndim)
     valid = (
-        (c_col > xp.min(z_right, axis=0))
-        & (c_col < xp.max(z_right, axis=0))
-        & (c_col > xp.min(z_left, axis=0))
-        & (c_col < xp.max(z_left, axis=0))
+        (c_col > np.min(z_right, axis=0))
+        & (c_col < np.max(z_right, axis=0))
+        & (c_col > np.min(z_left, axis=0))
+        & (c_col < np.max(z_left, axis=0))
     )
-    pos = xp.reshape(c_levels > 1e-12, (-1,) + (1,) * batch_ndim)
-    neg = xp.reshape(c_levels < -1e-12, (-1,) + (1,) * batch_ndim)
-    margin_pos = xp.max(xp.where(valid & pos, t, -xp.inf), axis=0)
-    margin_neg = xp.max(xp.where(valid & neg, -t, -xp.inf), axis=0)
+    pos = np.reshape(c_levels > 1e-12, (-1,) + (1,) * batch_ndim)
+    neg = np.reshape(c_levels < -1e-12, (-1,) + (1,) * batch_ndim)
+    margin_pos = np.max(np.where(valid & pos, t, -np.inf), axis=0)
+    margin_neg = np.max(np.where(valid & neg, -t, -np.inf), axis=0)
     # A lobe with no valid level at all is maximally collapsed: report the
     # worst representable margin instead of -inf so downstream arithmetic
     # (surrogate fits, binary searches) stays finite.
-    margin_pos = xp.where(xp.isfinite(margin_pos), margin_pos, -span)
-    margin_neg = xp.where(xp.isfinite(margin_neg), margin_neg, -span)
+    margin_pos = np.where(np.isfinite(margin_pos), margin_pos, -span)
+    margin_neg = np.where(np.isfinite(margin_neg), margin_neg, -span)
     return margin_pos, margin_neg
 
 
@@ -211,22 +201,21 @@ def write_margin(grid, vtc_left_write, vtc_right, y_cap_fraction: float = 0.5):
     intersection (top-left corner), where the clearance is legitimately
     zero.
     """
-    xp = array_namespace(grid, vtc_left_write, vtc_right)
-    grid = xp.asarray(grid, dtype=xp.float64)
+    grid = np.asarray(grid, dtype=np.float64)
     y_cap = y_cap_fraction * float(grid[-1])
     keep = grid <= y_cap
-    if not bool(xp.any(keep)):
+    if not bool(np.any(keep)):
         raise ValueError("y_cap_fraction leaves no write-curve points to evaluate")
     y_p = grid[keep]
     batch_ndim = vtc_left_write.ndim - 1
     x_p = vtc_left_write[keep]
-    c_p = xp.reshape(y_p, (-1,) + (1,) * batch_ndim) - x_p
+    c_p = np.reshape(y_p, (-1,) + (1,) * batch_ndim) - x_p
 
     # Crossing of each line with the read curve: z = h_R(x) - x is strictly
     # decreasing along the grid, so negate both sides for the increasing
     # interpolator.
-    grid_col = xp.reshape(grid, (-1,) + (1,) * batch_ndim)
+    grid_col = np.reshape(grid, (-1,) + (1,) * batch_ndim)
     z_inc = grid_col - vtc_right
-    x_r = _interp_increasing_batched(z_inc, grid, -c_p, xp)
+    x_r = _interp_increasing_batched(z_inc, grid, -c_p)
     clearance = x_r - x_p
-    return xp.min(clearance, axis=0)
+    return np.min(clearance, axis=0)

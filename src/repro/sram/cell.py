@@ -36,11 +36,6 @@ devices in one stacked EKV call (one dispatch per ufunc for all three).
 Lanes never interact, so both are bit-identical per lane to the per-side,
 per-device solve; ``benchmarks/bench_backend_kernels.py`` times them against
 that solve, kept as the oracle in ``tests/test_sram_cell.py``.
-
-The batched analyses are array-API generic: the namespace is inferred from
-the ``delta_vth`` arrays (:func:`repro.backend.array_namespace`), so numpy
-callers execute the exact historical instruction stream (bit-identical)
-while torch/cupy mismatch batches run on their own backend end to end.
 """
 
 from __future__ import annotations
@@ -49,7 +44,6 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import array_namespace, astype, errstate, gather_1d
 from repro.circuit.netlist import Circuit
 from repro.telemetry import context as _telemetry
 from repro.devices.mosfet import Mosfet, ekv_current_and_derivs
@@ -67,14 +61,9 @@ DEVICE_NAMES: Tuple[str, ...] = ("pd_l", "pd_r", "ax_l", "ax_r", "pu_l", "pu_r")
 PAPER_INDEX: Dict[str, int] = {f"M{i + 1}": i for i in range(6)}
 
 
-def _shape_of(value) -> Tuple[int, ...]:
-    """Shape of a scalar or any backend's array without converting it."""
-    return tuple(value.shape) if hasattr(value, "shape") else np.shape(value)
-
-
 def _solve_monotone_node(residual, lo: float, hi: float, shape,
                          iterations: int = 26, tol: float = 2e-12,
-                         v0=None, xp=np):
+                         v0=None):
     """Solve ``residual(v) = 0`` for a strictly increasing residual.
 
     ``residual`` maps a *flat* array of node voltages plus an optional
@@ -100,30 +89,30 @@ def _solve_monotone_node(residual, lo: float, hi: float, shape,
     ``[lo, hi]``, so a poor warm start costs iterations, never correctness.
     """
     n = int(np.prod(shape)) if shape else 1
-    lo_act = xp.full((n,), float(lo), dtype=xp.float64)
-    hi_act = xp.full((n,), float(hi), dtype=xp.float64)
+    lo_act = np.full((n,), float(lo), dtype=np.float64)
+    hi_act = np.full((n,), float(hi), dtype=np.float64)
     if v0 is None:
         v_act = 0.5 * (lo_act + hi_act)
     else:
-        v_act = xp.clip(
-            xp.reshape(xp.broadcast_to(xp.asarray(v0, dtype=xp.float64), shape), (n,)),
+        v_act = np.clip(
+            np.reshape(np.broadcast_to(np.asarray(v0, dtype=np.float64), shape), (n,)),
             float(lo), float(hi),
         )
-    v = xp.empty((n,), dtype=xp.float64)
-    active = xp.arange(n)
+    v = np.empty((n,), dtype=np.float64)
+    active = np.arange(n)
     recorder = _telemetry.get_active()
     lane_iters = 0
     for _ in range(iterations):
         if recorder is not None:
             lane_iters += int(active.shape[0])
         f, dfdv = residual(v_act, active)
-        done = xp.abs(f) < tol
-        if bool(xp.any(done)):
+        done = np.abs(f) < tol
+        if bool(np.any(done)):
             # Early lane exit: freeze converged lanes at the voltage their
             # residual was just evaluated at and drop them from the set.
             v[active[done]] = v_act[done]
             keep = ~done
-            if not bool(xp.any(keep)):
+            if not bool(np.any(keep)):
                 active = active[:0]
                 break
             active = active[keep]
@@ -131,21 +120,21 @@ def _solve_monotone_node(residual, lo: float, hi: float, shape,
             f, dfdv = f[keep], dfdv[keep]
         # Tighten the bracket using the sign of the monotone residual.
         above = f > 0.0
-        hi_act = xp.where(above, v_act, hi_act)
-        lo_act = xp.where(~above, v_act, lo_act)
-        with errstate(xp, divide="ignore", invalid="ignore"):
-            step = xp.where(dfdv > 0.0, -f / dfdv, 0.0)
+        hi_act = np.where(above, v_act, hi_act)
+        lo_act = np.where(~above, v_act, lo_act)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(dfdv > 0.0, -f / dfdv, 0.0)
         candidate = v_act + step
         # Fall back to bisection wherever Newton leaves the bracket or the
         # derivative is unusable.
         inside = (candidate > lo_act) & (candidate < hi_act) & (dfdv > 0.0)
-        v_act = xp.where(inside, candidate, 0.5 * (lo_act + hi_act))
+        v_act = np.where(inside, candidate, 0.5 * (lo_act + hi_act))
     if int(active.shape[0]):
         v[active] = v_act
     if recorder is not None:
         recorder.count("newton.lane_solves", n)
         recorder.count("newton.lane_iters", lane_iters)
-    return xp.reshape(v, shape)
+    return np.reshape(v, shape)
 
 
 #: Input-grid stride of the coarse continuation pass in ``half_cell_vtc``.
@@ -165,21 +154,21 @@ _VTC_BLOCK_LANES = 2 * 81 * 256
 _STACKED_MAX_LANES = 1024
 
 
-def _interp_along_axis0(x_full, x_coarse, y_coarse, xp=np):
+def _interp_along_axis0(x_full, x_coarse, y_coarse):
     """Linearly interpolate ``y_coarse`` onto ``x_full`` along axis 0.
 
     ``y_coarse`` has shape ``(len(x_coarse), *batch)``; the result has shape
     ``(len(x_full), *batch)``.  Only used to seed Newton iterations, so
     plain piecewise-linear accuracy is plenty.
     """
-    pos = xp.searchsorted(x_coarse, x_full, side="right") - 1
-    pos = xp.clip(pos, 0, int(x_coarse.shape[0]) - 2)
-    x0 = gather_1d(xp, x_coarse, pos)
-    span = gather_1d(xp, x_coarse, pos + 1) - x0
-    frac = xp.where(span > 0.0, (x_full - x0) / xp.where(span > 0.0, span, 1.0), 0.0)
-    frac = xp.reshape(frac, (-1,) + (1,) * (y_coarse.ndim - 1))
-    y0 = xp.take(y_coarse, pos, axis=0)
-    return y0 + frac * (xp.take(y_coarse, pos + 1, axis=0) - y0)
+    pos = np.searchsorted(x_coarse, x_full, side="right") - 1
+    pos = np.clip(pos, 0, int(x_coarse.shape[0]) - 2)
+    x0 = x_coarse[pos]
+    span = x_coarse[pos + 1] - x0
+    frac = np.where(span > 0.0, (x_full - x0) / np.where(span > 0.0, span, 1.0), 0.0)
+    frac = np.reshape(frac, (-1,) + (1,) * (y_coarse.ndim - 1))
+    y0 = np.take(y_coarse, pos, axis=0)
+    return y0 + frac * (np.take(y_coarse, pos + 1, axis=0) - y0)
 
 
 class SixTransistorCell:
@@ -250,7 +239,7 @@ class SixTransistorCell:
         )
 
     def _half_cell_residual(self, sides, vin, bl_voltage, wl_voltage,
-                            delta_vth: Mapping[str, np.ndarray], shape, xp=np):
+                            delta_vth: Mapping[str, np.ndarray], shape):
         """Residual factory: KCL current leaving the storage node of each side.
 
         ``sides`` is a side name with its bitline voltage ``bl_voltage``, or
@@ -282,36 +271,36 @@ class SixTransistorCell:
         # — sources 0:3, drains 2:5, mismatches 5:8, gates 8:11, with rows
         # 2-3 the node voltage, written per call — and the per-device calls
         # need rows 4:9 only.
-        lanes = xp.empty((11, len(sides)) + tuple(shape), dtype=xp.float64)
+        lanes = np.empty((11, len(sides)) + tuple(shape), dtype=np.float64)
         lanes[0] = 0.0
         lanes[1] = vdd
-        lanes[8:10] = xp.asarray(vin, dtype=xp.float64)
+        lanes[8:10] = np.asarray(vin, dtype=np.float64)
         lanes[10] = wl_voltage
         for k, (suffix, bl) in enumerate(zip(suffixes, bl_voltage)):
             lanes[4, k] = bl
             for row, role in ((5, "pd"), (6, "pu"), (7, "ax")):
-                lanes[row, k] = xp.asarray(
-                    delta_vth.get(role + suffix, 0.0), dtype=xp.float64
+                lanes[row, k] = np.asarray(
+                    delta_vth.get(role + suffix, 0.0), dtype=np.float64
                 )
-        lanes = xp.reshape(lanes, (11, -1))
+        lanes = np.reshape(lanes, (11, -1))
         columns = [
-            xp.asarray([[float(getattr(dev.params, name))] for dev in (pd, pu, ax)],
-                       dtype=xp.float64)
+            np.asarray([[float(getattr(dev.params, name))] for dev in (pd, pu, ax)],
+                       dtype=np.float64)
             for name in ("polarity", "vth", "beta", "n", "lam")
         ]
-        vb = xp.asarray([[0.0], [vdd], [0.0]], dtype=xp.float64)
+        vb = np.asarray([[0.0], [vdd], [0.0]], dtype=np.float64)
 
         def residual(v_node, idx=None):
             if int(v_node.shape[0]) < _STACKED_MAX_LANES:
-                at = lanes if idx is None else xp.take(lanes, idx, axis=1)
+                at = lanes if idx is None else np.take(lanes, idx, axis=1)
                 at[2:4] = v_node
                 i, _, dd, ds = ekv_current_and_derivs(
                     at[8:11], at[2:5], at[0:3], vb, *columns,
-                    delta_vth=at[5:8], xp=xp,
+                    delta_vth=at[5:8],
                 )
                 return i[0] + i[1] - i[2], dd[0] + dd[1] - ds[2]
             bl_x, dpd_x, dpu_x, dax_x, vin_x = (
-                lanes[4:9] if idx is None else xp.take(lanes[4:9], idx, axis=1)
+                lanes[4:9] if idx is None else np.take(lanes[4:9], idx, axis=1)
             )
             i_pd, _, dd_pd, _ = pd.current_and_derivs(vin_x, v_node, 0.0, 0.0, dpd_x)
             i_pu, _, dd_pu, _ = pu.current_and_derivs(vin_x, v_node, vdd, vdd, dpu_x)
@@ -378,14 +367,13 @@ class SixTransistorCell:
                 for s, b, v in zip(sides, bls, seeds)
             )
         delta_vth = dict(delta_vth or {})
-        xp = array_namespace(vin_grid, *delta_vth.values())
         wl_voltage = self.vdd if wl_voltage is None else float(wl_voltage)
         bls = tuple(float(b) for b in bls)
-        vin_grid = xp.asarray(vin_grid, dtype=xp.float64)
+        vin_grid = np.asarray(vin_grid, dtype=np.float64)
         if vin_grid.ndim != 1:
             raise ValueError("vin_grid must be 1-D")
 
-        batch_shape = np.broadcast_shapes(*(_shape_of(d) for d in delta_vth.values())) \
+        batch_shape = np.broadcast_shapes(*(np.shape(d) for d in delta_vth.values())) \
             if delta_vth else ()
         n_grid = int(vin_grid.shape[0])
         n_rows = int(np.prod(batch_shape)) if batch_shape else 1
@@ -393,14 +381,14 @@ class SixTransistorCell:
         # Rows are flattened so they can be blocked; per-lane results do
         # not depend on the block they run in.
         deltas = {
-            name: xp.reshape(
-                xp.broadcast_to(xp.asarray(d, dtype=xp.float64), batch_shape), (n_rows,)
+            name: np.reshape(
+                np.broadcast_to(np.asarray(d, dtype=np.float64), batch_shape), (n_rows,)
             )
             for name, d in delta_vth.items()
         }
         seeds = [
-            None if s is None or tuple(_shape_of(s)) != shape
-            else xp.reshape(xp.asarray(s, dtype=xp.float64), (n_grid, n_rows))
+            None if s is None or np.shape(s) != shape
+            else np.reshape(np.asarray(s, dtype=np.float64), (n_grid, n_rows))
             for s in seeds
         ]
         lo, hi = -0.2, self.vdd + 0.2
@@ -414,13 +402,13 @@ class SixTransistorCell:
         # solver tolerance.  Grids too short to thin start at the midpoint.
         continuation = n_grid >= 2 * _VTC_COARSE_STRIDE
         if continuation:
-            coarse_idx = xp.arange(0, n_grid, _VTC_COARSE_STRIDE)
+            coarse_idx = np.arange(0, n_grid, _VTC_COARSE_STRIDE)
             if int(coarse_idx[-1]) != n_grid - 1:
-                coarse_idx = xp.concat(
-                    [coarse_idx, xp.asarray([n_grid - 1], dtype=coarse_idx.dtype)]
+                coarse_idx = np.concat(
+                    [coarse_idx, np.asarray([n_grid - 1], dtype=coarse_idx.dtype)]
                 )
-            vin_coarse = xp.take(vin_grid, coarse_idx, axis=0)
-        out = xp.empty((n_sides, n_grid, n_rows), dtype=xp.float64)
+            vin_coarse = np.take(vin_grid, coarse_idx, axis=0)
+        out = np.empty((n_sides, n_grid, n_rows), dtype=np.float64)
         block = max(1, _VTC_BLOCK_LANES // (n_sides * n_grid))
         for r0 in range(0, n_rows, block):
             r1 = min(r0 + block, n_rows)
@@ -432,28 +420,28 @@ class SixTransistorCell:
                 coarse_res = self._half_cell_residual(
                     tuple(sides[k] for k in cold), vin_coarse[:, None],
                     tuple(bls[k] for k in cold), wl_voltage, d_block,
-                    coarse_shape, xp,
+                    coarse_shape,
                 )
                 v_coarse = _solve_monotone_node(
-                    coarse_res, lo, hi, (len(cold),) + coarse_shape, xp=xp
+                    coarse_res, lo, hi, (len(cold),) + coarse_shape
                 )
                 for j, k in enumerate(cold):
-                    init[k] = _interp_along_axis0(vin_grid, vin_coarse, v_coarse[j], xp)
+                    init[k] = _interp_along_axis0(vin_grid, vin_coarse, v_coarse[j])
             if any(s is not None for s in init):
                 # A side still without a seed starts where the solver's own
                 # cold start would: the bracket midpoint.
-                midpoint = xp.full((n_grid, r1 - r0), 0.5 * (lo + hi), dtype=xp.float64)
-                v_init = xp.stack([midpoint if s is None else s for s in init])
+                midpoint = np.full((n_grid, r1 - r0), 0.5 * (lo + hi), dtype=np.float64)
+                v_init = np.stack([midpoint if s is None else s for s in init])
             else:
                 v_init = None
             residual = self._half_cell_residual(
                 sides, vin_grid[:, None], bls, wl_voltage, d_block,
-                (n_grid, r1 - r0), xp,
+                (n_grid, r1 - r0),
             )
             out[:, :, r0:r1] = _solve_monotone_node(
-                residual, lo, hi, (n_sides, n_grid, r1 - r0), v0=v_init, xp=xp
+                residual, lo, hi, (n_sides, n_grid, r1 - r0), v0=v_init
             )
-        vtcs = tuple(xp.reshape(out[k], shape) for k in range(n_sides))
+        vtcs = tuple(np.reshape(out[k], shape) for k in range(n_sides))
         return vtcs[0] if single else vtcs
 
     # ------------------------------------------------------- read state
@@ -479,8 +467,7 @@ class SixTransistorCell:
         fixed-point bisection stays O(log) regardless.
         """
         delta_vth = dict(delta_vth or {})
-        xp = array_namespace(*delta_vth.values())
-        batch_shape = np.broadcast_shapes(*(_shape_of(d) for d in delta_vth.values())) \
+        batch_shape = np.broadcast_shapes(*(np.shape(d) for d in delta_vth.values())) \
             if delta_vth else ()
         vdd = self.vdd
         dev = self.devices
@@ -515,14 +502,14 @@ class SixTransistorCell:
         # Flatten the batch so straggler compaction below stays simple.
         n_batch = int(np.prod(batch_shape)) if batch_shape else 1
         d_flat = {
-            name: xp.reshape(
-                xp.broadcast_to(xp.asarray(val, dtype=xp.float64), batch_shape),
+            name: np.reshape(
+                np.broadcast_to(np.asarray(val, dtype=np.float64), batch_shape),
                 (n_batch,),
             )
             for name, val in d.items()
         }
-        vq = xp.full((n_batch,), float(init_q), dtype=xp.float64)
-        vqb = xp.full((n_batch,), float(init_qb), dtype=xp.float64)
+        vq = np.full((n_batch,), float(init_q), dtype=np.float64)
+        vqb = np.full((n_batch,), float(init_qb), dtype=np.float64)
 
         # Residual tolerance: device currents are ~1e-4 A and node
         # conductances ~1e-4 S, so 3e-11 A resolves node voltages to well
@@ -533,42 +520,42 @@ class SixTransistorCell:
         step_cap = 0.1
 
         def newton_pass(vq, vqb, deltas, iterations):
-            converged = xp.zeros(vq.shape, dtype=xp.bool)
+            converged = np.zeros(vq.shape, dtype=np.bool)
             for _ in range(iterations):
                 fq, fqb, j11, j12, j21, j22 = residuals(vq, vqb, deltas)
-                converged = (xp.abs(fq) < tol) & (xp.abs(fqb) < tol)
-                if bool(xp.all(converged)):
+                converged = (np.abs(fq) < tol) & (np.abs(fqb) < tol)
+                if bool(np.all(converged)):
                     break
                 det = j11 * j22 - j12 * j21
-                safe = xp.abs(det) > 1e-30
-                inv_det = xp.where(safe, 1.0 / xp.where(safe, det, 1.0), 0.0)
-                dvq = xp.clip(-(j22 * fq - j12 * fqb) * inv_det, -step_cap, step_cap)
-                dvqb = xp.clip(-(-j21 * fq + j11 * fqb) * inv_det, -step_cap, step_cap)
-                vq = xp.clip(vq + xp.where(converged, 0.0, dvq), -0.2, vdd + 0.2)
-                vqb = xp.clip(vqb + xp.where(converged, 0.0, dvqb), -0.2, vdd + 0.2)
+                safe = np.abs(det) > 1e-30
+                inv_det = np.where(safe, 1.0 / np.where(safe, det, 1.0), 0.0)
+                dvq = np.clip(-(j22 * fq - j12 * fqb) * inv_det, -step_cap, step_cap)
+                dvqb = np.clip(-(-j21 * fq + j11 * fqb) * inv_det, -step_cap, step_cap)
+                vq = np.clip(vq + np.where(converged, 0.0, dvq), -0.2, vdd + 0.2)
+                vqb = np.clip(vqb + np.where(converged, 0.0, dvqb), -0.2, vdd + 0.2)
             return vq, vqb, converged
 
         # Phase 1: a short full-batch Newton settles the vast majority.
         first_pass = min(14, newton_iterations)
         vq, vqb, converged = newton_pass(vq, vqb, d_flat, first_pass)
 
-        if not bool(xp.all(converged)):
+        if not bool(np.all(converged)):
             # Phase 2: compact the stragglers — mostly read-upset cases
             # where the stored state no longer exists and Newton oscillates
             # around the fold — and resolve them with the monotone
             # fixed-point construction, which has no critical slowing.
-            idx = xp.nonzero(~converged)[0]
+            idx = np.nonzero(~converged)[0]
             d_sub = {name: val[idx] for name, val in d_flat.items()}
             vq_s, vqb_s = self._read_fixed_point(
-                d_sub, stored_zero_at_q, int(idx.shape[0]), xp=xp
+                d_sub, stored_zero_at_q, int(idx.shape[0])
             )
             vq[idx] = vq_s
             vqb[idx] = vqb_s
 
-        return xp.reshape(vq, batch_shape), xp.reshape(vqb, batch_shape)
+        return np.reshape(vq, batch_shape), np.reshape(vqb, batch_shape)
 
     def _read_fixed_point(self, delta, stored_zero_at_q, n_batch,
-                          n_grid: int = 33, bisect_iters: int = 30, xp=np):
+                          n_grid: int = 33, bisect_iters: int = 30):
         """Basin-correct read state via the monotone loop map.
 
         The read-configuration DC states are the fixed points of
@@ -593,38 +580,38 @@ class SixTransistorCell:
 
         def loop_map(v_low):
             """phi: low-node voltage -> far response -> near response."""
-            shape = _shape_of(v_low)
-            far_res = self._half_cell_residual(far, v_low, vdd, vdd, delta, shape, xp)
-            v_far = _solve_monotone_node(far_res, -0.2, vdd + 0.2, shape, xp=xp)
-            near_res = self._half_cell_residual(near, v_far, vdd, vdd, delta, shape, xp)
-            v_near = _solve_monotone_node(near_res, -0.2, vdd + 0.2, shape, xp=xp)
+            shape = np.shape(v_low)
+            far_res = self._half_cell_residual(far, v_low, vdd, vdd, delta, shape)
+            v_far = _solve_monotone_node(far_res, -0.2, vdd + 0.2, shape)
+            near_res = self._half_cell_residual(near, v_far, vdd, vdd, delta, shape)
+            v_near = _solve_monotone_node(near_res, -0.2, vdd + 0.2, shape)
             return v_near, v_far
 
-        grid = xp.linspace(-0.1, vdd + 0.1, n_grid)
-        grid_b = xp.broadcast_to(grid[:, None], (n_grid, n_batch))
+        grid = np.linspace(-0.1, vdd + 0.1, n_grid)
+        grid_b = np.broadcast_to(grid[:, None], (n_grid, n_batch))
         phi, _ = loop_map(grid_b)
         psi = phi - grid_b
         # First + -> - transition: psi starts positive (phi maps the range
         # into itself) and ends negative.
         negative = psi < 0.0
-        first_neg = xp.argmax(astype(xp, negative, xp.int64), axis=0)
-        first_neg = xp.clip(first_neg, 1, n_grid - 1)
-        lo = gather_1d(xp, grid, first_neg - 1)
-        hi = gather_1d(xp, grid, first_neg)
+        first_neg = np.argmax(negative.astype(np.int64), axis=0)
+        first_neg = np.clip(first_neg, 1, n_grid - 1)
+        lo = grid[first_neg - 1]
+        hi = grid[first_neg]
         for _ in range(bisect_iters):
             mid = 0.5 * (lo + hi)
             phi_mid, _ = loop_map(mid)
             above = phi_mid >= mid
-            lo = xp.where(above, mid, lo)
-            hi = xp.where(above, hi, mid)
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid)
         v_low = 0.5 * (lo + hi)
         _, v_far = loop_map(v_low)
         # Evaluate the near node once more so (v_low, v_far) is an exact
         # consistent pair at the fixed point.
         near_res = self._half_cell_residual(
-            near, v_far, vdd, vdd, delta, _shape_of(v_low), xp
+            near, v_far, vdd, vdd, delta, np.shape(v_low)
         )
-        v_low = _solve_monotone_node(near_res, -0.2, vdd + 0.2, _shape_of(v_low), xp=xp)
+        v_low = _solve_monotone_node(near_res, -0.2, vdd + 0.2, np.shape(v_low))
         if stored_zero_at_q:
             return v_low, v_far
         return v_far, v_low
@@ -654,14 +641,13 @@ class SixTransistorCell:
         if node_capacitance <= 0 or dt <= 0 or t_window <= 0:
             raise ValueError("capacitance, dt and window must be positive")
         delta_vth = dict(delta_vth or {})
-        xp = array_namespace(*delta_vth.values())
-        batch_shape = np.broadcast_shapes(*(_shape_of(v) for v in delta_vth.values())) \
+        batch_shape = np.broadcast_shapes(*(np.shape(v) for v in delta_vth.values())) \
             if delta_vth else ()
         n_batch = int(np.prod(batch_shape)) if batch_shape else 1
         d = {
-            name: xp.reshape(
-                xp.broadcast_to(
-                    xp.asarray(delta_vth.get(name, 0.0), dtype=xp.float64), batch_shape
+            name: np.reshape(
+                np.broadcast_to(
+                    np.asarray(delta_vth.get(name, 0.0), dtype=np.float64), batch_shape
                 ),
                 (n_batch,),
             )
@@ -696,10 +682,10 @@ class SixTransistorCell:
         g_cap = node_capacitance / dt
         n_steps = int(np.ceil(t_window / dt))
         half = 0.5 * vdd
-        vq = xp.full((n_batch,), float(vdd), dtype=xp.float64)
-        vqb = xp.zeros((n_batch,), dtype=xp.float64)
-        crossing = xp.full((n_batch,), float(t_window), dtype=xp.float64)
-        crossed = xp.zeros((n_batch,), dtype=xp.bool)
+        vq = np.full((n_batch,), float(vdd), dtype=np.float64)
+        vqb = np.zeros((n_batch,), dtype=np.float64)
+        crossing = np.full((n_batch,), float(t_window), dtype=np.float64)
+        crossed = np.zeros((n_batch,), dtype=np.bool)
         for step in range(1, n_steps + 1):
             vq_prev, vqb_prev = vq, vqb
             # Backward-Euler step via a short damped Newton.
@@ -712,25 +698,25 @@ class SixTransistorCell:
                 det = j11 * j22 - j12 * j21
                 dvq = -(j22 * fq - j12 * fqb) / det
                 dvqb = -(-j21 * fq + j11 * fqb) / det
-                vq = xp.clip(vq + dvq, -0.2, vdd + 0.2)
-                vqb = xp.clip(vqb + dvqb, -0.2, vdd + 0.2)
-                if max(float(xp.max(xp.abs(dvq))), float(xp.max(xp.abs(dvqb)))) < 1e-10:
+                vq = np.clip(vq + dvq, -0.2, vdd + 0.2)
+                vqb = np.clip(vqb + dvqb, -0.2, vdd + 0.2)
+                if max(float(np.max(np.abs(dvq))), float(np.max(np.abs(dvqb)))) < 1e-10:
                     break
             # Linear-interpolated downward crossing of vdd/2 on the q node.
             just = (~crossed) & (vq_prev >= half) & (vq < half)
-            if bool(xp.any(just)):
-                frac = (vq_prev - half) / xp.maximum(vq_prev - vq, 1e-30)
-                crossing = xp.where(
-                    just, (step - 1 + xp.clip(frac, 0.0, 1.0)) * dt, crossing
+            if bool(np.any(just)):
+                frac = (vq_prev - half) / np.maximum(vq_prev - vq, 1e-30)
+                crossing = np.where(
+                    just, (step - 1 + np.clip(frac, 0.0, 1.0)) * dt, crossing
                 )
                 crossed = crossed | just
             # Stop once every sample has flipped or truly frozen (tight
             # tolerance: a near-write-failure trajectory creeps through a
             # saddle before accelerating, and must not be cut off there).
-            moved = xp.maximum(xp.abs(vq - vq_prev), xp.abs(vqb - vqb_prev))
-            if bool(xp.all(crossed | (moved < 1e-8))):
+            moved = np.maximum(np.abs(vq - vq_prev), np.abs(vqb - vqb_prev))
+            if bool(np.all(crossed | (moved < 1e-8))):
                 break
-        return xp.reshape(crossing, batch_shape)
+        return np.reshape(crossing, batch_shape)
 
     # ------------------------------------------------------ read current
     def read_current(

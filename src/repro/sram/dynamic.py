@@ -49,9 +49,8 @@ class WriteTimeMetric(SramMetric):
         node_capacitance: float = 5.0e-15,
         t_window: float = 150e-12,
         dt: float = 1e-12,
-        backend=None,
     ):
-        super().__init__(cell, devices, chunk_size, backend)
+        super().__init__(cell, devices, chunk_size)
         if node_capacitance <= 0:
             raise ValueError("node_capacitance must be positive")
         self.node_capacitance = float(node_capacitance)

@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.backend import get_namespace, is_numpy_namespace, to_numpy
 from repro.circuit import warm as _warm
 from repro.sram.butterfly import lobe_margins, write_margin
 from repro.sram.cell import SixTransistorCell
@@ -34,24 +33,13 @@ from repro.utils.validation import as_sample_matrix, check_finite
 
 
 class SramMetric:
-    """Base class: chunked vectorised evaluation over mismatch samples.
-
-    ``backend`` selects the array backend the chunk kernels run on (name,
-    namespace object, or ``None`` for the ``REPRO_BACKEND`` environment
-    default).  Sample matrices stay numpy at the boundary: each chunk's
-    mismatch deltas are converted onto the backend, the half-cell solves and
-    margin extraction run there, and the metric values are converted back —
-    so callers (the samplers, the Monte-Carlo layer) never see backend
-    arrays.  On the numpy default the conversions are no-ops and the
-    evaluation is bit-identical to the historical code.
-    """
+    """Base class: chunked vectorised evaluation over mismatch samples."""
 
     def __init__(
         self,
         cell: Optional[SixTransistorCell] = None,
         devices: Optional[Sequence[str]] = None,
         chunk_size: int = 4096,
-        backend=None,
     ):
         self.cell = cell or SixTransistorCell()
         self.mismatch = VthMismatch(
@@ -60,7 +48,6 @@ class SramMetric:
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         self.chunk_size = int(chunk_size)
-        self.backend = backend
 
     #: Subclasses override: device subset the metric varies by default.
     @staticmethod
@@ -78,8 +65,6 @@ class SramMetric:
         simulating one would report a margin that reads as a real failure.
         """
         x = check_finite("sample matrix", as_sample_matrix(x, self.dimension))
-        xp = get_namespace(self.backend)
-        numpy_path = is_numpy_namespace(xp)
         n = x.shape[0]
         # Cross-round solver warm start (repro.circuit.warm): claim the
         # per-row lane tag set by the sampler, if any, and scope each
@@ -91,11 +76,6 @@ class SramMetric:
         for start in range(0, n, self.chunk_size):
             stop = min(start + self.chunk_size, n)
             deltas = self.mismatch.deltas(x[start:stop])
-            if not numpy_path:
-                deltas = {
-                    name: xp.asarray(d, dtype=xp.float64)
-                    for name, d in deltas.items()
-                }
             if lanes is None:
                 values = self._evaluate_chunk(deltas)
             else:
@@ -104,7 +84,7 @@ class SramMetric:
                     values = self._evaluate_chunk(deltas)
                 finally:
                     carrier.end_chunk()
-            out[start:stop] = values if numpy_path else to_numpy(values)
+            out[start:stop] = values
         return out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -137,7 +117,7 @@ class SramMetric:
         )
         if carrier is not None:
             for key, vtc in zip(keys, vtcs):
-                carrier.chunk_store(key, to_numpy(vtc))
+                carrier.chunk_store(key, vtc)
         return vtcs
 
 
@@ -145,8 +125,8 @@ class ReadNoiseMarginMetric(SramMetric):
     """Read static noise margin (V) of the stored-0 state."""
 
     def __init__(self, cell=None, devices=None, grid_points: int = 81,
-                 n_lines: int = 121, chunk_size: int = 4096, backend=None):
-        super().__init__(cell, devices, chunk_size, backend)
+                 n_lines: int = 121, chunk_size: int = 4096):
+        super().__init__(cell, devices, chunk_size)
         self.grid = np.linspace(0.0, self.cell.vdd, grid_points)
         self.n_lines = n_lines
 
@@ -161,8 +141,8 @@ class WriteNoiseMarginMetric(SramMetric):
     """Write margin (V) for writing 0 into a cell storing 1 (positive = writable)."""
 
     def __init__(self, cell=None, devices=None, grid_points: int = 81,
-                 n_lines: int = 121, chunk_size: int = 4096, backend=None):
-        super().__init__(cell, devices, chunk_size, backend)
+                 n_lines: int = 121, chunk_size: int = 4096):
+        super().__init__(cell, devices, chunk_size)
         self.grid = np.linspace(0.0, self.cell.vdd, grid_points)
         self.n_lines = n_lines
 
@@ -184,8 +164,8 @@ class HoldNoiseMarginMetric(SramMetric):
     """
 
     def __init__(self, cell=None, devices=None, grid_points: int = 81,
-                 n_lines: int = 121, chunk_size: int = 4096, backend=None):
-        super().__init__(cell, devices, chunk_size, backend)
+                 n_lines: int = 121, chunk_size: int = 4096):
+        super().__init__(cell, devices, chunk_size)
         self.grid = np.linspace(0.0, self.cell.vdd, grid_points)
         self.n_lines = n_lines
 

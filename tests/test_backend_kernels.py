@@ -1,23 +1,14 @@
-"""Backend-generic kernel tests: device derivatives, solver goldens, and the
-bit-identity battery gating the compiled numpy fast path.
+"""Simulator kernel tests: device derivatives and the bit-identity battery
+gating the compiled stamping fast path.
 
-Two contracts from DESIGN.md ("Backends") are enforced here:
-
-* the default numpy path — compiled stamping included — is **bit-identical**
-  to the generic element-walk implementation;
-* every other installed backend (and the opt-in tiny-matrix solve) matches
-  numpy within float64 tolerances.
-
-The ``backend_xp`` fixture parametrizes over every backend installed on the
-machine, so on a numpy-only box these tests still pin the numpy behaviour
-and automatically widen when torch/cupy appear.
+The contract from DESIGN.md ("Kernels") enforced here: the compiled
+stamping path is **bit-identical** to the generic element-walk
+implementation, and a stacked device evaluation is bit-identical per lane
+to per-device calls.
 """
 
 import numpy as np
-import pytest
 
-from repro.backend import to_numpy
-from repro.backend.linalg import TINY_SOLVE_MAX, can_solve_tiny, solve_tiny
 from repro.circuit import Circuit, solve_dc
 from repro.circuit.netlist import GROUND
 from repro.circuit.stamping import compile_plan
@@ -35,51 +26,41 @@ NPARAMS = MosfetParams(polarity=NMOS, vth=0.35, beta=9e-4, n=1.35, lam=0.15)
 PPARAMS = MosfetParams(polarity=PMOS, vth=0.35, beta=1.5e-4, n=1.45, lam=0.15)
 
 
-def _fd_check(xp, params, vb, rtol=2e-5):
+def _fd_check(params, vb, rtol=2e-5):
     """Central-difference check of the three analytic partials."""
     rng = np.random.default_rng(7)
     n = 64
-    vg = xp.asarray(rng.uniform(-0.2, 1.4, n), dtype=xp.float64)
-    vd = xp.asarray(rng.uniform(-0.2, 1.4, n), dtype=xp.float64)
-    vs = xp.asarray(rng.uniform(-0.2, 1.4, n), dtype=xp.float64)
-    dvt = xp.asarray(rng.normal(0.0, 0.05, n), dtype=xp.float64)
+    vg = rng.uniform(-0.2, 1.4, n)
+    vd = rng.uniform(-0.2, 1.4, n)
+    vs = rng.uniform(-0.2, 1.4, n)
+    dvt = rng.normal(0.0, 0.05, n)
     dev = Mosfet(params)
-    ids, d_dvg, d_dvd, d_dvs = (
-        to_numpy(a) for a in dev.current_and_derivs(vg, vd, vs, vb, dvt)
-    )
+    ids, d_dvg, d_dvd, d_dvs = dev.current_and_derivs(vg, vd, vs, vb, dvt)
     h = 1e-7
     for target, grad in (("vg", d_dvg), ("vd", d_dvd), ("vs", d_dvs)):
         args_hi = {"vg": vg, "vd": vd, "vs": vs}
         args_lo = {"vg": vg, "vd": vd, "vs": vs}
         args_hi[target] = args_hi[target] + h
         args_lo[target] = args_lo[target] - h
-        hi = to_numpy(dev.current(args_hi["vg"], args_hi["vd"], args_hi["vs"], vb, dvt))
-        lo = to_numpy(dev.current(args_lo["vg"], args_lo["vd"], args_lo["vs"], vb, dvt))
+        hi = dev.current(args_hi["vg"], args_hi["vd"], args_hi["vs"], vb, dvt)
+        lo = dev.current(args_lo["vg"], args_lo["vd"], args_lo["vs"], vb, dvt)
         fd = (hi - lo) / (2.0 * h)
         scale = np.maximum(np.abs(grad), 1e-9)
         np.testing.assert_allclose(fd, grad, rtol=rtol, atol=1e-9 * scale.max())
 
 
 class TestDeviceDerivatives:
-    def test_nmos_finite_difference(self, backend_xp):
-        _fd_check(backend_xp, NPARAMS, vb=0.0)
+    def test_nmos_finite_difference(self):
+        _fd_check(NPARAMS, vb=0.0)
 
-    def test_pmos_bulk_referenced_finite_difference(self, backend_xp):
+    def test_pmos_bulk_referenced_finite_difference(self):
         # The PMOS pinch-off is referenced to the n-well at VDD: the check
         # must hold in that reflected frame, not just at vb = 0.
-        _fd_check(backend_xp, PPARAMS, vb=1.2)
+        _fd_check(PPARAMS, vb=1.2)
 
-    def test_pmos_off_at_zero_vgs(self, backend_xp):
-        xp = backend_xp
+    def test_pmos_off_at_zero_vgs(self):
         dev = Mosfet(PPARAMS)
-        ids = to_numpy(
-            dev.current(
-                xp.asarray([1.2], dtype=xp.float64),
-                xp.asarray([0.6], dtype=xp.float64),
-                xp.asarray([1.2], dtype=xp.float64),
-                1.2,
-            )
-        )
+        ids = dev.current(np.array([1.2]), np.array([0.6]), np.array([1.2]), 1.2)
         assert abs(ids[0]) < 1e-9
 
     def test_stacked_device_axis_matches_per_device(self):
@@ -96,12 +77,12 @@ class TestDeviceDerivatives:
         nn = np.array([[p.n] for p in params])
         lam = np.array([[p.lam] for p in params])
         stacked = ekv_current_and_derivs(
-            v[0], v[1], v[2], v[3], pol, vth, beta, nn, lam, xp=np
+            v[0], v[1], v[2], v[3], pol, vth, beta, nn, lam
         )
         for i, p in enumerate(params):
             single = ekv_current_and_derivs(
                 v[0, i], v[1, i], v[2, i], v[3, i],
-                float(p.polarity), p.vth, p.beta, p.n, p.lam, xp=np,
+                float(p.polarity), p.vth, p.beta, p.n, p.lam,
             )
             for got, want in zip(stacked, single):
                 np.testing.assert_array_equal(got[i], want)
@@ -125,72 +106,6 @@ def _cell_problem(n=193, seed=3):
         name: {"delta_vth": rng.normal(0.0, 0.08, n)} for name in DEVICE_NAMES
     }
     return cell, params
-
-
-class TestSolverGoldens:
-    def test_inverter_vtc_matches_numpy(self, backend_xp):
-        vin = np.linspace(0.0, 1.2, 121)
-        ref = solve_dc(_inverter(), {"vdd": 1.2, "in": vin})
-        got = solve_dc(
-            _inverter(),
-            {"vdd": 1.2, "in": backend_xp.asarray(vin, dtype=backend_xp.float64)},
-            backend=backend_xp,
-        )
-        assert bool(np.all(to_numpy(got.converged)))
-        np.testing.assert_allclose(
-            to_numpy(got.voltage("out")), ref.voltage("out"), rtol=0, atol=1e-9
-        )
-
-    def test_sram_read_state_matches_numpy(self, backend_xp):
-        cell, params = _cell_problem()
-        circuit = cell.build_circuit()
-        clamps = _read_clamps(cell.vdd)
-        ref = solve_dc(circuit, clamps, element_params=params)
-        params_xp = {
-            name: {
-                "delta_vth": backend_xp.asarray(
-                    kw["delta_vth"], dtype=backend_xp.float64
-                )
-            }
-            for name, kw in params.items()
-        }
-        got = solve_dc(
-            cell.build_circuit(), clamps, element_params=params_xp,
-            backend=backend_xp,
-        )
-        assert bool(np.all(to_numpy(got.converged)))
-        for node in ("q", "qb"):
-            np.testing.assert_allclose(
-                to_numpy(got.voltage(node)), ref.voltage(node), rtol=0, atol=1e-9
-            )
-
-
-class TestTinySolve:
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_matches_lapack_solve(self, k):
-        rng = np.random.default_rng(k)
-        n = 512
-        jac = rng.normal(size=(n, k, k)) + 4.0 * np.eye(k)
-        rhs = rng.normal(size=(n, k))
-        got = solve_tiny(jac, rhs, xp=np)
-        want = np.linalg.solve(jac, rhs[..., None])[..., 0]
-        np.testing.assert_allclose(got, want, rtol=5e-10, atol=1e-12)
-
-    def test_size_gate(self):
-        assert can_solve_tiny(TINY_SOLVE_MAX)
-        assert not can_solve_tiny(TINY_SOLVE_MAX + 1)
-
-    def test_solver_opt_in_agrees_with_lapack_path(self):
-        cell, params = _cell_problem(n=129, seed=9)
-        circuit = cell.build_circuit()
-        clamps = _read_clamps(cell.vdd)
-        ref = solve_dc(circuit, clamps, element_params=params)
-        got = solve_dc(circuit, clamps, element_params=params, tiny_solve=True)
-        assert bool(np.all(got.converged))
-        for node in ("q", "qb"):
-            np.testing.assert_allclose(
-                got.voltage(node), ref.voltage(node), rtol=0, atol=1e-9
-            )
 
 
 class TestBitIdentityBattery:
@@ -278,13 +193,3 @@ class TestBitIdentityBattery:
         plan_a = compile_plan(circuit, free_index, list(clamped), params)
         plan_b = compile_plan(circuit, free_index, list(clamped), params)
         assert plan_a is plan_b
-
-    def test_compiled_true_raises_off_numpy(self):
-        class NotNumpy:
-            __name__ = "notnumpy"
-
-        with pytest.raises(ValueError, match="numpy backend"):
-            solve_dc(
-                _inverter(), {"vdd": 1.2, "in": 0.5},
-                backend=NotNumpy(), compiled=True,
-            )

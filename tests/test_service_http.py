@@ -128,10 +128,26 @@ class TestErrorContract:
         assert excinfo.value.status == 404
 
     def test_malformed_request_is_400(self, client):
-        with pytest.raises(ServiceError) as excinfo:
-            client.submit(dict(QUERY, problem="nope"))
-        assert excinfo.value.status == 400
-        assert "unknown problem" in str(excinfo.value)
+        # Each must be refused up front: accepted, they fail only inside
+        # the job after spending simulations, or (NaN timeout) never
+        # time out.  The client sends NaN/inf as JSON NaN/Infinity.
+        for override, message in (
+            (dict(problem="nope"), "unknown problem"),
+            (dict(timeout=float("nan")), "timeout must be finite"),
+            (dict(sigma_global=float("inf")), "sigma_global must be finite"),
+            (dict(threshold=float("nan")), "threshold must be finite"),
+            (dict(chain_jitter=float("inf")), "chain_jitter must be finite"),
+            (dict(epsilon=float("nan")), "epsilon must be finite"),
+            (dict(zeta=float("-inf")), "zeta must be finite"),
+            (dict(corner="XX"), "unknown corner"),
+            (dict(proposal_fit="bogus"), "unknown proposal_fit"),
+            (dict(surrogate_order="cubic"), "unknown surrogate_order"),
+            (dict(sigma_global=-0.01), "sigma_global must be >= 0"),
+        ):
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(dict(QUERY, **override))
+            assert excinfo.value.status == 400, override
+            assert message in str(excinfo.value), override
 
     def test_unknown_field_is_400(self, client):
         with pytest.raises(ServiceError) as excinfo:
@@ -195,10 +211,11 @@ class TestSchedulerDirect:
 
     def test_result_of_failed_job_raises(self, tmp_path):
         with YieldService(cache_dir=tmp_path) as svc:
-            # An invalid surrogate order detonates inside the job (it
-            # passes request validation); the error must land on the record.
+            # A valid request whose threshold no sample can fail: the
+            # start-point search raises inside the job, and the error
+            # must land on the record.
             job = svc.submit(JobRequest(
-                problem="iread", method="G-S", surrogate_order="bogus",
+                problem="iread", method="G-S", threshold=-1.0,
                 n_gibbs=10, doe_budget=30, n_second_stage=64, shard_size=64,
             ))
             svc.wait(job.id, timeout=120)

@@ -17,7 +17,6 @@ from repro.sram.cell import (
     PAPER_INDEX,
     SixTransistorCell,
     _interp_along_axis0,
-    _shape_of,
     _solve_monotone_node,
 )
 from repro.sram.metrics import (
@@ -108,7 +107,7 @@ def _half_cell_vtc_reference(cell, side, vin_grid, bl_voltage, delta_vth=None,
     delta_vth = dict(delta_vth or {})
     wl_voltage = cell.vdd if wl_voltage is None else float(wl_voltage)
     vin_grid = np.asarray(vin_grid, dtype=np.float64)
-    batch_shape = np.broadcast_shapes(*(_shape_of(d) for d in delta_vth.values())) \
+    batch_shape = np.broadcast_shapes(*(np.shape(d) for d in delta_vth.values())) \
         if delta_vth else ()
     vin = np.reshape(vin_grid, (-1,) + (1,) * len(batch_shape))
     n_grid = int(vin_grid.shape[0])
@@ -145,7 +144,7 @@ class ReferenceCell(SixTransistorCell):
     pre-fusion arithmetic."""
 
     def _half_cell_residual(self, sides, vin, bl_voltage, wl_voltage,
-                            delta_vth, shape, xp=np):
+                            delta_vth, shape):
         if not isinstance(sides, str):
             (sides,), (bl_voltage,) = sides, bl_voltage
         return _half_cell_residual_reference(
