@@ -24,8 +24,12 @@ per-side, per-device kernel kept in tests/test_sram_cell.py) — at the row
 counts of single Gibbs simulations (1, 2, 4 rows: ms/call) and of the
 metric chunk (4,096 rows: µs/row).  The read-state tiny calls use
 read-upset samples, whose unconverged Newton lanes take the fixed-point
-straggler path; its 4,096-row chunk uses Monte-Carlo samples.  Outputs are
-asserted bit-identical to the oracle's.
+straggler path; its 4,096-row chunk uses Monte-Carlo samples.  The
+``read_upset_fixed_point`` rows time that straggler path alone — the
+least-fixed-point construction with its speculative bisection tree against
+the oracle's 30 sequential steps — at 1, 8, 64 and ~870 straggler lanes
+(one- and few-row Gibbs simulations, and an importance-sampling shard).
+Outputs are asserted bit-identical to the oracle's.
 
 Timing is fully interleaved min-of-k: every round times each variant once
 in rotation, and each variant reports its best round.  On a shared
@@ -63,6 +67,9 @@ GIBBS_SIZES = (64, 256)
 #: the metric layer's default chunk.
 TINY_ROWS = (1, 2, 4)
 CHUNK_ROWS = 4096
+
+#: Straggler lanes of the read-upset fixed-point rows.
+STRAGGLER_LANES = (1, 8, 64, 870)
 
 #: Floor on fused / oracle for SRAM kernel calls of at most two rows.
 TINY_FLOOR = 1.5
@@ -156,25 +163,53 @@ def _sram_kernels(rows, seed=23):
     return kernels
 
 
+def _fixed_point_kernel(lanes, seed=29):
+    """``{variant: call}`` of the read-upset fixed point on ``lanes``
+    stragglers, outputs checked."""
+    rng = np.random.default_rng(seed + lanes)
+    iread = ReadCurrentMetric(fragile_cell())
+    cell = iread.cell
+    oracle_cell = ReferenceCell(cell.technology, cell.geometries)
+    deltas = iread.mismatch.deltas(
+        np.array([5.0, -4.0]) + 0.3 * rng.standard_normal((lanes, 2))
+    )
+    variants = {
+        "fused": lambda: cell._read_fixed_point(deltas, True, lanes),
+        "oracle": lambda: oracle_cell._read_fixed_point(deltas, True, lanes),
+    }
+    for got, want in zip(variants["fused"](), variants["oracle"]()):
+        np.testing.assert_array_equal(got, want)
+    return variants
+
+
 def bench_sram_kernels():
+    tiny_rounds = max(5, int(round(20 * SCALE)))
+    chunk_rounds = max(2, int(round(3 * SCALE)))
+    timed = [
+        (kernel, rows, rows in TINY_ROWS, variants)
+        for rows in TINY_ROWS + (CHUNK_ROWS,)
+        for kernel, variants in _sram_kernels(rows).items()
+    ] + [
+        ("read_upset_fixed_point", lanes, True, _fixed_point_kernel(lanes))
+        for lanes in STRAGGLER_LANES
+    ]
     records = []
-    for rows in TINY_ROWS + (CHUNK_ROWS,):
-        tiny = rows in TINY_ROWS
-        rounds = max(5, int(round(20 * SCALE))) if tiny else max(2, int(round(3 * SCALE)))
-        for kernel, variants in _sram_kernels(rows).items():
-            best = interleaved_min(variants, rounds)
-            records.append(
-                {
-                    "kernel": kernel,
-                    "rows": rows,
-                    "rounds": rounds,
-                    "fused_ms_per_call": 1e3 * best["fused"],
-                    "oracle_ms_per_call": 1e3 * best["oracle"],
-                    "fused_us_per_row": 1e6 * best["fused"] / rows,
-                    "oracle_us_per_row": 1e6 * best["oracle"] / rows,
-                    "speedup": best["oracle"] / best["fused"],
-                }
-            )
+    for kernel, rows, per_call, variants in timed:
+        rounds = tiny_rounds if rows < 100 else chunk_rounds
+        best = interleaved_min(variants, rounds)
+        records.append(
+            {
+                "kernel": kernel,
+                "rows": rows,
+                "rounds": rounds,
+                "per_call": per_call,
+                "fused_ms_per_call": 1e3 * best["fused"],
+                "oracle_ms_per_call": 1e3 * best["oracle"],
+                "fused_us_per_row": 1e6 * best["fused"] / rows,
+                "oracle_us_per_row": 1e6 * best["oracle"] / rows,
+                "speedup": best["oracle"] / best["fused"],
+            }
+        )
     return records
 
 
@@ -195,10 +230,12 @@ def test_backend_kernel_throughput():
         "records": records,
         "headline_compiled_speedup": headline,
         "sram_kernels": {
-            "workload": "RNM VTC pair (81-point grid, both sides) and iread "
-                        "read state; fused kernel vs the per-side oracle",
+            "workload": "RNM VTC pair (81-point grid, both sides), iread "
+                        "read state and its read-upset fixed point; fused "
+                        "kernel vs the pre-change oracle",
             "tiny_rows": list(TINY_ROWS),
             "chunk_rows": CHUNK_ROWS,
+            "straggler_lanes": list(STRAGGLER_LANES),
             "tiny_floor": TINY_FLOOR,
             "records": sram,
         },
@@ -215,13 +252,13 @@ def test_backend_kernel_throughput():
     lines.append("")
     lines.append(f"headline compiled speedup (Gibbs-scale batches): {headline:.2f}x")
     lines.append("")
-    lines.append("SRAM metric kernels, fused vs per-side oracle")
-    lines.append(f"{'kernel':>17} {'rows':>5} {'fused':>12} {'oracle':>12} {'speedup':>8}")
+    lines.append("SRAM metric kernels, fused vs pre-change oracle")
+    lines.append(f"{'kernel':>22} {'rows':>5} {'fused':>12} {'oracle':>12} {'speedup':>8}")
     for r in sram:
-        unit, key = ("ms/call", "ms_per_call") if r["rows"] in TINY_ROWS \
+        unit, key = ("ms/call", "ms_per_call") if r["per_call"] \
             else ("us/row", "us_per_row")
         lines.append(
-            f"{r['kernel']:>17} {r['rows']:>5} "
+            f"{r['kernel']:>22} {r['rows']:>5} "
             f"{r['fused_' + key]:>6.2f} {unit:<5} {r['oracle_' + key]:>6.2f} {unit:<5} "
             f"{r['speedup']:>7.2f}x"
         )

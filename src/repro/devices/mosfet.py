@@ -58,6 +58,49 @@ def _interp_f_and_deriv(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return soft * soft, soft * sig
 
 
+def ekv_pinch_off(vg, vb, polarity, vth, n, delta_vth=0.0):
+    """Pinch-off voltage ``v_p = (v_g' - v_th) / n`` in the NMOS frame.
+
+    Voltages are referenced to the bulk and PMOS is reflected into the
+    NMOS frame: ``v' = polarity * (v - vb)``, ``I' = polarity * I``.
+    """
+    f64 = np.float64
+    vg_n = polarity * (np.asarray(vg, dtype=f64) - vb)
+    return (vg_n - (vth + np.asarray(delta_vth, dtype=f64))) / n
+
+
+def ekv_terminal(v, vb, polarity, vp):
+    """One channel terminal: its NMOS-frame voltage ``v'`` and ``F``, ``F'``
+    at ``(v_p - v') / U_T``."""
+    v_n = polarity * (np.asarray(v, dtype=np.float64) - vb)
+    f, df = _interp_f_and_deriv((vp - v_n) / THERMAL_VOLTAGE)
+    return v_n, f, df
+
+
+def ekv_specific_current(beta, n):
+    """``I_spec = 2 n beta U_T^2``."""
+    ut = THERMAL_VOLTAGE
+    return 2.0 * n * beta * ut * ut
+
+
+def _channel(i_spec, lam, ff, fr, vd_n, vs_n):
+    """``(core, clm, ids')``: the forward-minus-reverse core, the
+    channel-length modulation factor and the NMOS-frame current."""
+    core = ff - fr
+    clm = 1.0 + lam * (vd_n - vs_n)
+    return core, clm, i_spec * core * clm
+
+
+def _d_ids_dvd(i_spec, lam, dfr, core, clm):
+    d_core_dvd = -dfr * (-1.0 / THERMAL_VOLTAGE)  # fr' * (-1/ut), minus sign
+    return i_spec * (d_core_dvd * clm + core * lam)
+
+
+def _d_ids_dvs(i_spec, lam, dff, core, clm):
+    d_core_dvs = -dff / THERMAL_VOLTAGE
+    return i_spec * (d_core_dvs * clm - core * lam)
+
+
 def ekv_current_and_derivs(vg, vd, vs, vb, polarity, vth, beta, n, lam,
                            delta_vth=0.0):
     """Vectorised EKV core: ``(ids, d_ids/d_vg, d_ids/d_vd, d_ids/d_vs)``.
@@ -70,37 +113,47 @@ def ekv_current_and_derivs(vg, vd, vs, vb, polarity, vth, beta, n, lam,
     per-device code, so a stacked evaluation is bit-identical per lane to
     per-device calls.
     """
-    f64 = np.float64
-    # Reference to the bulk, then reflect PMOS into the NMOS frame:
-    # v' = polarity * (v - vb), I' = polarity * I.
-    vb = np.asarray(vb, dtype=f64)
-    vg_n = polarity * (np.asarray(vg, dtype=f64) - vb)
-    vd_n = polarity * (np.asarray(vd, dtype=f64) - vb)
-    vs_n = polarity * (np.asarray(vs, dtype=f64) - vb)
-
-    ut = THERMAL_VOLTAGE
-    vth = vth + np.asarray(delta_vth, dtype=f64)
-    vp = (vg_n - vth) / n
-    i_spec = 2.0 * n * beta * ut * ut
-
-    ff, dff = _interp_f_and_deriv((vp - vs_n) / ut)
-    fr, dfr = _interp_f_and_deriv((vp - vd_n) / ut)
-    core = ff - fr
-    clm = 1.0 + lam * (vd_n - vs_n)
-
-    ids_n = i_spec * core * clm
+    vb = np.asarray(vb, dtype=np.float64)
+    vp = ekv_pinch_off(vg, vb, polarity, vth, n, delta_vth)
+    vd_n, fr, dfr = ekv_terminal(vd, vb, polarity, vp)
+    vs_n, ff, dff = ekv_terminal(vs, vb, polarity, vp)
+    i_spec = ekv_specific_current(beta, n)
+    core, clm, ids_n = _channel(i_spec, lam, ff, fr, vd_n, vs_n)
 
     # Partials in the NMOS frame.
-    d_vp = 1.0 / n
-    d_core_dvg = (dff - dfr) * d_vp / ut
-    d_core_dvd = -dfr * (-1.0 / ut)  # d/dvd of fr term: fr' * (-1/ut), minus sign
-    d_core_dvs = -dff / ut
+    d_core_dvg = (dff - dfr) * (1.0 / n) / THERMAL_VOLTAGE
     d_ids_dvg = i_spec * d_core_dvg * clm
-    d_ids_dvd = i_spec * (d_core_dvd * clm + core * lam)
-    d_ids_dvs = i_spec * (d_core_dvs * clm - core * lam)
+    d_ids_dvd = _d_ids_dvd(i_spec, lam, dfr, core, clm)
+    d_ids_dvs = _d_ids_dvs(i_spec, lam, dff, core, clm)
 
     # Map back: I = sgn * I_n(v' = sgn*v) -> dI/dv = sgn * dI_n/dv' * sgn = dI_n/dv'.
     return polarity * ids_n, d_ids_dvg, d_ids_dvd, d_ids_dvs
+
+
+def ekv_drain_moving(i_spec, lam, polarity, source, drain):
+    """``(ids, d_ids/d_vd)`` of a device whose gate, bulk and source are held.
+
+    ``source`` is the held source's ``(v', F)`` and ``drain`` the moving
+    drain's ``(v', F, F')`` from :func:`ekv_terminal`, so a solve that
+    moves only the drain computes the pinch-off voltage and the source
+    interpolation once.  Every value is the one
+    :func:`ekv_current_and_derivs` returns, bit for bit: the same
+    operations in the same order, minus the unused partials.
+    """
+    vs_n, ff = source
+    vd_n, fr, dfr = drain
+    core, clm, ids_n = _channel(i_spec, lam, ff, fr, vd_n, vs_n)
+    return polarity * ids_n, _d_ids_dvd(i_spec, lam, dfr, core, clm)
+
+
+def ekv_source_moving(i_spec, lam, polarity, drain, source):
+    """``(ids, d_ids/d_vs)`` of a device whose gate, bulk and drain are held;
+    the mirror of :func:`ekv_drain_moving` (``drain`` is ``(v', F)``,
+    ``source`` is ``(v', F, F')``)."""
+    vd_n, fr = drain
+    vs_n, ff, dff = source
+    core, clm, ids_n = _channel(i_spec, lam, ff, fr, vd_n, vs_n)
+    return polarity * ids_n, _d_ids_dvs(i_spec, lam, dff, core, clm)
 
 
 @dataclass(frozen=True)

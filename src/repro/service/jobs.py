@@ -24,6 +24,21 @@ JOB_METHODS = METHODS + ("MC",)
 #: Built-in problem identifiers (see :mod:`repro.sram.problems`).
 JOB_PROBLEMS = ("rnm", "wnm", "iread", "twrite")
 
+#: Inclusive ``(low, high)`` ranges of a request's integer budgets.  The
+#: upper bounds sit far above any benchmark or CI request; they keep a typo
+#: from queueing a job that would run for days or exhaust memory.  Past
+#: ~52 halvings a ``[-zeta, zeta]`` bracket is at float64 spacing, so each
+#: further bisection round pays two simulations for nothing, and fewer than
+#: one round leaves every interval search frozen at its bracket.
+BUDGET_RANGES = {
+    "n_second_stage": (2, 100_000_000),
+    "n_gibbs": (1, 100_000),
+    "n_chains": (1, 1024),
+    "shard_size": (1, 1 << 20),
+    "ladder_width": (1, 64),
+    "bisect_iters": (1, 52),
+}
+
 
 class JobState:
     """Lifecycle states of a service job."""
@@ -138,22 +153,12 @@ class JobRequest:
             raise ValueError(
                 f"sigma_global must be >= 0, got {self.sigma_global}"
             )
-        if self.n_second_stage < 2:
-            raise ValueError(
-                f"n_second_stage must be >= 2, got {self.n_second_stage}"
-            )
-        if self.shard_size < 1:
-            raise ValueError(
-                f"shard_size must be positive, got {self.shard_size}"
-            )
-        if self.n_gibbs < 1:
-            raise ValueError(f"n_gibbs must be positive, got {self.n_gibbs}")
-        if self.n_chains < 1:
-            raise ValueError(f"n_chains must be positive, got {self.n_chains}")
-        if self.ladder_width < 1:
-            raise ValueError(
-                f"ladder_width must be >= 1, got {self.ladder_width}"
-            )
+        for name, (low, high) in BUDGET_RANGES.items():
+            value = getattr(self, name)
+            if not low <= value <= high:
+                raise ValueError(
+                    f"{name} must be in [{low}, {high}], got {value!r}"
+                )
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
 

@@ -31,6 +31,32 @@ from typing import Optional, Tuple
 import numpy as np
 
 
+#: Batch size from which :func:`_count_below` sums over the grid axis in
+#: place rather than along a trailing copy of it.  Counting 121 levels on an
+#: 81-point grid (2-vCPU VM, numpy 2.4), the trailing sum took 37 us at 2
+#: rows against 207 us in place, was even at 32 rows, and took 1.1 ms
+#: against 0.35 ms at 64.
+_TRAILING_COUNT_MAX_BATCH = 32
+
+
+def _count_below(z, c):
+    """Count of ``z`` samples strictly below each level of ``c``.
+
+    ``z`` is ``(P, *batch)`` and ``c`` is ``(Q, *batch)`` or broadcastable
+    to it; returns ``(Q, *batch)`` in the narrowest unsigned type that
+    holds ``P`` (the counts are exact, so any such type gives the same
+    margins).  numpy pays per inner-loop call: summing a small batch over
+    the grid axis in place makes one short call per level and grid point,
+    so small batches sum along a trailing, contiguous grid axis instead.
+    """
+    p = z.shape[0]
+    count_dtype = np.min_scalar_type(p)
+    if z.size < _TRAILING_COUNT_MAX_BATCH * p:
+        below = np.less(np.moveaxis(z, 0, -1)[None, ...], c[..., None], order="C")
+        return np.sum(below, axis=-1, dtype=count_dtype)
+    return np.sum(z[None, ...] < c[:, None, ...], axis=1, dtype=count_dtype)
+
+
 def _interp_increasing(z, grid, c):
     """Inverse-interpolate a batched monotone function.
 
@@ -43,7 +69,7 @@ def _interp_increasing(z, grid, c):
     batch_ndim = z.ndim - 1
     c_col = np.reshape(c, (-1, 1) + (1,) * batch_ndim)
     # Count of z-samples strictly below each level: the upper bracket index.
-    k = np.sum(z[None, ...] < c_col, axis=1)
+    k = _count_below(z, c_col[:, 0, ...])
     k = np.clip(k, 1, p - 1)
     z0 = np.take_along_axis(z[None, ...], (k - 1)[:, None, ...], axis=1)[:, 0, ...]
     z1 = np.take_along_axis(z[None, ...], k[:, None, ...], axis=1)[:, 0, ...]
@@ -63,8 +89,7 @@ def _interp_increasing_batched(z, grid, c):
     ``(Q, *batch)``.  Returns ``(Q, *batch)``.
     """
     p = z.shape[0]
-    cmp = z[None, ...] < c[:, None, ...]
-    k = np.clip(np.sum(cmp, axis=1), 1, p - 1)
+    k = np.clip(_count_below(z, c), 1, p - 1)
     z0 = np.take_along_axis(z[None, ...], (k - 1)[:, None, ...], axis=1)[:, 0, ...]
     z1 = np.take_along_axis(z[None, ...], k[:, None, ...], axis=1)[:, 0, ...]
     g0 = grid[k - 1]

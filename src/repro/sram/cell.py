@@ -28,14 +28,31 @@ bracketed Newton/bisection hybrid is globally convergent.
 
 A Gibbs conditional simulates one or two rows at a time, so those solves
 run on arrays of a few hundred lanes, where numpy's per-call dispatch — not
-arithmetic — sets the cost.  Two measures keep the dispatch count down:
-``half_cell_vtc`` solves both butterfly sides in one coarse-grid plus one
-full-grid Newton loop (not two of each), and while the active lane set is
-small the half-cell residual evaluates the pull-down, pull-up and access
-devices in one stacked EKV call (one dispatch per ufunc for all three).
-Lanes never interact, so both are bit-identical per lane to the per-side,
-per-device solve; ``benchmarks/bench_backend_kernels.py`` times them against
-that solve, kept as the oracle in ``tests/test_sram_cell.py``.
+arithmetic — sets the cost.  Five measures keep the dispatch count down:
+
+* ``half_cell_vtc`` solves both butterfly sides in one coarse-grid plus one
+  full-grid Newton loop (not two of each);
+* the half-cell residual computes each device's pinch-off voltage and the
+  EKV interpolation at its held terminal once per solve, so a Newton
+  iteration evaluates one interpolation per device, not two;
+* while the active lane set is small, that residual evaluates the
+  pull-down, pull-up and access devices in one stacked EKV call (one
+  dispatch per ufunc for all three);
+* below ``_READ_STACKED_MAX_LANES`` lanes the read-state Newton pass
+  evaluates its six devices in one stacked call;
+* the read-upset fixed point bisects in speculative rounds: one batched
+  loop-map call evaluates every midpoint the next d sequential steps can
+  visit (a depth-d bracket tree, ``2**d - 1`` lanes per straggler, d the
+  deepest that fits ``_BISECT_ROUND_LANES``), then the sequential
+  decisions walk the tree.  One straggler takes 4 rounds instead of 30; an
+  importance-sampling shard's ~870 stragglers keep d = 1, the plain loop.
+
+Lanes never interact and every speculative midpoint is formed from its own
+bracket exactly as the sequential step forms it, so all five are
+bit-identical per lane to the per-side, per-device, sequential solve;
+``benchmarks/bench_backend_kernels.py`` times them against that solve, kept
+as the oracle in ``tests/test_sram_cell.py``.  Only the Newton lane
+counters see the difference: they count the speculative lanes too.
 """
 
 from __future__ import annotations
@@ -46,7 +63,15 @@ import numpy as np
 
 from repro.circuit.netlist import Circuit
 from repro.telemetry import context as _telemetry
-from repro.devices.mosfet import Mosfet, ekv_current_and_derivs
+from repro.devices.mosfet import (
+    Mosfet,
+    ekv_current_and_derivs,
+    ekv_drain_moving,
+    ekv_pinch_off,
+    ekv_source_moving,
+    ekv_specific_current,
+    ekv_terminal,
+)
 from repro.devices.technology import (
     DEFAULT_GEOMETRIES,
     DeviceGeometry,
@@ -148,10 +173,55 @@ _VTC_BLOCK_LANES = 2 * 81 * 256
 
 #: Active-lane count under which the half-cell residual evaluates its three
 #: devices in one stacked EKV call instead of three per-device calls.  On
-#: the same VM the stacked call was 1.3-1.8x faster up to 512 lanes, even
-#: from 1,024 to 2,560, and ~2x slower from 3,000 lanes on, where its
-#: three-device temporaries no longer stay in cache.
+#: the same VM the stacked call was 1.3-1.6x faster up to 512 lanes, 1.2x
+#: at 1,024, within 8% from 2,048 to 8,192 and 0.84x at 16,384; above this
+#: count the per-device form also keeps the temporaries small.
 _STACKED_MAX_LANES = 1024
+
+#: Lanes of one speculative bisection round in ``_read_fixed_point``: a
+#: round of depth d evaluates the loop map at (2**d - 1) * stragglers lanes.
+#: On the same VM one loop-map evaluation took 0.8 ms at 1 lane, 1.4 ms at
+#: 64, 1.8 ms at 256, then 2.9 ms at 512 and 4.4 ms at 1,024, so up to
+#: ~256 lanes a deeper tree is nearly free.  With this cap one straggler
+#: took 7.7 ms against 26 ms sequentially (interleaved min-of-15); caps of
+#: 384 and 512 were within noise of it.
+_BISECT_ROUND_LANES = 256
+
+#: Lane count under which the read-state Newton pass evaluates its six
+#: devices in one stacked EKV call instead of six per-device calls.  On the
+#: same VM a whole read-state solve was 2.4-2.9x faster stacked at 1-64
+#: lanes, 1.4-1.9x from 256 to 1,024 and 1.2x at 1,280, then 0.79x at 1,536
+#: and 0.65x at 4,096 lanes, where the per-device calls' scalar terminals
+#: save more arithmetic than the stacked call saves dispatches.
+_READ_STACKED_MAX_LANES = 1280
+
+#: Gate, drain, source and bulk node of each device in the read
+#: configuration (word line and both bitlines at VDD).
+_READ_TERMINALS = {
+    "pd_l": ("qb", "q", "0", "0"), "pu_l": ("qb", "q", "vdd", "vdd"),
+    "ax_l": ("vdd", "vdd", "q", "0"), "pd_r": ("q", "qb", "0", "0"),
+    "pu_r": ("q", "qb", "vdd", "vdd"), "ax_r": ("vdd", "vdd", "qb", "0"),
+}
+
+
+def _bisection_depth(n_lanes: int) -> int:
+    """Steps per speculative bisection round for ``n_lanes`` stragglers:
+    the deepest tree whose ``2**d - 1`` midpoints per lane fit in
+    ``_BISECT_ROUND_LANES`` (at least one step)."""
+    depth = 1
+    while ((2 << depth) - 1) * max(n_lanes, 1) <= _BISECT_ROUND_LANES:
+        depth += 1
+    return depth
+
+
+def _stacked_parameters(devices):
+    """``(polarity, vth, beta, n, lam)`` of ``devices`` as ``(k, 1)``
+    columns: the device parameters of one stacked EKV call."""
+    return [
+        np.asarray([[float(getattr(dev.params, name))] for dev in devices],
+                   dtype=np.float64)
+        for name in ("polarity", "vth", "beta", "n", "lam")
+    ]
 
 
 def _interp_along_axis0(x_full, x_coarse, y_coarse):
@@ -253,65 +323,72 @@ class SixTransistorCell:
         full batch and slicing.  The sides must share device parameters
         (:meth:`_matched_sides`).
 
-        Below ``_STACKED_MAX_LANES`` active lanes the pull-down, pull-up and
-        access devices run as one EKV call with a leading device axis and
-        ``(3, 1)`` parameter columns — a third of the ufunc dispatches of
-        three per-device calls, which is what a one- or two-row Gibbs
-        simulation pays for.  Both forms perform the same elementwise
-        operations in the same order, so every lane is bit-identical
-        whichever form evaluates it, and the switch may happen mid-solve.
+        Only the node voltage moves during a solve: it is the drain of the
+        pull-down and pull-up and the source of the access device.  So each
+        device's pinch-off voltage and the EKV interpolation at its held
+        terminal (pull-down and pull-up source, access drain) are computed
+        once here, and a Newton iteration evaluates one interpolation per
+        device, the moving terminal's, plus the one partial it needs
+        (:func:`~repro.devices.mosfet.ekv_drain_moving`).  Below
+        ``_STACKED_MAX_LANES`` active lanes the three devices run stacked,
+        with a leading device axis and ``(3, 1)`` parameter columns — a
+        third of the ufunc dispatches, which is what a one- or two-row
+        Gibbs simulation pays for.  Every form performs the elementwise
+        operations of the full EKV evaluation in the same order, so every
+        lane is bit-identical whichever form evaluates it, and the switch
+        may happen mid-solve.
         """
         if isinstance(sides, str):
             sides, bl_voltage = (sides,), (bl_voltage,)
         suffixes = ["_l" if side == "left" else "_r" for side in sides]
-        pd, pu, ax = (self.devices[role + suffixes[0]] for role in ("pd", "pu", "ax"))
+        devices = [self.devices[role + suffixes[0]] for role in ("pd", "pu", "ax")]
         vdd = self.vdd
-        # Per-lane terminal voltages and mismatches of the three devices,
-        # rows ordered so every argument of the stacked call is a row slice
-        # — sources 0:3, drains 2:5, mismatches 5:8, gates 8:11, with rows
-        # 2-3 the node voltage, written per call — and the per-device calls
-        # need rows 4:9 only.
-        lanes = np.empty((11, len(sides)) + tuple(shape), dtype=np.float64)
-        lanes[0] = 0.0
-        lanes[1] = vdd
-        lanes[8:10] = np.asarray(vin, dtype=np.float64)
-        lanes[10] = wl_voltage
+        # Per-lane gate, held terminal and mismatch of the pull-down,
+        # pull-up and access device: the loop-invariant EKV inputs.
+        held = np.empty((3, 3, len(sides)) + tuple(shape), dtype=np.float64)
+        held[0, 0:2] = np.asarray(vin, dtype=np.float64)
+        held[0, 2] = wl_voltage
+        held[1, 0] = 0.0
+        held[1, 1] = vdd
         for k, (suffix, bl) in enumerate(zip(suffixes, bl_voltage)):
-            lanes[4, k] = bl
-            for row, role in ((5, "pd"), (6, "pu"), (7, "ax")):
-                lanes[row, k] = np.asarray(
+            held[1, 2, k] = bl
+            for row, role in enumerate(("pd", "pu", "ax")):
+                held[2, row, k] = np.asarray(
                     delta_vth.get(role + suffix, 0.0), dtype=np.float64
                 )
-        lanes = np.reshape(lanes, (11, -1))
-        columns = [
-            np.asarray([[float(getattr(dev.params, name))] for dev in (pd, pu, ax)],
-                       dtype=np.float64)
-            for name in ("polarity", "vth", "beta", "n", "lam")
-        ]
+        gate, held_v, delta = np.reshape(held, (3, 3, -1))
+        polarity, vth, beta, n, lam = _stacked_parameters(devices)
         vb = np.asarray([[0.0], [vdd], [0.0]], dtype=np.float64)
+        i_spec = ekv_specific_current(beta, n)
+        vp = ekv_pinch_off(gate, vb, polarity, vth, n, delta)
+        held_n, f_held, _ = ekv_terminal(held_v, vb, polarity, vp)
+        terms = np.stack([vp, held_n, f_held])
 
         def residual(v_node, idx=None):
+            vp_x, held_x, f_held_x = (
+                terms if idx is None else np.take(terms, idx, axis=2)
+            )
             if int(v_node.shape[0]) < _STACKED_MAX_LANES:
-                at = lanes if idx is None else np.take(lanes, idx, axis=1)
-                at[2:4] = v_node
-                i, _, dd, ds = ekv_current_and_derivs(
-                    at[8:11], at[2:5], at[0:3], vb, *columns,
-                    delta_vth=at[5:8],
+                v_n, f, df = ekv_terminal(v_node, vb, polarity, vp_x)
+                (i_pd, i_pu), (dd_pd, dd_pu) = ekv_drain_moving(
+                    i_spec[:2], lam[:2], polarity[:2], (held_x[:2], f_held_x[:2]),
+                    (v_n[:2], f[:2], df[:2]),
                 )
-                return i[0] + i[1] - i[2], dd[0] + dd[1] - ds[2]
-            bl_x, dpd_x, dpu_x, dax_x, vin_x = (
-                lanes[4:9] if idx is None else np.take(lanes[4:9], idx, axis=1)
-            )
-            i_pd, _, dd_pd, _ = pd.current_and_derivs(vin_x, v_node, 0.0, 0.0, dpd_x)
-            i_pu, _, dd_pu, _ = pu.current_and_derivs(vin_x, v_node, vdd, vdd, dpu_x)
-            i_ax, _, _, ds_ax = ax.current_and_derivs(
-                wl_voltage, bl_x, v_node, 0.0, dax_x
-            )
+                (i_ax,), (ds_ax,) = ekv_source_moving(
+                    i_spec[2:], lam[2:], polarity[2:], (held_x[2:], f_held_x[2:]),
+                    (v_n[2:], f[2:], df[2:]),
+                )
+            else:
+                (i_pd, dd_pd), (i_pu, dd_pu), (i_ax, ds_ax) = (
+                    moving(i_spec[k], lam[k], polarity[k], (held_x[k], f_held_x[k]),
+                           ekv_terminal(v_node, vb[k], polarity[k], vp_x[k]))
+                    for k, moving in enumerate(
+                        (ekv_drain_moving, ekv_drain_moving, ekv_source_moving)
+                    )
+                )
             # i_pd and i_pu leave the node (their drain is the node); the
             # access current flows bitline -> node, so it enters the node.
-            f = i_pd + i_pu - i_ax
-            dfdv = dd_pd + dd_pu - ds_ax
-            return f, dfdv
+            return i_pd + i_pu - i_ax, dd_pd + dd_pu - ds_ax
 
         return residual
 
@@ -465,33 +542,63 @@ class SixTransistorCell:
         — typically samples at or past the read-upset fold, where Newton
         oscillates and relaxation slows critically, but where the bracketed
         fixed-point bisection stays O(log) regardless.
+
+        The Newton residual evaluates all six devices in one stacked EKV
+        call below ``_READ_STACKED_MAX_LANES`` lanes and one call per device
+        above, with the fixed terminals as scalars; both forms are
+        bit-identical per lane.
         """
         delta_vth = dict(delta_vth or {})
         batch_shape = np.broadcast_shapes(*(np.shape(d) for d in delta_vth.values())) \
             if delta_vth else ()
         vdd = self.vdd
-        dev = self.devices
-        d = {name: delta_vth.get(name, 0.0) for name in DEVICE_NAMES}
+        # Flatten the batch so straggler compaction below stays simple.
+        n_batch = int(np.prod(batch_shape)) if batch_shape else 1
+        d_flat = {
+            name: np.reshape(
+                np.broadcast_to(
+                    np.asarray(delta_vth.get(name, 0.0), dtype=np.float64), batch_shape
+                ),
+                (n_batch,),
+            )
+            for name in DEVICE_NAMES
+        }
 
-        def residuals(vq, vqb, d):
-            i_pd_l, dg_pd_l, dd_pd_l, _ = dev["pd_l"].current_and_derivs(
-                vqb, vq, 0.0, 0.0, d["pd_l"])
-            i_pu_l, dg_pu_l, dd_pu_l, _ = dev["pu_l"].current_and_derivs(
-                vqb, vq, vdd, vdd, d["pu_l"])
-            i_ax_l, _, _, ds_ax_l = dev["ax_l"].current_and_derivs(
-                vdd, vdd, vq, 0.0, d["ax_l"])
-            i_pd_r, dg_pd_r, dd_pd_r, _ = dev["pd_r"].current_and_derivs(
-                vq, vqb, 0.0, 0.0, d["pd_r"])
-            i_pu_r, dg_pu_r, dd_pu_r, _ = dev["pu_r"].current_and_derivs(
-                vq, vqb, vdd, vdd, d["pu_r"])
-            i_ax_r, _, _, ds_ax_r = dev["ax_r"].current_and_derivs(
-                vdd, vdd, vqb, 0.0, d["ax_r"])
-            fq = i_pd_l + i_pu_l - i_ax_l
-            fqb = i_pd_r + i_pu_r - i_ax_r
-            j11 = dd_pd_l + dd_pu_l - ds_ax_l      # dfq/dvq
-            j12 = dg_pd_l + dg_pu_l                # dfq/dvqb
-            j21 = dg_pd_r + dg_pu_r                # dfqb/dvq
-            j22 = dd_pd_r + dd_pu_r - ds_ax_r      # dfqb/dvqb
+        order = tuple(_READ_TERMINALS)
+        if n_batch < _READ_STACKED_MAX_LANES:
+            # Terminal voltages ``(terminal, device, lane)``; the
+            # storage-node rows are rewritten on every residual evaluation.
+            nodes = np.asarray([_READ_TERMINALS[name] for name in order]).T
+            bias = np.empty((4, 6, n_batch), dtype=np.float64)
+            bias[nodes == "vdd"] = vdd
+            bias[nodes == "0"] = 0.0
+            q_at, qb_at = np.nonzero(nodes == "q"), np.nonzero(nodes == "qb")
+            columns = _stacked_parameters([self.devices[name] for name in order])
+            deltas = np.stack([d_flat[name] for name in order])
+
+            def evaluate(vq, vqb):
+                bias[q_at] = vq
+                bias[qb_at] = vqb
+                return ekv_current_and_derivs(*bias, *columns, delta_vth=deltas)
+        else:
+            def evaluate(vq, vqb):
+                at = {"q": vq, "qb": vqb, "vdd": vdd, "0": 0.0}
+                return zip(*(
+                    self.devices[name].current_and_derivs(
+                        *(at[node] for node in _READ_TERMINALS[name]), d_flat[name]
+                    )
+                    for name in order
+                ))
+
+        def residuals(vq, vqb):
+            i, dg, dd, ds = evaluate(vq, vqb)
+            # Rows follow _READ_TERMINALS: pd_l, pu_l, ax_l, pd_r, pu_r, ax_r.
+            fq = i[0] + i[1] - i[2]
+            fqb = i[3] + i[4] - i[5]
+            j11 = dd[0] + dd[1] - ds[2]       # dfq/dvq
+            j12 = dg[0] + dg[1]               # dfq/dvqb
+            j21 = dg[3] + dg[4]               # dfqb/dvq
+            j22 = dd[3] + dd[4] - ds[5]       # dfqb/dvqb
             return fq, fqb, j11, j12, j21, j22
 
         if stored_zero_at_q:
@@ -499,15 +606,6 @@ class SixTransistorCell:
         else:
             init_q, init_qb = vdd, 0.05
 
-        # Flatten the batch so straggler compaction below stays simple.
-        n_batch = int(np.prod(batch_shape)) if batch_shape else 1
-        d_flat = {
-            name: np.reshape(
-                np.broadcast_to(np.asarray(val, dtype=np.float64), batch_shape),
-                (n_batch,),
-            )
-            for name, val in d.items()
-        }
         vq = np.full((n_batch,), float(init_q), dtype=np.float64)
         vqb = np.full((n_batch,), float(init_qb), dtype=np.float64)
 
@@ -519,10 +617,10 @@ class SixTransistorCell:
         tol = 3e-11
         step_cap = 0.1
 
-        def newton_pass(vq, vqb, deltas, iterations):
+        def newton_pass(vq, vqb, iterations):
             converged = np.zeros(vq.shape, dtype=np.bool)
             for _ in range(iterations):
-                fq, fqb, j11, j12, j21, j22 = residuals(vq, vqb, deltas)
+                fq, fqb, j11, j12, j21, j22 = residuals(vq, vqb)
                 converged = (np.abs(fq) < tol) & (np.abs(fqb) < tol)
                 if bool(np.all(converged)):
                     break
@@ -537,7 +635,7 @@ class SixTransistorCell:
 
         # Phase 1: a short full-batch Newton settles the vast majority.
         first_pass = min(14, newton_iterations)
-        vq, vqb, converged = newton_pass(vq, vqb, d_flat, first_pass)
+        vq, vqb, converged = newton_pass(vq, vqb, first_pass)
 
         if not bool(np.all(converged)):
             # Phase 2: compact the stragglers — mostly read-upset cases
@@ -569,6 +667,11 @@ class SixTransistorCell:
         close the cell sits to the read-upset fold, where Newton and
         relaxation methods slow critically.
 
+        The ``bisect_iters`` steps run in rounds of up to
+        ``_bisection_depth(n_batch)`` steps, each one batched loop-map call
+        over the round's bracket tree (see the module performance note);
+        the result is the sequential bisection's, bit for bit.
+
         ``stored_zero_at_q`` selects which storage node is the low one;
         ``v`` always parametrises the *low* node.
         """
@@ -598,12 +701,36 @@ class SixTransistorCell:
         first_neg = np.clip(first_neg, 1, n_grid - 1)
         lo = grid[first_neg - 1]
         hi = grid[first_neg]
-        for _ in range(bisect_iters):
-            mid = 0.5 * (lo + hi)
-            phi_mid, _ = loop_map(mid)
-            above = phi_mid >= mid
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
+        # Bisection in rounds of ``depth`` steps: each round evaluates phi
+        # at every midpoint the next ``depth`` steps can visit in one
+        # batched call, then takes the sequential decisions on them.
+        lanes = np.arange(n_batch)
+        rounds = -(-bisect_iters // _bisection_depth(n_batch))
+        left = bisect_iters
+        for r in range(rounds):
+            depth = -(-left // (rounds - r))
+            left -= depth
+            # Level-order tree of brackets: node j's children are 2j (lower
+            # half) and 2j + 1 (upper half), each midpoint formed from its
+            # own bracket exactly as the sequential step forms it.
+            level_lo, level_hi = lo[None], hi[None]
+            mids = []
+            for level in range(depth):
+                mid = 0.5 * (level_lo + level_hi)
+                mids.append(mid)
+                if level + 1 < depth:
+                    level_lo = np.reshape(np.stack([level_lo, mid], axis=1), (-1, n_batch))
+                    level_hi = np.reshape(np.stack([mid, level_hi], axis=1), (-1, n_batch))
+            mids = np.concat(mids)
+            phi_mid, _ = loop_map(mids)
+            above = phi_mid >= mids
+            node = np.zeros(n_batch, dtype=np.intp)
+            for level in range(depth):
+                row = node + ((1 << level) - 1)
+                mid, up = mids[row, lanes], above[row, lanes]
+                lo = np.where(up, mid, lo)
+                hi = np.where(up, hi, mid)
+                node = 2 * node + up
         v_low = 0.5 * (lo + hi)
         _, v_far = loop_map(v_low)
         # Evaluate the near node once more so (v_low, v_far) is an exact

@@ -143,6 +143,16 @@ class TestErrorContract:
             (dict(proposal_fit="bogus"), "unknown proposal_fit"),
             (dict(surrogate_order="cubic"), "unknown surrogate_order"),
             (dict(sigma_global=-0.01), "sigma_global must be >= 0"),
+            # A negative depth froze every interval search: a "successful"
+            # job 26x low on P_f.  Zero rounds never move a bracket either.
+            (dict(bisect_iters=-3), "bisect_iters must be in [1, 52]"),
+            (dict(bisect_iters=0), "bisect_iters must be in [1, 52]"),
+            (dict(bisect_iters=53), "bisect_iters must be in [1, 52]"),
+            (dict(n_second_stage=10**12), "n_second_stage must be in"),
+            (dict(n_gibbs=10**9), "n_gibbs must be in"),
+            (dict(n_chains=10**6), "n_chains must be in"),
+            (dict(shard_size=10**9), "shard_size must be in"),
+            (dict(ladder_width=10**4), "ladder_width must be in"),
         ):
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(dict(QUERY, **override))

@@ -139,9 +139,11 @@ def _half_cell_vtc_reference(cell, side, vin_grid, bl_voltage, delta_vth=None,
 
 
 class ReferenceCell(SixTransistorCell):
-    """A cell whose every half-cell solve runs the per-side oracle above:
-    metrics and the read-state straggler path built on it reproduce the
-    pre-fusion arithmetic."""
+    """A cell whose every solve runs the pre-change kernels, kept verbatim:
+    the per-side half-cell residual above (three full EKV calls), the
+    read-state Newton pass with six per-device calls and the 30-step
+    sequential fixed-point bisection.  Metrics and read states built on it
+    reproduce the pre-fusion arithmetic."""
 
     def _half_cell_residual(self, sides, vin, bl_voltage, wl_voltage,
                             delta_vth, shape):
@@ -162,6 +164,144 @@ class ReferenceCell(SixTransistorCell):
             _half_cell_vtc_reference(self, s, vin_grid, b, delta_vth, wl_voltage, v)
             for s, b, v in zip(side, bl_voltage, seeds)
         )
+
+    def solve_read_state(self, delta_vth=None, stored_zero_at_q=True,
+                         newton_iterations=80):
+        """The read-state solve before stacking and the speculative tree."""
+        delta_vth = dict(delta_vth or {})
+        batch_shape = np.broadcast_shapes(*(np.shape(d) for d in delta_vth.values())) \
+            if delta_vth else ()
+        vdd = self.vdd
+        dev = self.devices
+        d = {name: delta_vth.get(name, 0.0) for name in DEVICE_NAMES}
+
+        def residuals(vq, vqb, d):
+            i_pd_l, dg_pd_l, dd_pd_l, _ = dev["pd_l"].current_and_derivs(
+                vqb, vq, 0.0, 0.0, d["pd_l"])
+            i_pu_l, dg_pu_l, dd_pu_l, _ = dev["pu_l"].current_and_derivs(
+                vqb, vq, vdd, vdd, d["pu_l"])
+            i_ax_l, _, _, ds_ax_l = dev["ax_l"].current_and_derivs(
+                vdd, vdd, vq, 0.0, d["ax_l"])
+            i_pd_r, dg_pd_r, dd_pd_r, _ = dev["pd_r"].current_and_derivs(
+                vq, vqb, 0.0, 0.0, d["pd_r"])
+            i_pu_r, dg_pu_r, dd_pu_r, _ = dev["pu_r"].current_and_derivs(
+                vq, vqb, vdd, vdd, d["pu_r"])
+            i_ax_r, _, _, ds_ax_r = dev["ax_r"].current_and_derivs(
+                vdd, vdd, vqb, 0.0, d["ax_r"])
+            fq = i_pd_l + i_pu_l - i_ax_l
+            fqb = i_pd_r + i_pu_r - i_ax_r
+            j11 = dd_pd_l + dd_pu_l - ds_ax_l      # dfq/dvq
+            j12 = dg_pd_l + dg_pu_l                # dfq/dvqb
+            j21 = dg_pd_r + dg_pu_r                # dfqb/dvq
+            j22 = dd_pd_r + dd_pu_r - ds_ax_r      # dfqb/dvqb
+            return fq, fqb, j11, j12, j21, j22
+
+        if stored_zero_at_q:
+            init_q, init_qb = 0.05, vdd
+        else:
+            init_q, init_qb = vdd, 0.05
+
+        # Flatten the batch so straggler compaction below stays simple.
+        n_batch = int(np.prod(batch_shape)) if batch_shape else 1
+        d_flat = {
+            name: np.reshape(
+                np.broadcast_to(np.asarray(val, dtype=np.float64), batch_shape),
+                (n_batch,),
+            )
+            for name, val in d.items()
+        }
+        vq = np.full((n_batch,), float(init_q), dtype=np.float64)
+        vqb = np.full((n_batch,), float(init_qb), dtype=np.float64)
+
+        # Residual tolerance: device currents are ~1e-4 A and node
+        # conductances ~1e-4 S, so 3e-11 A resolves node voltages to well
+        # under a microvolt — far tighter than any metric needs, yet loose
+        # enough that near-fold (read-upset boundary) points, where Newton
+        # slows to linear convergence, still terminate quickly.
+        tol = 3e-11
+        step_cap = 0.1
+
+        def newton_pass(vq, vqb, deltas, iterations):
+            converged = np.zeros(vq.shape, dtype=np.bool)
+            for _ in range(iterations):
+                fq, fqb, j11, j12, j21, j22 = residuals(vq, vqb, deltas)
+                converged = (np.abs(fq) < tol) & (np.abs(fqb) < tol)
+                if bool(np.all(converged)):
+                    break
+                det = j11 * j22 - j12 * j21
+                safe = np.abs(det) > 1e-30
+                inv_det = np.where(safe, 1.0 / np.where(safe, det, 1.0), 0.0)
+                dvq = np.clip(-(j22 * fq - j12 * fqb) * inv_det, -step_cap, step_cap)
+                dvqb = np.clip(-(-j21 * fq + j11 * fqb) * inv_det, -step_cap, step_cap)
+                vq = np.clip(vq + np.where(converged, 0.0, dvq), -0.2, vdd + 0.2)
+                vqb = np.clip(vqb + np.where(converged, 0.0, dvqb), -0.2, vdd + 0.2)
+            return vq, vqb, converged
+
+        # Phase 1: a short full-batch Newton settles the vast majority.
+        first_pass = min(14, newton_iterations)
+        vq, vqb, converged = newton_pass(vq, vqb, d_flat, first_pass)
+
+        if not bool(np.all(converged)):
+            # Phase 2: compact the stragglers — mostly read-upset cases
+            # where the stored state no longer exists and Newton oscillates
+            # around the fold — and resolve them with the monotone
+            # fixed-point construction, which has no critical slowing.
+            idx = np.nonzero(~converged)[0]
+            d_sub = {name: val[idx] for name, val in d_flat.items()}
+            vq_s, vqb_s = self._read_fixed_point(
+                d_sub, stored_zero_at_q, int(idx.shape[0])
+            )
+            vq[idx] = vq_s
+            vqb[idx] = vqb_s
+
+        return np.reshape(vq, batch_shape), np.reshape(vqb, batch_shape)
+
+    def _read_fixed_point(self, delta, stored_zero_at_q, n_batch,
+                          n_grid=33, bisect_iters=30):
+        """The least-fixed-point construction with sequential bisection."""
+        vdd = self.vdd
+        if stored_zero_at_q:
+            near, far = "left", "right"
+        else:
+            near, far = "right", "left"
+
+        def loop_map(v_low):
+            """phi: low-node voltage -> far response -> near response."""
+            shape = np.shape(v_low)
+            far_res = self._half_cell_residual(far, v_low, vdd, vdd, delta, shape)
+            v_far = _solve_monotone_node(far_res, -0.2, vdd + 0.2, shape)
+            near_res = self._half_cell_residual(near, v_far, vdd, vdd, delta, shape)
+            v_near = _solve_monotone_node(near_res, -0.2, vdd + 0.2, shape)
+            return v_near, v_far
+
+        grid = np.linspace(-0.1, vdd + 0.1, n_grid)
+        grid_b = np.broadcast_to(grid[:, None], (n_grid, n_batch))
+        phi, _ = loop_map(grid_b)
+        psi = phi - grid_b
+        # First + -> - transition: psi starts positive (phi maps the range
+        # into itself) and ends negative.
+        negative = psi < 0.0
+        first_neg = np.argmax(negative.astype(np.int64), axis=0)
+        first_neg = np.clip(first_neg, 1, n_grid - 1)
+        lo = grid[first_neg - 1]
+        hi = grid[first_neg]
+        for _ in range(bisect_iters):
+            mid = 0.5 * (lo + hi)
+            phi_mid, _ = loop_map(mid)
+            above = phi_mid >= mid
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid)
+        v_low = 0.5 * (lo + hi)
+        _, v_far = loop_map(v_low)
+        # Evaluate the near node once more so (v_low, v_far) is an exact
+        # consistent pair at the fixed point.
+        near_res = self._half_cell_residual(
+            near, v_far, vdd, vdd, delta, np.shape(v_low)
+        )
+        v_low = _solve_monotone_node(near_res, -0.2, vdd + 0.2, np.shape(v_low))
+        if stored_zero_at_q:
+            return v_low, v_far
+        return v_far, v_low
 
 
 def _newton_counted(fn):
@@ -469,7 +609,8 @@ class TestFusedKernelMatchesPerSideOracle:
     @pytest.mark.parametrize("stored_zero_at_q", [True, False])
     def test_read_state_straggler_path(self, stored_zero_at_q):
         """Read-upset samples leave Newton unconverged and run the
-        fixed-point construction, built on the same residual."""
+        fixed-point construction.  The speculative bisection solves more
+        lanes than the sequential one, never fewer."""
         fused = fragile_cell()
         oracle = ReferenceCell(fused.technology, fused.geometries)
         low = "_l" if stored_zero_at_q else "_r"
@@ -477,11 +618,13 @@ class TestFusedKernelMatchesPerSideOracle:
             "pd" + low: np.array([0.0, 0.5, 0.45, 0.6, 0.02, 0.55]),
             "ax" + low: np.array([0.0, -0.4, -0.35, -0.45, 0.01, -0.3]),
         }
-        got = _newton_counted(lambda: fused.solve_read_state(dv, stored_zero_at_q))
-        _assert_same_solves(
-            got, _newton_counted(lambda: oracle.solve_read_state(dv, stored_zero_at_q))
-        )
-        assert got[1] > 0  # the straggler path ran
+        (got, solves, iters) = _newton_counted(
+            lambda: fused.solve_read_state(dv, stored_zero_at_q))
+        (want, ref_solves, ref_iters) = _newton_counted(
+            lambda: oracle.solve_read_state(dv, stored_zero_at_q))
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        assert 0 < ref_solves <= solves and 0 < ref_iters <= iters
 
     @pytest.mark.parametrize("name,rows", [("rnm", 5), ("wnm", 5), ("rnm", _BLOCK_ROWS + 5)])
     def test_warm_carrier_path(self, name, rows):
@@ -520,6 +663,109 @@ class TestFusedKernelMatchesPerSideOracle:
                 carrier.seed(key, np.arange(4)),
                 _half_cell_vtc_reference(metric.cell, side, metric.grid, bl, deltas),
             )
+
+
+def _read_upset_deltas(n, stored_zero_at_q, seed):
+    """Mismatch of ``n`` fragile-cell samples in the read-upset wedge (weak
+    pull-down, strong access on the low side), most of which leave the
+    read-state Newton pass unconverged."""
+    gen = np.random.default_rng(seed)
+    low = "_l" if stored_zero_at_q else "_r"
+    deltas = {name: gen.normal(0.0, 0.02, n) for name in DEVICE_NAMES}
+    deltas["pd" + low] = gen.uniform(0.35, 0.6, n)
+    deltas["ax" + low] = gen.uniform(-0.45, -0.3, n)
+    return deltas
+
+
+def _depth_switch_counts():
+    """Straggler counts one below, at and one above the largest count each
+    speculative bisection depth serves."""
+    counts, depth = set(), 1
+    while cell_module._BISECT_ROUND_LANES // ((1 << depth) - 1):
+        top = cell_module._BISECT_ROUND_LANES // ((1 << depth) - 1)
+        counts.update((top - 1, top, top + 1))
+        depth += 1
+    return counts - {0}
+
+
+#: Straggler counts of the fixed-point oracle battery: Gibbs-sized calls,
+#: every depth switch, and an importance-sampling shard's ~870.
+_STRAGGLER_COUNTS = sorted(_depth_switch_counts() | {1, 2, 8, 33, 870})
+
+
+def _assert_same_read_state(fused, oracle, deltas, stored_zero_at_q):
+    """Bit-equal ``(v_q, v_qb)``, and read currents when ``q`` stores 0."""
+    for got, want in zip(fused.solve_read_state(deltas, stored_zero_at_q),
+                         oracle.solve_read_state(deltas, stored_zero_at_q)):
+        np.testing.assert_array_equal(got, want)
+    if stored_zero_at_q:
+        np.testing.assert_array_equal(fused.read_current(deltas),
+                                      oracle.read_current(deltas))
+
+
+class TestReadStateMatchesSequentialOracle:
+    """The stacked read-state Newton pass, the speculative bisection tree
+    and the hoisted half-cell residual reproduce the pre-change read path
+    (:class:`ReferenceCell`) bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        fused = fragile_cell()
+        return fused, ReferenceCell(fused.technology, fused.geometries)
+
+    @pytest.fixture(scope="class")
+    def stragglers(self, cells):
+        """Per stored state, a pool of read-upset samples Newton leaves
+        unconverged: the mismatch the fixed point receives."""
+        oracle = ReferenceCell(cells[0].technology, cells[0].geometries)
+        pools = {}
+        for stored_zero_at_q in (True, False):
+            seen = []
+            oracle._read_fixed_point = lambda d, *args: seen.append(d) or (0.0, 0.0)
+            oracle.solve_read_state(_read_upset_deltas(1100, stored_zero_at_q, seed=3),
+                                    stored_zero_at_q)
+            (pools[stored_zero_at_q],) = seen
+        return pools
+
+    @pytest.mark.parametrize("stored_zero_at_q", [True, False])
+    @pytest.mark.parametrize("n", _STRAGGLER_COUNTS)
+    def test_fixed_point_matches_sequential_bisection(self, cells, n, stored_zero_at_q):
+        fused, oracle = cells
+        delta = _read_upset_deltas(n, stored_zero_at_q, seed=n)
+        for got, want in zip(fused._read_fixed_point(delta, stored_zero_at_q, n),
+                             oracle._read_fixed_point(delta, stored_zero_at_q, n)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("stored_zero_at_q", [True, False])
+    @pytest.mark.parametrize("n_stragglers", [1, 2, 8, 33, 870])
+    def test_read_state_with_stragglers(self, cells, stragglers, monkeypatch,
+                                        n_stragglers, stored_zero_at_q):
+        """Stragglers mixed into a batch of lanes Newton converges."""
+        fused, oracle = cells
+        pool = stragglers[stored_zero_at_q]
+        benign = np.random.default_rng(n_stragglers).normal(0.0, 0.03, (6, 40))
+        deltas = {name: np.concatenate([b[:20], pool[name][:n_stragglers], b[20:]])
+                  for name, b in zip(DEVICE_NAMES, benign)}
+        seen = []
+        fixed_point = fused._read_fixed_point
+        monkeypatch.setattr(fused, "_read_fixed_point",
+                            lambda d, *args: seen.append(len(d["pd_l"])) or fixed_point(d, *args))
+        _assert_same_read_state(fused, oracle, deltas, stored_zero_at_q)
+        assert set(seen) == {n_stragglers}
+
+    @pytest.mark.parametrize("stored_zero_at_q", [True, False])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_newton_pass_across_stacking_crossover(self, cells, stragglers, offset,
+                                                   stored_zero_at_q):
+        """Batches just below, at and above the six-device crossover, with
+        a few stragglers among Monte-Carlo lanes."""
+        rows = cell_module._READ_STACKED_MAX_LANES + offset
+        gen = np.random.default_rng(rows)
+        deltas = {name: gen.normal(0.0, 0.05, rows) for name in DEVICE_NAMES}
+        at = gen.choice(rows, 5, replace=False)
+        for name in DEVICE_NAMES:
+            deltas[name][at] = stragglers[stored_zero_at_q][name][:5]
+        _assert_same_read_state(*cells, deltas, stored_zero_at_q)
 
 
 class TestBatchIndependence:
