@@ -53,7 +53,7 @@ from repro.circuit import solve_dc
 from repro.sram.cell import DEVICE_NAMES, SixTransistorCell
 from repro.sram.metrics import ReadCurrentMetric, ReadNoiseMarginMetric
 from repro.sram.problems import fragile_cell
-from tests.test_sram_cell import ReferenceCell, _half_cell_vtc_reference
+from tests.test_sram_cell import SequentialReadCell, _half_cell_vtc_reference
 
 JSON_PATH = Path(__file__).parent.parent / "BENCH_backend_kernels.json"
 
@@ -132,11 +132,11 @@ def _sram_kernels(rows, seed=23):
     rng = np.random.default_rng(seed + rows)
     rnm = ReadNoiseMarginMetric()
     cell, grid, vdd = rnm.cell, rnm.grid, rnm.cell.vdd
-    oracle_cell = ReferenceCell(cell.technology, cell.geometries)
+    oracle_cell = SequentialReadCell(cell.technology, cell.geometries)
     vtc_deltas = rnm.mismatch.deltas(3.0 * rng.standard_normal((rows, 6)))
     iread = ReadCurrentMetric(fragile_cell())
     fragile = iread.cell
-    oracle_fragile = ReferenceCell(fragile.technology, fragile.geometries)
+    oracle_fragile = SequentialReadCell(fragile.technology, fragile.geometries)
     if rows in TINY_ROWS:
         x = np.array([5.0, -4.0]) + 0.3 * rng.standard_normal((rows, 2))
     else:
@@ -169,7 +169,7 @@ def _fixed_point_kernel(lanes, seed=29):
     rng = np.random.default_rng(seed + lanes)
     iread = ReadCurrentMetric(fragile_cell())
     cell = iread.cell
-    oracle_cell = ReferenceCell(cell.technology, cell.geometries)
+    oracle_cell = SequentialReadCell(cell.technology, cell.geometries)
     deltas = iread.mismatch.deltas(
         np.array([5.0, -4.0]) + 0.3 * rng.standard_normal((lanes, 2))
     )

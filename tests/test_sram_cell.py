@@ -139,11 +139,9 @@ def _half_cell_vtc_reference(cell, side, vin_grid, bl_voltage, delta_vth=None,
 
 
 class ReferenceCell(SixTransistorCell):
-    """A cell whose every solve runs the pre-change kernels, kept verbatim:
-    the per-side half-cell residual above (three full EKV calls), the
-    read-state Newton pass with six per-device calls and the 30-step
-    sequential fixed-point bisection.  Metrics and read states built on it
-    reproduce the pre-fusion arithmetic."""
+    """A cell whose every half-cell solve runs the per-side oracle above:
+    metrics and the read-state straggler path built on it reproduce the
+    pre-fusion arithmetic."""
 
     def _half_cell_residual(self, sides, vin, bl_voltage, wl_voltage,
                             delta_vth, shape):
@@ -164,6 +162,12 @@ class ReferenceCell(SixTransistorCell):
             _half_cell_vtc_reference(self, s, vin_grid, b, delta_vth, wl_voltage, v)
             for s, b, v in zip(side, bl_voltage, seeds)
         )
+
+
+class SequentialReadCell(ReferenceCell):
+    """:class:`ReferenceCell` with the pre-change read path on top, kept
+    verbatim: the read-state Newton pass with six per-device calls and the
+    30-step sequential fixed-point bisection."""
 
     def solve_read_state(self, delta_vth=None, stored_zero_at_q=True,
                          newton_iterations=80):
@@ -609,8 +613,7 @@ class TestFusedKernelMatchesPerSideOracle:
     @pytest.mark.parametrize("stored_zero_at_q", [True, False])
     def test_read_state_straggler_path(self, stored_zero_at_q):
         """Read-upset samples leave Newton unconverged and run the
-        fixed-point construction.  The speculative bisection solves more
-        lanes than the sequential one, never fewer."""
+        fixed-point construction, built on the same residual."""
         fused = fragile_cell()
         oracle = ReferenceCell(fused.technology, fused.geometries)
         low = "_l" if stored_zero_at_q else "_r"
@@ -618,13 +621,14 @@ class TestFusedKernelMatchesPerSideOracle:
             "pd" + low: np.array([0.0, 0.5, 0.45, 0.6, 0.02, 0.55]),
             "ax" + low: np.array([0.0, -0.4, -0.35, -0.45, 0.01, -0.3]),
         }
-        (got, solves, iters) = _newton_counted(
-            lambda: fused.solve_read_state(dv, stored_zero_at_q))
-        (want, ref_solves, ref_iters) = _newton_counted(
-            lambda: oracle.solve_read_state(dv, stored_zero_at_q))
-        for g, w in zip(got, want):
+        got = _newton_counted(lambda: fused.solve_read_state(dv, stored_zero_at_q))
+        _assert_same_solves(
+            got, _newton_counted(lambda: oracle.solve_read_state(dv, stored_zero_at_q))
+        )
+        assert got[1] > 0  # the straggler path ran
+        sequential = SequentialReadCell(fused.technology, fused.geometries)
+        for g, w in zip(got[0], sequential.solve_read_state(dv, stored_zero_at_q)):
             np.testing.assert_array_equal(g, w)
-        assert 0 < ref_solves <= solves and 0 < ref_iters <= iters
 
     @pytest.mark.parametrize("name,rows", [("rnm", 5), ("wnm", 5), ("rnm", _BLOCK_ROWS + 5)])
     def test_warm_carrier_path(self, name, rows):
@@ -706,18 +710,18 @@ def _assert_same_read_state(fused, oracle, deltas, stored_zero_at_q):
 class TestReadStateMatchesSequentialOracle:
     """The stacked read-state Newton pass, the speculative bisection tree
     and the hoisted half-cell residual reproduce the pre-change read path
-    (:class:`ReferenceCell`) bit for bit."""
+    (:class:`SequentialReadCell`) bit for bit."""
 
     @pytest.fixture(scope="class")
     def cells(self):
         fused = fragile_cell()
-        return fused, ReferenceCell(fused.technology, fused.geometries)
+        return fused, SequentialReadCell(fused.technology, fused.geometries)
 
     @pytest.fixture(scope="class")
     def stragglers(self, cells):
         """Per stored state, a pool of read-upset samples Newton leaves
         unconverged: the mismatch the fixed point receives."""
-        oracle = ReferenceCell(cells[0].technology, cells[0].geometries)
+        oracle = SequentialReadCell(cells[0].technology, cells[0].geometries)
         pools = {}
         for stored_zero_at_q in (True, False):
             seen = []
