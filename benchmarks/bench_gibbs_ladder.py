@@ -2,18 +2,22 @@
 
 The Gibbs inner loop is a chain of *sequential* interval searches: every
 conditional draw runs ``bisect_iters`` dependent rounds of simulations
-(Algorithm 3), and each simulation is itself an iterative Newton solve
-started from scratch.  This bench measures what the two PR knobs buy on
+(Algorithm 3), and each simulation is itself an iterative Newton solve.
+This bench measures what the ladder and the per-chain warm start buy on
 the 6-D read-noise-margin problem with a single chain — the regime where
 sequential latency, not batch width, is the bottleneck:
 
-* ``ladder`` — ``ladder_width = 7``: seven grid points per bracket side
-  per round shrink the bracket 8x per round, so the radius search needs
-  2 rounds instead of 5 and the orientation search 3 instead of 8, at
-  the same final resolution.
-* ``warm`` — ``solver_warm_start = True``: each chain's Newton solves
-  are seeded from its previous converged voltages, cutting iterations
-  per solve (results shift within solver tolerance; see DESIGN.md).
+* ``baseline`` — classic bisection on the cold-start oracle
+  (``tests.test_gibbs_ladder.ColdStartMetric``): every Newton solve
+  starts from its default guess, as before warm starts became the
+  default.
+* ``ladder`` — ``ladder_width = 7`` on the cold oracle: seven grid points
+  per bracket side per round shrink the bracket 8x per round, so the
+  radius search needs 2 rounds instead of 5 and the orientation search 3
+  instead of 8, at the same final resolution.
+* ``warm`` — the default sampler: each chain's Newton solves are seeded
+  from its previous converged voltages, cutting iterations per solve
+  (results shift within solver tolerance; see DESIGN.md).
 * ``ladder+warm`` — both; this combination carries the asserted floor.
 
 Timing is fully interleaved min-of-k (each round times every variant
@@ -49,18 +53,19 @@ from repro.gibbs.coordinates import initial_spherical_coordinates
 from repro.gibbs.spherical import SphericalGibbs
 from repro.gibbs.starting_point import find_starting_point
 from repro.mc.counter import CountedMetric
+from tests.test_gibbs_ladder import ColdStartMetric
 
 JSON_PATH = Path(__file__).parent.parent / "BENCH_gibbs_ladder.json"
 
 #: Grid points per bracket side per round for the ladder variants.
 LADDER_WIDTH = 7
 
-#: Variant label -> sampler knobs.
+#: Variant label -> (warm start, ladder width).
 VARIANTS = (
-    ("baseline", dict()),
-    ("ladder", dict(ladder_width=LADDER_WIDTH)),
-    ("warm", dict(solver_warm_start=True)),
-    ("ladder+warm", dict(ladder_width=LADDER_WIDTH, solver_warm_start=True)),
+    ("baseline", False, 1),
+    ("ladder", False, LADDER_WIDTH),
+    ("warm", True, 1),
+    ("ladder+warm", True, LADDER_WIDTH),
 )
 
 #: Acceptance floor on ladder+warm vs baseline samples/sec.
@@ -79,9 +84,12 @@ def run():
     n_gibbs = scaled(30, 8)
     rounds = max(3, int(round(5 * SCALE)))
 
+    cold = ColdStartMetric(counted)
     samplers = {
-        name: SphericalGibbs(counted, prob.spec, **kwargs)
-        for name, kwargs in VARIANTS
+        name: SphericalGibbs(
+            counted if warm else cold, prob.spec, ladder_width=width
+        )
+        for name, warm, width in VARIANTS
     }
 
     # Instrumented pass: per-variant telemetry counters and simulation
@@ -109,7 +117,7 @@ def run():
     # Timed pass: interleaved min-of-k, identical seed every round so
     # each variant repeats the same trajectory and min() measures the
     # machine's noise floor, not workload drift.
-    best = {name: float("inf") for name, _ in VARIANTS}
+    best = {name: float("inf") for name, _, _ in VARIANTS}
     for _ in range(rounds):
         for name, sampler in samplers.items():
             t0 = time.perf_counter()
@@ -118,12 +126,12 @@ def run():
 
     records = []
     base_rate = n_gibbs / best["baseline"]
-    for name, kwargs in VARIANTS:
+    for name, warm, width in VARIANTS:
         rate = n_gibbs / best[name]
         records.append({
             "variant": name,
-            **{key: kwargs.get(key) for key in
-               ("ladder_width", "solver_warm_start")},
+            "ladder_width": width,
+            "warm_start": warm,
             "n_samples": n_gibbs,
             "best_run_s": best[name],
             "samples_per_sec": rate,

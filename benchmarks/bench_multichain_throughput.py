@@ -11,7 +11,8 @@ is made against: 16 sequential single-chain runs.
 
 Besides the usual text report, the headline numbers land in
 ``BENCH_gibbs_throughput.json`` at the repository root so the speedup is
-machine-checkable (the acceptance floor is 5x at ``n_chains = 16``).
+machine-checkable; ``run()`` asserts the acceptance floor of 5x at
+``n_chains = 16``.
 """
 
 import json
@@ -27,6 +28,9 @@ from repro.gibbs.starting_point import find_starting_point
 from repro.mc.counter import CountedMetric
 
 JSON_PATH = Path(__file__).parent.parent / "BENCH_gibbs_throughput.json"
+
+#: Acceptance floor on lockstep-16 vs 16 sequential chains samples/sec.
+SPEEDUP_FLOOR = 5.0
 
 
 def _measure(fn, counted):
@@ -102,6 +106,7 @@ def run():
         "n_gibbs_per_chain": n_gibbs,
         "records": records,
         "speedup_lockstep16_vs_sequential16": speedup16,
+        "speedup_floor": SPEEDUP_FLOOR,
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -127,6 +132,11 @@ def run():
         f"JSON record: {JSON_PATH.name}"
     )
     write_report("multichain_throughput", report)
+
+    assert speedup16 >= SPEEDUP_FLOOR, (
+        f"lockstep-16 reached only {speedup16:.2f}x the 16 sequential "
+        f"chains (floor {SPEEDUP_FLOOR}x)"
+    )
 
 
 def test_multichain_throughput(benchmark):

@@ -21,14 +21,9 @@ few iterations and a handful of stragglers run long, so the tail iterations
 cost a fraction of the full batch — this compounds with the large lockstep
 multi-chain batches issued by the Gibbs engine.
 
-Two execution strategies share the loop:
-
-* the **compiled** stamping path (:mod:`repro.circuit.stamping`): fused
-  per-device-class evaluation, a static scatter program and reused
-  workspaces.  The default, bit-identical to the generic walk (the
-  bit-identity battery gates this).
-* the **generic** walk over ``Element.kcl_contributions``, which supports
-  arbitrary element classes and is the compiled path's test oracle.
+Residual and Jacobian come from the per-element ``kcl_contributions`` walk
+(:func:`repro.circuit.netlist.assemble_kcl`) shared with the transient
+engine, so arbitrary element classes are supported.
 """
 
 from __future__ import annotations
@@ -38,9 +33,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.circuit import warm as _warm
-from repro.circuit.netlist import GROUND, Circuit
-from repro.circuit.stamping import compile_plan
+from repro.circuit.netlist import GROUND, Circuit, assemble_kcl
 
 
 @dataclass
@@ -92,66 +85,6 @@ def _broadcast_batch(values) -> tuple:
     return np.broadcast_shapes(*shapes) if shapes else ()
 
 
-class _GenericEvaluator:
-    """Residual/Jacobian via the per-element ``kcl_contributions`` walk.
-
-    Works for any :class:`~repro.circuit.netlist.Element` subclass; the
-    compiled path (:mod:`repro.circuit.stamping`) replaces it whenever every
-    element is supported.
-    """
-
-    def __init__(self, circuit, free_index, clamp_flat, params_flat, gmin):
-        self.gmin = gmin
-        self.n_free = len(free_index)
-        self.free_index = free_index
-        self.clamp_flat = clamp_flat
-        # Per element: (element, terminal free-row indices, flat params).
-        self.elements = [
-            (el, [free_index.get(n, -1) for n in el.nodes],
-             params_flat.get(el.name, {}))
-            for el in circuit.elements
-        ]
-        self.rows_idx = None
-
-    def set_rows(self, rows_idx):
-        self.rows_idx = rows_idx
-
-    def compact(self, keep):
-        self.rows_idx = self.rows_idx[keep]
-
-    def residual_and_jacobian(self, v_act):
-        """KCL residual and Jacobian over the bound batch rows.
-
-        ``v_act`` holds only the active rows; clamp voltages and element
-        parameters are sliced to match, so the per-iteration cost scales
-        with the surviving active set rather than the full batch.
-        """
-        rows_idx, n_free = self.rows_idx, self.n_free
-        n_active = int(rows_idx.shape[0])
-        f = np.zeros((n_active, n_free), dtype=np.float64)
-        jac = np.zeros((n_active, n_free, n_free), dtype=np.float64)
-        node_v = {n: np.take(self.clamp_flat[n], rows_idx, axis=0)
-                  for n in self.clamp_flat}
-        for node, idx in self.free_index.items():
-            node_v[node] = v_act[:, idx]
-        for element, rows, kw in self.elements:
-            terminal_v = tuple(node_v[n] for n in element.nodes)
-            kw_active = {k: np.take(v, rows_idx, axis=0) for k, v in kw.items()}
-            currents, partials = element.kcl_contributions(
-                terminal_v, **kw_active
-            )
-            for i, row in enumerate(rows):
-                if row < 0:
-                    continue
-                f[:, row] += currents[i]
-                for j, col in enumerate(rows):
-                    if col >= 0:
-                        jac[:, row, col] += partials[i][j]
-        diag = np.arange(n_free)
-        jac[:, diag, diag] += self.gmin
-        return f, jac
-
-
 def solve_dc(
     circuit: Circuit,
     clamps: Dict[str, object],
@@ -162,8 +95,6 @@ def solve_dc(
     max_step: float = 0.25,
     gmin: float = 1e-12,
     voltage_margin: float = 0.5,
-    compiled: Optional[bool] = None,
-    warm_start: bool = False,
 ) -> DCSolution:
     """Solve the DC operating point of ``circuit``.
 
@@ -180,23 +111,6 @@ def solve_dc(
         Optional initial guesses for free nodes.  Bistable circuits (an SRAM
         cell!) converge to the stable state nearest the guess, so callers
         select the intended state here.
-    compiled:
-        ``None`` (default) uses the compiled stamping fast path whenever
-        every element is supported, falling back to the generic walk
-        otherwise.  ``False`` forces the generic walk (useful
-        for bit-identity checks); ``True`` requires the compiled path and
-        raises ``ValueError`` when it is unavailable.
-    warm_start:
-        Consult the active :mod:`repro.circuit.warm` carrier (if any) for
-        per-lane converged free-node voltages from an earlier solve of the
-        same circuit topology, and seed Newton from them instead of the
-        rail midpoint / ``initial`` guess.  Only batches whose rows were
-        explicitly lane-tagged via :func:`repro.circuit.warm.set_lanes`
-        are seeded; converged rows are stored back for the next round.
-        Off by default: warm results agree with cold ones to solver
-        tolerance but are not bitwise identical, and for bistable circuits
-        the seed (like ``initial``) selects the nearest stable state — tag
-        lanes consistently or leave this off.
     """
     element_params = {name: dict(kw) for name, kw in (element_params or {}).items()}
     for name in element_params:
@@ -262,33 +176,26 @@ def solve_dc(
                 guess[:, free_index[node]] = column
         return guess
 
-    # ------------------------------------------------- evaluator selection
-    plan = None
-    if compiled is not False and n_free:
-        plan = compile_plan(circuit, free_index, list(clamp_map), element_params)
-        if plan is None and compiled is True:
-            raise ValueError(
-                "compiled=True but the circuit has elements or parameter "
-                "overrides the compiled stamping path does not support"
-            )
-    if plan is not None:
-        evaluator = plan.bind(clamp_flat, params_flat, n_batch, gmin)
-    else:
-        evaluator = _GenericEvaluator(
-            circuit, free_index, clamp_flat, params_flat, gmin
-        )
+    diag = np.arange(n_free)
 
-    # Optional cross-call Newton warm start: claim the pending lane tag and
-    # look up each lane's last converged solution for this topology.
-    carrier = _warm.get_active() if warm_start else None
-    warm_lanes = warm_key = warm_seed = None
-    if carrier is not None and n_free:
-        warm_lanes = carrier.take_lanes(n_batch)
-        if warm_lanes is not None:
-            warm_key = ("dc", circuit.name, tuple(free_nodes))
-            warm_seed = carrier.seed(warm_key, warm_lanes)
-            if warm_seed is not None and warm_seed.shape != (n_free, n_batch):
-                warm_seed = None
+    def residual_and_jacobian(v_act, rows_idx):
+        """KCL residual and Jacobian over the batch rows ``rows_idx``.
+
+        ``v_act`` holds only those rows; clamp voltages and element
+        parameters are sliced to match, so the per-iteration cost scales
+        with the surviving active set rather than the full batch.
+        """
+        def take(values):
+            return np.take(values, rows_idx, axis=0)
+
+        f, jac = assemble_kcl(
+            circuit, free_index, v_act,
+            {n: take(v) for n, v in clamp_flat.items()},
+            {name: {k: take(v) for k, v in kw.items()}
+             for name, kw in params_flat.items()},
+        )
+        jac[:, diag, diag] += gmin
+        return f, jac
 
     def newton(v_free, active, iters: int, step_cap: float):
         """Damped Newton on the ``active`` batch members.
@@ -301,13 +208,12 @@ def solve_dc(
         """
         converged = ~active
         idx = np.nonzero(active)[0]
-        evaluator.set_rows(idx)
         v_act = v_free[idx]
         n_iters = 0
         for _ in range(iters):
             if int(idx.shape[0]) == 0:
                 break
-            f, jac = evaluator.residual_and_jacobian(v_act)
+            f, jac = residual_and_jacobian(v_act, idx)
             err = np.max(np.abs(f), axis=1)
             done = err < current_tol
             if bool(np.any(done)):
@@ -315,7 +221,6 @@ def solve_dc(
                 v_free[idx[done]] = v_act[done]
                 keep = ~done
                 idx, v_act, f, jac = idx[keep], v_act[keep], f[keep], jac[keep]
-                evaluator.compact(keep)
                 if int(idx.shape[0]) == 0:
                     break
             dv = np.linalg.solve(jac, -f[..., None])[..., 0]
@@ -326,7 +231,7 @@ def solve_dc(
             # Iteration budget exhausted: one last residual check on the
             # stragglers (a final step may have just crossed the tolerance).
             if int(idx.shape[0]):
-                f, _ = evaluator.residual_and_jacobian(v_act)
+                f, _ = residual_and_jacobian(v_act, idx)
                 done = np.max(np.abs(f), axis=1) < current_tol
                 converged[idx[done]] = True
         if int(idx.shape[0]):
@@ -336,14 +241,6 @@ def solve_dc(
     iterations = 0
     if n_free:
         v_free = initial_guess(0.5 * (rail_hi + rail_lo))
-        if warm_seed is not None:
-            # The seed is a previously *converged* solution for these very
-            # lanes, so it supersedes the generic guess (and any caller
-            # ``initial``, which already did its basin-selection job on the
-            # cold call that produced the seed).
-            v_free = np.clip(
-                np.asarray(warm_seed.T, dtype=np.float64), v_min, v_max
-            )
         active = np.ones(n_batch, dtype=np.bool)
         v_free, converged, n_iters = newton(
             v_free, active, max_iterations, max_step
@@ -362,9 +259,6 @@ def solve_dc(
     else:
         v_free = np.zeros((n_batch, 0), dtype=np.float64)
         converged = np.ones(n_batch, dtype=np.bool)
-
-    if warm_lanes is not None and converged.any():
-        carrier.store(warm_key, warm_lanes[converged], v_free[converged].T)
 
     def unflatten(arr):
         out = np.reshape(arr, batch_shape)

@@ -142,6 +142,38 @@ class CurrentSource(Element):
         return np.full(getattr(va, "shape", ()), self.current, dtype=np.float64)
 
 
+def assemble_kcl(circuit, free_index, v_free, clamp_v, element_params):
+    """KCL residual ``f`` and Jacobian ``J`` at the free nodes of ``circuit``.
+
+    The per-element ``kcl_contributions`` walk shared by the DC and
+    transient solvers, so any :class:`Element` subclass works in both.
+    ``v_free`` is ``(rows, n_free)`` with columns ordered by ``free_index``;
+    ``clamp_v`` (every clamped node, ground included) and
+    ``element_params`` hold arrays over the same rows.  Contributions
+    accumulate in element order, then terminal order.
+    """
+    n_rows, n_free = v_free.shape
+    f = np.zeros((n_rows, n_free), dtype=np.float64)
+    jac = np.zeros((n_rows, n_free, n_free), dtype=np.float64)
+    node_v = dict(clamp_v)
+    for node, idx in free_index.items():
+        node_v[node] = v_free[:, idx]
+    for element in circuit.elements:
+        rows = [free_index.get(n, -1) for n in element.nodes]
+        currents, partials = element.kcl_contributions(
+            tuple(node_v[n] for n in element.nodes),
+            **element_params.get(element.name, {}),
+        )
+        for i, row in enumerate(rows):
+            if row < 0:
+                continue
+            f[:, row] += currents[i]
+            for j, col in enumerate(rows):
+                if col >= 0:
+                    jac[:, row, col] += partials[i][j]
+    return f, jac
+
+
 class Circuit:
     """A named collection of elements over ground-referenced nodes."""
 

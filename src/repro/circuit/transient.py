@@ -11,10 +11,9 @@ Backward Euler's stiff-decay (L-stability) suits latch dynamics: the
 interesting behaviour is which basin the state settles into, not waveform
 micro-detail, and BE never oscillates into the wrong one.
 
-The engine shares the DC solver's two execution strategies: the compiled
-stamping path of :mod:`repro.circuit.stamping` (bit-identical, default)
-with the clamp rows rewritten in place as the sources move, and the
-generic per-element walk for custom elements.
+The engine shares the DC solver's per-element KCL assembly
+(:func:`repro.circuit.netlist.assemble_kcl`), so custom elements work in
+both.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.circuit.netlist import GROUND, Circuit
-from repro.circuit.stamping import compile_plan
+from repro.circuit.netlist import GROUND, Circuit, assemble_kcl
 
 
 @dataclass
@@ -92,7 +90,6 @@ def simulate_transient(
     current_tol: float = 1e-10,
     settle_tol: Optional[float] = None,
     settle_after: float = 0.0,
-    compiled: Optional[bool] = None,
 ) -> TransientResult:
     """Integrate the circuit from t = 0 to ``t_stop`` with step ``dt``.
 
@@ -121,10 +118,6 @@ def simulate_transient(
         the last source event has happened (e.g. the wordline step time);
         successive source samples are additionally checked for equality as
         a safety net.
-    compiled:
-        ``None`` auto-selects the compiled stamping path when every element
-        is supported, ``False`` forces the generic walk, ``True`` requires
-        compilation.
     """
     if dt <= 0 or t_stop <= 0:
         raise ValueError("dt and t_stop must be positive")
@@ -175,56 +168,7 @@ def simulate_transient(
         raise ValueError("capacitances must be positive")
     g_cap = np.asarray(cap / dt)  # backward-Euler companion conductance
 
-    # ------------------------------------------------- evaluator selection
-    clamp_names = [GROUND] + list(sources)
-    plan = None
-    if compiled is not False and n_free:
-        plan = compile_plan(circuit, free_index, clamp_names, element_params)
-        if plan is None and compiled is True:
-            raise ValueError(
-                "compiled=True but the circuit has elements or parameter "
-                "overrides the compiled stamping path does not support"
-            )
-
-    elements = [
-        (element, [free_index.get(n, -1) for n in element.nodes],
-         params_flat.get(element.name, {}))
-        for element in circuit.elements
-    ]
-
-    def kcl_generic(v_free, clamp_now):
-        f = np.zeros((n_batch, n_free), dtype=np.float64)
-        jac = np.zeros((n_batch, n_free, n_free), dtype=np.float64)
-        node_v = {GROUND: np.zeros(n_batch, dtype=np.float64)}
-        node_v.update(clamp_now)
-        for node, idx in free_index.items():
-            node_v[node] = v_free[:, idx]
-        for element, rows, kw in elements:
-            terminal_v = tuple(node_v[n] for n in element.nodes)
-            currents, partials = element.kcl_contributions(terminal_v, **kw)
-            for i, row in enumerate(rows):
-                if row < 0:
-                    continue
-                f[:, row] += currents[i]
-                for j, col in enumerate(rows):
-                    if col >= 0:
-                        jac[:, row, col] += partials[i][j]
-        return f, jac
-
-    workspace = None
-    if plan is not None:
-        ground_zero = {GROUND: flat(0.0)}
-        workspace = plan.bind(
-            {**ground_zero, **{n: flat(waveform_value(w, 0.0))
-                               for n, w in sources.items()}},
-            params_flat, n_batch, gmin=None,
-        )
-        workspace.set_rows(np.arange(n_batch))
-
-    def kcl(v_free, clamp_now):
-        if workspace is None:
-            return kcl_generic(v_free, clamp_now)
-        return workspace.residual_and_jacobian(v_free)
+    ground = {GROUND: np.zeros(n_batch, dtype=np.float64)}
 
     n_steps = int(np.ceil(t_stop / dt))
     time = np.linspace(0.0, n_steps * dt, n_steps + 1)
@@ -253,13 +197,13 @@ def simulate_transient(
         t = time[step]
         clamp_prev = clamp_now
         clamp_now = {n: flat(waveform_value(w, t)) for n, w in sources.items()}
-        if workspace is not None:
-            workspace.update_clamps(clamp_now)
         v_prev = v
         # Newton on: KCL(v) + C (v - v_prev) / dt = 0
         ok = np.zeros(n_batch, dtype=np.bool)
         for _ in range(max_newton):
-            f, jac = kcl(v, clamp_now)
+            f, jac = assemble_kcl(
+                circuit, free_index, v, {**ground, **clamp_now}, params_flat
+            )
             f = f + (v - v_prev) * g_cap
             jac[:, diag, diag] += g_cap
             err = (np.max(np.abs(f), axis=1) if n_free

@@ -15,12 +15,14 @@ The carrier is keyed twice:
 * a **solve key** per physical sub-problem — e.g. the left half-cell VTC
   vs the right one — so states from different circuits never cross.
 
-Correctness contract (mirrors the PR 3 VTC grid-continuation warm start,
-see DESIGN.md): a warm seed only replaces the Newton *initial guess*; the
+Correctness contract (mirrors the VTC grid-continuation warm start, see
+DESIGN.md): a warm seed only replaces the Newton *initial guess*; the
 full solve bracket and convergence tolerance are retained, so a poor seed
 costs iterations, never correctness.  Warm-started outputs agree with cold
-ones to solver tolerance but are not bitwise identical — the feature is
-off by default and excluded from the bit-identity contract.
+ones to solver tolerance but are not bitwise identical.  Every Gibbs
+sampler run installs a carrier, and a chain's seeds depend only on that
+chain's own trajectory, so warm runs stay bit-identical across worker
+counts, group sizes and backends.
 
 Activation is thread-local (one carrier per lockstep run, as with the
 telemetry recorder), so the thread fan-out backend keeps per-shard state
@@ -58,9 +60,8 @@ def use_carrier(carrier: Optional["SolverStateCarrier"]):
 def set_lanes(lane_ids) -> None:
     """Tag the next metric evaluation's rows with per-row lane ids.
 
-    No-op when no carrier is active, so sampler code can call this
-    unconditionally on the warm path without caring whether the metric
-    underneath consumes solver state.
+    No-op when no carrier is active.  Samplers tag every batch without
+    caring whether the metric underneath consumes solver state.
     """
     carrier = get_active()
     if carrier is not None:

@@ -115,11 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "extra simulations per round for fewer "
                             "sequential rounds (default: 1, classic "
                             "bisection)")
-        p.add_argument("--warm-start", action="store_true",
-                       help="seed each chain's Newton solves from its "
-                            "previous converged state (Gibbs methods "
-                            "only); results shift within solver "
-                            "tolerance (see DESIGN.md)")
         p.add_argument("--workers", type=int, default=None,
                        help="shard the sampling across this many worker "
                             "processes (default: serial): the second "
@@ -256,9 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     sm.add_argument("--ladder-width", type=int, default=1,
                     help="first-stage interval-search ladder width "
                          "(Gibbs methods only; part of the job identity)")
-    sm.add_argument("--warm-start", action="store_true",
-                    help="first-stage Newton warm starts (Gibbs methods "
-                         "only; part of the job identity)")
     sm.add_argument("--shard-size", type=int, default=1024,
                     help="second-stage samples per shard (part of the "
                          "stored record's identity)")
@@ -350,31 +342,26 @@ def _adaptive_kwargs(args, method: str) -> Optional[dict]:
 
 
 def _first_stage_kwargs(args, methods) -> dict:
-    """Resolve ``--ladder-width`` / ``--warm-start`` into method kwargs.
+    """Resolve ``--ladder-width`` into method kwargs.
 
-    Both knobs tune the Gibbs first stage only; for other methods they
-    are warned about and dropped rather than rejected, matching the
+    The width tunes the Gibbs first stage only; for other methods it is
+    warned about and dropped rather than rejected, matching the
     ``--adaptive-shards`` convention.  ``methods`` is the method label
-    (``estimate``) or the iterable of labels (``compare``) — the knobs
-    are forwarded only when *every* target method accepts them, because
+    (``estimate``) or the iterable of labels (``compare``) — the width is
+    forwarded only when *every* target method accepts it, because
     ``compare`` fans the same kwargs to the whole panel.
     """
-    kwargs = {}
-    if args.ladder_width != 1:
-        kwargs["ladder_width"] = args.ladder_width
-    if args.warm_start:
-        kwargs["solver_warm_start"] = True
-    if not kwargs:
+    if args.ladder_width == 1:
         return {}
     targets = (methods,) if isinstance(methods, str) else tuple(methods)
     non_gibbs = [name for name in targets if name not in ("G-C", "G-S")]
     if non_gibbs:
         logs.warning(
-            "--ladder-width/--warm-start are ignored for "
+            "--ladder-width is ignored for "
             f"{', '.join(non_gibbs)} (Gibbs methods only)"
         )
         return {}
-    return kwargs
+    return {"ladder_width": args.ladder_width}
 
 
 @contextlib.contextmanager
@@ -687,12 +674,10 @@ def _cmd_submit(args) -> int:
             request["threshold"] = args.threshold
         if args.doe_budget is not None:
             request["doe_budget"] = args.doe_budget
-        # Only stamp non-default values: servers predating these fields
+        # Only stamp a non-default width: servers predating the field
         # reject unknown keys, so a default-valued submit stays compatible.
         if args.ladder_width != 1:
             request["ladder_width"] = args.ladder_width
-        if args.warm_start:
-            request["solver_warm_start"] = True
         if args.timeout is not None:
             request["timeout"] = args.timeout
         if args.no_cache:

@@ -106,9 +106,9 @@ def ekv_current_and_derivs(vg, vd, vs, vb, polarity, vth, beta, n, lam,
     """Vectorised EKV core: ``(ids, d_ids/d_vg, d_ids/d_vd, d_ids/d_vs)``.
 
     All arguments may be scalars or mutually broadcastable arrays — device
-    parameters included, which is what lets the compiled circuit stamper
-    (:mod:`repro.circuit.stamping`) evaluate *every MOSFET of a circuit at
-    once* with a leading device axis.  The arithmetic is elementwise and
+    parameters included, which is what lets the SRAM cell kernels
+    (:mod:`repro.sram.cell`) evaluate *several devices at once* with a
+    leading device axis.  The arithmetic is elementwise and
     performed in exactly the same operation order as the historical
     per-device code, so a stacked evaluation is bit-identical per lane to
     per-device calls.

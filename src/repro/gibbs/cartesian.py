@@ -10,7 +10,6 @@ of Algorithm 3 (5-10 simulations at default depth).
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -121,6 +120,10 @@ class MultiChainGibbs:
 class CartesianGibbs:
     """Algorithm 1: the Cartesian-coordinate Gibbs sampler.
 
+    Every run warm-starts each chain's Newton solves from that chain's
+    previous converged solution (:mod:`repro.circuit.warm`): the interval
+    search re-simulates nearby points of one slice round after round.
+
     Parameters
     ----------
     metric, spec:
@@ -138,11 +141,6 @@ class CartesianGibbs:
         :func:`repro.gibbs.bounds.batched_failure_interval`).  ``1`` is
         classic bisection (bit-identical default); ``k > 1`` trades extra
         simulations for fewer sequential metric calls per update.
-    solver_warm_start:
-        Seed each interval-search round's Newton solves from the same
-        chain's previous converged solution (:mod:`repro.circuit.warm`).
-        Off by default; results shift only within solver tolerance (see
-        the determinism note in DESIGN.md).
     """
 
     def __init__(
@@ -153,7 +151,6 @@ class CartesianGibbs:
         zeta: float = 8.0,
         bisect_iters: int = 5,
         ladder_width: int = 1,
-        solver_warm_start: bool = False,
     ):
         if zeta <= 0:
             raise ValueError(f"zeta must be positive, got {zeta}")
@@ -165,26 +162,17 @@ class CartesianGibbs:
         self.zeta = float(zeta)
         self.bisect_iters = int(bisect_iters)
         self.ladder_width = int(ladder_width)
-        self.solver_warm_start = bool(solver_warm_start)
         self._normal = StandardNormal()
-
-    def _warm_scope(self):
-        """Fresh per-run solver-state carrier, or a no-op when warm is off."""
-        if self.solver_warm_start:
-            return _warm.use_carrier(_warm.SolverStateCarrier())
-        return contextlib.nullcontext()
 
     def _coordinate_indicator(self, x: np.ndarray, m: int):
         """Vectorised failure indicator along coordinate ``m`` through ``x``."""
-        hint = self.solver_warm_start
 
         def fails(values: np.ndarray) -> np.ndarray:
             values = np.atleast_1d(values)
             points = np.tile(x, (values.size, 1))
             points[:, m] = values
-            if hint:
-                # Sequential sampler: every row belongs to the one chain.
-                _warm.set_lanes(np.zeros(values.size, dtype=np.intp))
+            # Sequential sampler: every row belongs to the one chain.
+            _warm.set_lanes(np.zeros(values.size, dtype=np.intp))
             return self.spec.indicator(self.metric(points))
 
         return fails
@@ -195,13 +183,11 @@ class CartesianGibbs:
         ``fails(chain_idx, values)`` evaluates chain ``chain_idx[i]``'s
         slice at ``values[i]`` — all rows in one metric batch.
         """
-        hint = self.solver_warm_start
 
         def fails(chain_idx: np.ndarray, values: np.ndarray) -> np.ndarray:
             points = states[chain_idx]
             points[:, m] = values
-            if hint:
-                _warm.set_lanes(chain_idx)
+            _warm.set_lanes(chain_idx)
             return self.spec.indicator(self.metric(points))
 
         return fails
@@ -231,10 +217,9 @@ class CartesianGibbs:
         n_sims = 0
         samples = np.empty((n_samples, self.dimension))
         widths: List[float] = []
-        with self._warm_scope():
+        with _warm.use_carrier(_warm.SolverStateCarrier()):
             if verify_start:
-                if self.solver_warm_start:
-                    _warm.set_lanes(np.zeros(1, dtype=np.intp))
+                _warm.set_lanes(np.zeros(1, dtype=np.intp))
                 failing = bool(
                     self.spec.indicator(self.metric(x[np.newaxis, :]))[0]
                 )
@@ -314,10 +299,9 @@ class CartesianGibbs:
         per_chain = np.zeros(n_chains, dtype=int)
         samples = np.empty((n_chains, n_samples, self.dimension))
         widths = np.empty((n_chains, n_samples))
-        with self._warm_scope():
+        with _warm.use_carrier(_warm.SolverStateCarrier()):
             if verify_start:
-                if self.solver_warm_start:
-                    _warm.set_lanes(np.arange(n_chains, dtype=np.intp))
+                _warm.set_lanes(np.arange(n_chains, dtype=np.intp))
                 failing = np.asarray(
                     self.spec.indicator(self.metric(states)), dtype=bool
                 )

@@ -16,7 +16,6 @@ coordinates (Algorithm 5 step 3).
 
 from __future__ import annotations
 
-import contextlib
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -34,6 +33,10 @@ from repro.utils.rng import SeedLike, ensure_rng
 
 class SphericalGibbs:
     """Algorithm 2: the spherical-coordinate Gibbs sampler.
+
+    Like :class:`~repro.gibbs.cartesian.CartesianGibbs`, every run
+    warm-starts each chain's Newton solves from that chain's previous
+    converged solution (:mod:`repro.circuit.warm`).
 
     Parameters
     ----------
@@ -61,11 +64,6 @@ class SphericalGibbs:
         :func:`repro.gibbs.bounds.batched_failure_interval`); applies to
         both the radial and the orientation searches.  ``1`` is classic
         bisection (bit-identical default).
-    solver_warm_start:
-        Seed each search round's Newton solves from the same chain's
-        previous converged solution (:mod:`repro.circuit.warm`).  Off by
-        default; results shift only within solver tolerance (DESIGN.md
-        determinism note).
     normalize_each_sweep:
         Renormalise ``||alpha|| = sqrt(M)`` at the start of every sweep.
         The (r, alpha) parameterisation is scale-redundant — Eq. (11) makes
@@ -93,7 +91,6 @@ class SphericalGibbs:
         alpha_bisect_iters: Optional[int] = None,
         normalize_each_sweep: bool = True,
         ladder_width: int = 1,
-        solver_warm_start: bool = False,
     ):
         if zeta <= 0:
             raise ValueError(f"zeta must be positive, got {zeta}")
@@ -114,15 +111,8 @@ class SphericalGibbs:
         )
         self.normalize_each_sweep = bool(normalize_each_sweep)
         self.ladder_width = int(ladder_width)
-        self.solver_warm_start = bool(solver_warm_start)
         self._normal = StandardNormal()
         self._chi = ChiDistribution(self.dimension)
-
-    def _warm_scope(self):
-        """Fresh per-run solver-state carrier, or a no-op when warm is off."""
-        if self.solver_warm_start:
-            return _warm.use_carrier(_warm.SolverStateCarrier())
-        return contextlib.nullcontext()
 
     # ------------------------------------------------------------ helpers
     @staticmethod
@@ -134,13 +124,11 @@ class SphericalGibbs:
 
     def _radius_indicator(self, alpha: np.ndarray):
         unit = self._unit(alpha)
-        hint = self.solver_warm_start
 
         def fails(values: np.ndarray) -> np.ndarray:
             values = np.atleast_1d(values)
             points = values[:, np.newaxis] * unit[np.newaxis, :]
-            if hint:
-                _warm.set_lanes(np.zeros(values.size, dtype=np.intp))
+            _warm.set_lanes(np.zeros(values.size, dtype=np.intp))
             return self.spec.indicator(self.metric(points))
 
         return fails
@@ -157,12 +145,10 @@ class SphericalGibbs:
 
     def _radius_indicator_lockstep(self, units: np.ndarray):
         """Batched radial indicator: chain ``c`` probes along ``units[c]``."""
-        hint = self.solver_warm_start
 
         def fails(chain_idx: np.ndarray, values: np.ndarray) -> np.ndarray:
             points = values[:, np.newaxis] * units[chain_idx]
-            if hint:
-                _warm.set_lanes(chain_idx)
+            _warm.set_lanes(chain_idx)
             return self.spec.indicator(self.metric(points))
 
         return fails
@@ -171,7 +157,6 @@ class SphericalGibbs:
         self, r: np.ndarray, alpha: np.ndarray, m: int
     ):
         """Batched orientation indicator along component ``m`` per chain."""
-        hint = self.solver_warm_start
 
         def fails(chain_idx: np.ndarray, values: np.ndarray) -> np.ndarray:
             candidates = alpha[chain_idx]
@@ -183,10 +168,9 @@ class SphericalGibbs:
             safe = norms > 1e-300
             out = np.zeros(values.size, dtype=bool)
             if safe.any():
-                if hint:
-                    # Only the safe rows reach the metric, so the lane tag
-                    # must cover exactly those rows.
-                    _warm.set_lanes(chain_idx[safe])
+                # Only the safe rows reach the metric, so the lane tag
+                # must cover exactly those rows.
+                _warm.set_lanes(chain_idx[safe])
                 # Same operation order as the scalar indicator so a C=1
                 # lockstep run stays bit-identical to the sequential path.
                 points = (
@@ -199,8 +183,6 @@ class SphericalGibbs:
         return fails
 
     def _orientation_indicator(self, r: float, alpha: np.ndarray, m: int):
-        hint = self.solver_warm_start
-
         def fails(values: np.ndarray) -> np.ndarray:
             values = np.atleast_1d(values)
             candidates = np.tile(alpha, (values.size, 1))
@@ -213,8 +195,7 @@ class SphericalGibbs:
             points = np.zeros_like(candidates)
             points[safe] = r * candidates[safe] / norms[safe, np.newaxis]
             out = np.zeros(values.size, dtype=bool)
-            if hint:
-                _warm.set_lanes(np.zeros(int(safe.sum()), dtype=np.intp))
+            _warm.set_lanes(np.zeros(int(safe.sum()), dtype=np.intp))
             out[safe] = self.spec.indicator(self.metric(points[safe]))
             return out
 
@@ -251,11 +232,10 @@ class SphericalGibbs:
         scale = float(np.sqrt(self.dimension))
         samples = np.empty((n_samples, self.dimension))
         widths: List[float] = []
-        with self._warm_scope():
+        with _warm.use_carrier(_warm.SolverStateCarrier()):
             if verify_start:
                 x_start = r * self._unit(alpha)
-                if self.solver_warm_start:
-                    _warm.set_lanes(np.zeros(1, dtype=np.intp))
+                _warm.set_lanes(np.zeros(1, dtype=np.intp))
                 failing = bool(
                     self.spec.indicator(self.metric(x_start[np.newaxis, :]))[0]
                 )
@@ -355,11 +335,10 @@ class SphericalGibbs:
         scale = float(np.sqrt(self.dimension))
         samples = np.empty((n_chains, n_samples, self.dimension))
         widths = np.empty((n_chains, n_samples))
-        with self._warm_scope():
+        with _warm.use_carrier(_warm.SolverStateCarrier()):
             if verify_start:
                 x_start = r[:, np.newaxis] * self._unit_rows(alpha)
-                if self.solver_warm_start:
-                    _warm.set_lanes(np.arange(n_chains, dtype=np.intp))
+                _warm.set_lanes(np.arange(n_chains, dtype=np.intp))
                 failing = np.asarray(
                     self.spec.indicator(self.metric(x_start)), dtype=bool
                 )

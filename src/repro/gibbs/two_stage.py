@@ -231,7 +231,6 @@ def run_first_stage(
     bisect_iters: int = 5,
     epsilon: float = 1e-2,
     ladder_width: int = 1,
-    solver_warm_start: bool = False,
     checkpoint_dir=None,
     resume: bool = True,
 ) -> MultiChainGibbs:
@@ -299,10 +298,7 @@ def run_first_stage(
                 zeta=zeta,
                 bisect_iters=bisect_iters,
                 epsilon=epsilon,
-                sampler_options={
-                    "ladder_width": int(ladder_width),
-                    "solver_warm_start": bool(solver_warm_start),
-                },
+                sampler_options={"ladder_width": int(ladder_width)},
                 shm_payloads=(
                     checkpoint_dir is None
                     and should_use_shm(executor, payload_bytes)
@@ -329,7 +325,6 @@ def run_first_stage(
                 "bisect_iters": int(bisect_iters),
                 "epsilon": float(epsilon),
                 "ladder_width": int(ladder_width),
-                "solver_warm_start": bool(solver_warm_start),
                 "starts": starts_digest,
                 "metric": metric_fingerprint(metric, spec),
                 "seed": seed_key(root),
@@ -369,7 +364,6 @@ def _build_first_stage(
     zeta: float,
     bisect_iters: int,
     ladder_width: int,
-    solver_warm_start: bool,
     proposal_fit: str,
     mixture_components: int,
     chain_group_size: Optional[int],
@@ -413,7 +407,6 @@ def _build_first_stage(
                     counted, spec, dimension, zeta=zeta,
                     bisect_iters=bisect_iters,
                     ladder_width=ladder_width,
-                    solver_warm_start=solver_warm_start,
                 )
                 chain = sampler.run(start.x, n_gibbs, rng)
             else:
@@ -421,7 +414,6 @@ def _build_first_stage(
                     counted, spec, dimension, zeta=zeta,
                     bisect_iters=bisect_iters,
                     ladder_width=ladder_width,
-                    solver_warm_start=solver_warm_start,
                 )
                 chain = sampler.run(start.r, start.alpha, n_gibbs, rng)
         else:
@@ -436,7 +428,6 @@ def _build_first_stage(
                     chain_group_size=chain_group_size,
                     zeta=zeta, bisect_iters=bisect_iters, epsilon=epsilon,
                     ladder_width=ladder_width,
-                    solver_warm_start=solver_warm_start,
                     checkpoint_dir=checkpoint_dir, resume=resume,
                 )
             elif coordinate_system == "cartesian":
@@ -444,7 +435,6 @@ def _build_first_stage(
                     counted, spec, dimension, zeta=zeta,
                     bisect_iters=bisect_iters,
                     ladder_width=ladder_width,
-                    solver_warm_start=solver_warm_start,
                 )
                 chain = sampler.run_lockstep(
                     starts_x, n_gibbs, rng, verify_start=False
@@ -454,7 +444,6 @@ def _build_first_stage(
                     counted, spec, dimension, zeta=zeta,
                     bisect_iters=bisect_iters,
                     ladder_width=ladder_width,
-                    solver_warm_start=solver_warm_start,
                 )
                 spherical = [
                     initial_spherical_coordinates(point, epsilon)
@@ -529,7 +518,6 @@ def gibbs_importance_sampling(
     zeta: float = 8.0,
     bisect_iters: int = 5,
     ladder_width: int = 1,
-    solver_warm_start: bool = False,
     proposal_fit: str = "normal",
     mixture_components: int = 3,
     qmc_second_stage: bool = False,
@@ -571,11 +559,6 @@ def gibbs_importance_sampling(
         releases; ``k > 1`` evaluates a ``k``-point grid per bracket side
         per round, cutting the number of *sequential* metric calls per
         Gibbs update at the price of more simulations.
-    solver_warm_start:
-        Seed successive interval-search Newton solves from each chain's
-        previous converged solution (:mod:`repro.circuit.warm`).  Off by
-        default; results shift only within solver tolerance (see the
-        determinism note in DESIGN.md).
     start:
         Reuse a precomputed starting point (its simulations are then *not*
         included in this result's accounting).
@@ -709,7 +692,7 @@ def gibbs_importance_sampling(
                 chain_jitter=chain_jitter, start=start,
                 doe_budget=doe_budget, surrogate_order=surrogate_order,
                 epsilon=epsilon, zeta=zeta, bisect_iters=bisect_iters,
-            ladder_width=ladder_width, solver_warm_start=solver_warm_start,
+                ladder_width=ladder_width,
                 proposal_fit=proposal_fit,
                 mixture_components=mixture_components,
                 chain_group_size=chain_group_size,
@@ -758,7 +741,6 @@ def fit_first_stage(
     zeta: float = 8.0,
     bisect_iters: int = 5,
     ladder_width: int = 1,
-    solver_warm_start: bool = False,
     proposal_fit: str = "normal",
     mixture_components: int = 3,
     n_workers: Optional[int] = None,
@@ -804,7 +786,7 @@ def fit_first_stage(
             chain_jitter=chain_jitter, start=start,
             doe_budget=doe_budget, surrogate_order=surrogate_order,
             epsilon=epsilon, zeta=zeta, bisect_iters=bisect_iters,
-            ladder_width=ladder_width, solver_warm_start=solver_warm_start,
+            ladder_width=ladder_width,
             proposal_fit=proposal_fit,
             mixture_components=mixture_components,
             chain_group_size=chain_group_size,

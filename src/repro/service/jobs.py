@@ -113,7 +113,6 @@ class JobRequest:
     zeta: float = 8.0
     bisect_iters: int = 5
     ladder_width: int = 1
-    solver_warm_start: bool = False
     shard_size: int = 1024
     timeout: Optional[float] = None
     use_cache: bool = True

@@ -51,12 +51,9 @@ def request_identity(request: JobRequest) -> dict:
         "epsilon": request.epsilon,
         "zeta": request.zeta,
         "bisect_iters": request.bisect_iters,
-        # Both first-stage performance knobs change the produced numbers
-        # (ladder > 1 changes the sampled trajectory outright; warm starts
-        # shift results within solver tolerance), so they are identity,
-        # not serving, knobs — old cache entries simply become misses.
+        # ladder > 1 changes the sampled trajectory outright, so the
+        # width is an identity, not a serving, knob.
         "ladder_width": request.ladder_width,
-        "solver_warm_start": request.solver_warm_start,
     }
 
 

@@ -400,7 +400,6 @@ def execute_job(
                     zeta=request.zeta,
                     bisect_iters=request.bisect_iters,
                     ladder_width=request.ladder_width,
-                    solver_warm_start=request.solver_warm_start,
                     proposal_fit=request.proposal_fit,
                     executor=pool,
                     checkpoint_dir=checkpoint_dir,

@@ -11,11 +11,13 @@ Four contracts are pinned here:
    bisection resolution in ``ceil(bisect_iters / log2(k+1))`` rounds,
    with exact simulation accounting (``k`` points per active side per
    round) and verified-failing returned bounds.
-3. **Warm-start tolerance** — solver warm starts change results only
-   within solver tolerance: seeded DC solves and metric evaluations
-   agree with cold ones to tight ``allclose`` bounds, and warm sampler
-   runs match cold runs' simulation accounting.  The carrier itself is
-   unit-tested (one-shot lanes, all-or-nothing seeds, chunk scoping).
+3. **Warm-start tolerance** — the samplers always warm-start each
+   chain's Newton solves, which changes results only within solver
+   tolerance: seeded metric evaluations and default sampler runs agree
+   with the cold-start oracle (:class:`ColdStartMetric`) to tight
+   ``allclose`` bounds and exact simulation accounting, while solving
+   fewer Newton lanes.  The carrier itself is unit-tested (one-shot
+   lanes, all-or-nothing seeds, chunk scoping).
 4. **Telemetry** — the ``bisect.rounds`` and ``newton.lane_*`` counters
    appear under an active recorder and nothing is recorded without one.
 """
@@ -26,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.circuit import SolverStateCarrier, solve_dc, use_carrier
+from repro.circuit import SolverStateCarrier, use_carrier
 from repro.gibbs.bounds import (
     batched_failure_interval,
     failure_interval,
@@ -34,13 +36,42 @@ from repro.gibbs.bounds import (
 )
 from repro.gibbs.cartesian import CartesianGibbs
 from repro.gibbs.spherical import SphericalGibbs
+from repro.gibbs.starting_point import find_starting_point
 from repro.parallel import ParallelExecutor
 from repro.gibbs.two_stage import run_first_stage
-from repro.sram.cell import DEVICE_NAMES
 from repro.sram.metrics import ReadNoiseMarginMetric
+from repro.sram.problems import read_noise_margin_problem
 from repro.synthetic import LinearMetric
 
 ZETA = 8.0
+
+
+class ColdStartMetric:
+    """Cold-start oracle: ``metric`` evaluated with no solver-state carrier.
+
+    The samplers always warm-start; a sampler driving this wrapper solves
+    every Newton system from its default guess instead, as the samplers
+    did before warm starts became the default.
+    """
+
+    def __init__(self, metric):
+        self.metric = metric
+        self.dimension = metric.dimension
+
+    def __call__(self, x):
+        with use_carrier(None):
+            return self.metric(x)
+
+
+@pytest.fixture(scope="module")
+def rnm_start():
+    """The 6-D read-noise-margin problem and a verified failure start."""
+    prob = read_noise_margin_problem()
+    start = find_starting_point(
+        prob.metric, prob.spec, prob.dimension,
+        np.random.default_rng(5), doe_budget=150,
+    )
+    return prob, start
 
 
 def _legacy_failure_interval(fails, current, lo, hi, bisect_iters=5):
@@ -177,16 +208,13 @@ class TestLegacyBitIdentity:
             assert batched.per_chain_simulations[c] == ref_sims
 
     def test_explicit_defaults_match_omitted_defaults(self):
-        # The new keywords change nothing when left at their defaults —
-        # samplers built with explicit ladder_width=1 / warm-off are the
-        # same samplers.
+        # The ladder keyword changes nothing when left at its default —
+        # a sampler built with explicit ladder_width=1 is the same sampler.
         metric = LinearMetric(np.array([1.0, 0.5]), 2.2)
         prob = metric.problem("halfspace")
         x0 = np.array([3.0, 1.0])
         plain = CartesianGibbs(prob.metric, prob.spec)
-        explicit = CartesianGibbs(
-            prob.metric, prob.spec, ladder_width=1, solver_warm_start=False
-        )
+        explicit = CartesianGibbs(prob.metric, prob.spec, ladder_width=1)
         a = plain.run(x0, 25, np.random.default_rng(9))
         b = explicit.run(x0, 25, np.random.default_rng(9))
         np.testing.assert_array_equal(a.samples, b.samples)
@@ -260,7 +288,7 @@ class TestLadderSearch:
 
 
 # --------------------------------------------------------------------------
-# 4. Fan-out invariance with the new knobs enabled
+# 4. Fan-out invariance with the ladder enabled
 # --------------------------------------------------------------------------
 
 class TestFanOutInvariance:
@@ -271,8 +299,7 @@ class TestFanOutInvariance:
         prob = LinearMetric(np.array([1.0, 0.5]), 2.2).problem("halfspace")
         starts = np.tile(np.array([3.0, 1.0]), (4, 1))
         kwargs = dict(
-            coordinate_system="cartesian", seed=11,
-            ladder_width=3, solver_warm_start=True,
+            coordinate_system="cartesian", seed=11, ladder_width=3,
         )
         with ParallelExecutor(n_workers=1, backend="serial") as reference_pool:
             reference = run_first_stage(
@@ -331,57 +358,6 @@ class TestSolverStateCarrier:
 # 6. Warm-start tolerance batteries
 # --------------------------------------------------------------------------
 
-class TestDcSolverWarmStart:
-    def _cell_problem(self, cell, n_batch=8, seed=3):
-        rng = np.random.default_rng(seed)
-        params = {
-            name: {"delta_vth": rng.normal(0.0, 0.08, n_batch)}
-            for name in DEVICE_NAMES
-        }
-        clamps = {
-            "vdd": cell.vdd, "wl": cell.vdd, "bl": cell.vdd, "blb": cell.vdd
-        }
-        return cell.build_circuit(), clamps, params
-
-    def test_seeded_solve_matches_cold_within_tolerance(self, cell):
-        circuit, clamps, params = self._cell_problem(cell)
-        cold = solve_dc(circuit, clamps, element_params=params)
-        carrier = SolverStateCarrier()
-        with use_carrier(carrier):
-            carrier.set_lanes(np.arange(8))
-            first = solve_dc(
-                circuit, clamps, element_params=params, warm_start=True
-            )
-            # No state stored yet: the first warm solve is exactly cold.
-            for node in cold.voltages:
-                np.testing.assert_array_equal(
-                    first.voltages[node], cold.voltages[node]
-                )
-            carrier.set_lanes(np.arange(8))
-            second = solve_dc(
-                circuit, clamps, element_params=params, warm_start=True
-            )
-        assert second.converged.all()
-        # Seeded at the solution: converges immediately, same answer.
-        assert second.iterations <= cold.iterations
-        for node in cold.voltages:
-            np.testing.assert_allclose(
-                second.voltages[node], cold.voltages[node], atol=1e-6
-            )
-
-    def test_without_lane_tags_warm_solve_is_cold(self, cell):
-        circuit, clamps, params = self._cell_problem(cell)
-        cold = solve_dc(circuit, clamps, element_params=params)
-        with use_carrier(SolverStateCarrier()):
-            warm = solve_dc(
-                circuit, clamps, element_params=params, warm_start=True
-            )
-        for node in cold.voltages:
-            np.testing.assert_array_equal(
-                warm.voltages[node], cold.voltages[node]
-            )
-
-
 class TestMetricWarmTolerance:
     def test_seeded_metric_matches_cold(self, cell):
         metric = ReadNoiseMarginMetric(cell)
@@ -397,24 +373,42 @@ class TestMetricWarmTolerance:
         np.testing.assert_array_equal(first, cold)
         np.testing.assert_allclose(second, cold, atol=1e-6)
 
-    def test_sampler_warm_run_matches_cold_within_tolerance(self):
-        from repro.gibbs.starting_point import find_starting_point
-        from repro.sram.problems import read_noise_margin_problem
-
-        prob = read_noise_margin_problem()
-        start = find_starting_point(
-            prob.metric, prob.spec, prob.dimension,
-            np.random.default_rng(5), doe_budget=150,
+    def test_sampler_warm_run_matches_cold_within_tolerance(self, rnm_start):
+        prob, start = rnm_start
+        cold = CartesianGibbs(ColdStartMetric(prob.metric), prob.spec).run(
+            start.x, 8, np.random.default_rng(3)
         )
-        x0 = start.x
-        cold = CartesianGibbs(prob.metric, prob.spec).run(
-            x0, 8, np.random.default_rng(3)
+        warm = CartesianGibbs(prob.metric, prob.spec).run(
+            start.x, 8, np.random.default_rng(3)
         )
-        warm = CartesianGibbs(
-            prob.metric, prob.spec, solver_warm_start=True
-        ).run(x0, 8, np.random.default_rng(3))
         assert warm.n_simulations == cold.n_simulations
         np.testing.assert_allclose(warm.samples, cold.samples, atol=1e-5)
+
+    @pytest.mark.parametrize("coordinates", ["spherical", "cartesian"])
+    def test_default_sampler_solves_fewer_newton_lanes(
+        self, rnm_start, coordinates
+    ):
+        prob, start = rnm_start
+
+        def run(metric):
+            recorder = telemetry.Recorder(run_id=coordinates)
+            rng = np.random.default_rng(3)
+            with telemetry.activate(recorder):
+                if coordinates == "spherical":
+                    chain = SphericalGibbs(metric, prob.spec).run(
+                        start.r, start.alpha, 12, rng
+                    )
+                else:
+                    chain = CartesianGibbs(metric, prob.spec).run(
+                        start.x, 12, rng
+                    )
+            return chain, recorder.counters["newton.lane_solves"]
+
+        warm, warm_lanes = run(prob.metric)
+        cold, cold_lanes = run(ColdStartMetric(prob.metric))
+        assert warm.n_simulations == cold.n_simulations
+        np.testing.assert_allclose(warm.samples, cold.samples, atol=1e-5)
+        assert warm_lanes < cold_lanes
 
 
 # --------------------------------------------------------------------------

@@ -153,6 +153,9 @@ class TestErrorContract:
             (dict(n_chains=10**6), "n_chains must be in"),
             (dict(shard_size=10**9), "shard_size must be in"),
             (dict(ladder_width=10**4), "ladder_width must be in"),
+            # Warm starts are always on; the retired knob is an unknown
+            # field, not a silently ignored one.
+            (dict(solver_warm_start=True), "unknown job fields"),
         ):
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(dict(QUERY, **override))
