@@ -14,7 +14,13 @@ straggler path; its 4,096-row chunk uses Monte-Carlo samples.  The
 least-fixed-point construction with its speculative bisection tree against
 the oracle's 30 sequential steps — at 1, 8, 64 and ~870 straggler lanes
 (one- and few-row Gibbs simulations, and an importance-sampling shard).
-Outputs are asserted bit-identical to the oracle's.
+Outputs are asserted bit-identical to the oracle's.  The ``ekv_interp``
+rows time the EKV interpolation ``F``, ``F'`` itself — the one-exponential
+form every kernel above calls against the ``np.logaddexp`` form it
+replaced (kept in tests/test_devices_mosfet.py) — at 486 lanes (one-row
+Gibbs VTC call: 81 grid points, 2 sides, 3 devices) and 24,576 lanes (a
+4,096-row read-state chunk, 6 devices); there the two agree within 4 ulp,
+not bitwise.
 
 Timing is fully interleaved min-of-k: every round times each variant once
 in rotation, and each variant reports its best round.  On a shared
@@ -23,8 +29,9 @@ container that is the only scheme that gave stable ratios; means drift by
 
 Headline numbers land in ``BENCH_backend_kernels.json`` at the repository
 root, with the numpy/BLAS versions and usable core count from
-:func:`benchmarks._shared.bench_metadata`.  Asserted floor: fused >= 1.5x
-the oracle on every SRAM kernel call of at most two rows.
+:func:`benchmarks._shared.bench_metadata`.  Asserted floors: fused >= 1.5x
+the oracle on every SRAM kernel call of at most two rows, and the
+interpolation >= 2x its oracle at 24,576 lanes.
 """
 
 import json
@@ -33,8 +40,10 @@ from pathlib import Path
 import numpy as np
 
 from benchmarks._shared import SCALE, bench_metadata, interleaved_min, write_report
+from repro.devices.mosfet import _interp_f_and_deriv
 from repro.sram.metrics import ReadCurrentMetric, ReadNoiseMarginMetric
 from repro.sram.problems import fragile_cell
+from tests.test_devices_mosfet import _logaddexp_interp
 from tests.test_sram_cell import SequentialReadCell, _half_cell_vtc_reference
 
 JSON_PATH = Path(__file__).parent.parent / "BENCH_backend_kernels.json"
@@ -49,6 +58,15 @@ STRAGGLER_LANES = (1, 8, 64, 870)
 
 #: Floor on fused / oracle for SRAM kernel calls of at most two rows.
 TINY_FLOOR = 1.5
+
+#: Lanes of the interpolation rows: a one-row Gibbs VTC call and a
+#: read-state chunk.
+INTERP_LANES = (486, 6 * 4096)
+
+#: Floor on the interpolation's speedup over its oracle at 24,576 lanes,
+#: and the agreement it must keep with it.
+INTERP_FLOOR = 2.0
+INTERP_ULPS = 4.0
 
 
 def _sram_kernels(rows, seed=23):
@@ -112,9 +130,25 @@ def _fixed_point_kernel(lanes, seed=29):
     return variants
 
 
+def _interp_kernel(lanes, seed=31):
+    """``{variant: call}`` of ``F``, ``F'`` on ``lanes`` arguments spread
+    over the range the SRAM solves visit, outputs checked within
+    ``INTERP_ULPS`` of the oracle's."""
+    u = np.random.default_rng(seed + lanes).uniform(-60.0, 60.0, lanes)
+    variants = {
+        "fused": lambda: _interp_f_and_deriv(u),
+        "oracle": lambda: _logaddexp_interp(u),
+    }
+    for got, want in zip(variants["fused"](), variants["oracle"]()):
+        ulps = np.abs(got - want) / np.spacing(np.abs(want))
+        assert ulps.max() <= INTERP_ULPS, f"{ulps.max():.1f} ulp at {lanes} lanes"
+    return variants
+
+
 def bench_sram_kernels():
     tiny_rounds = max(5, int(round(20 * SCALE)))
     chunk_rounds = max(2, int(round(3 * SCALE)))
+    interp_rounds = max(50, int(round(200 * SCALE)))
     timed = [
         (kernel, rows, rows in TINY_ROWS, variants)
         for rows in TINY_ROWS + (CHUNK_ROWS,)
@@ -122,10 +156,16 @@ def bench_sram_kernels():
     ] + [
         ("read_upset_fixed_point", lanes, True, _fixed_point_kernel(lanes))
         for lanes in STRAGGLER_LANES
+    ] + [
+        ("ekv_interp", lanes, True, _interp_kernel(lanes))
+        for lanes in INTERP_LANES
     ]
     records = []
     for kernel, rows, per_call, variants in timed:
-        rounds = tiny_rounds if rows < 100 else chunk_rounds
+        if kernel == "ekv_interp":
+            rounds = interp_rounds
+        else:
+            rounds = tiny_rounds if rows < 100 else chunk_rounds
         best = interleaved_min(variants, rounds)
         records.append(
             {
@@ -148,34 +188,42 @@ def test_backend_kernel_throughput():
     payload = {
         "workload": "RNM VTC pair (81-point grid, both sides), iread read "
                     "state and its read-upset fixed point; fused kernel vs "
-                    "the pre-change oracle",
+                    "the pre-change oracle.  ekv_interp: the EKV "
+                    "interpolation F, F' vs its logaddexp form",
         "environment": bench_metadata(),
         "tiny_rows": list(TINY_ROWS),
         "chunk_rows": CHUNK_ROWS,
         "straggler_lanes": list(STRAGGLER_LANES),
+        "interp_lanes": list(INTERP_LANES),
         "tiny_floor": TINY_FLOOR,
+        "interp_floor": INTERP_FLOOR,
         "records": sram,
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     lines = ["SRAM metric kernels, fused vs pre-change oracle"]
-    lines.append(f"{'kernel':>22} {'rows':>5} {'fused':>12} {'oracle':>12} {'speedup':>8}")
+    lines.append(f"{'kernel':>22} {'rows':>5} {'fused':>14} {'oracle':>14} {'speedup':>8}")
     for r in sram:
         unit, key = ("ms/call", "ms_per_call") if r["per_call"] \
             else ("us/row", "us_per_row")
         lines.append(
             f"{r['kernel']:>22} {r['rows']:>5} "
-            f"{r['fused_' + key]:>6.2f} {unit:<5} {r['oracle_' + key]:>6.2f} {unit:<5} "
+            f"{r['fused_' + key]:>7.3g} {unit:<6} {r['oracle_' + key]:>7.3g} {unit:<6} "
             f"{r['speedup']:>7.2f}x"
         )
     write_report("backend_kernels", "\n".join(lines))
 
-    # Floor, not a target (see BENCH_backend_kernels.json for measurements).
+    # Floors, not targets (see BENCH_backend_kernels.json for measurements).
     for r in sram:
         if r["rows"] <= 2:
             assert r["speedup"] >= TINY_FLOOR, (
                 f"{r['kernel']} at {r['rows']} row(s): fused only "
                 f"{r['speedup']:.2f}x the oracle (floor {TINY_FLOOR}x)"
+            )
+        if r["kernel"] == "ekv_interp" and r["rows"] == max(INTERP_LANES):
+            assert r["speedup"] >= INTERP_FLOOR, (
+                f"ekv_interp at {r['rows']} lanes: only {r['speedup']:.2f}x "
+                f"the logaddexp form (floor {INTERP_FLOOR}x)"
             )
 
 

@@ -23,6 +23,16 @@ with ``v_p = (v_g - v_th) / n`` the pinch-off voltage and
 ``I_spec = 2 n beta U_T^2``; all voltages are in units referenced to the
 NMOS convention (PMOS is handled by sign reflection).  Channel-length
 modulation enters through the smooth ``(1 + lambda (v_d - v_s))`` factor.
+
+Performance note: ``F`` and ``F'`` are the innermost cost of every
+simulation, so :func:`_interp_f_and_deriv` builds both from one vectorised
+``exp`` and one ``log1p``: 2.5-3x cheaper than a two-argument log-sum-exp
+at 4,096 to 24,576 lanes, 1.3x at 486, on a 2-vCPU AVX-512 VM with numpy
+2.4 (the ``ekv_interp`` rows of ``benchmarks/bench_backend_kernels.py``).
+Every evaluation path — per device, stacked with a leading device axis,
+or with held terminals hoisted (:func:`ekv_drain_moving`,
+:func:`ekv_source_moving`) — calls that one function, which is what keeps
+the paths bit-identical to one another.
 """
 
 from __future__ import annotations
@@ -40,20 +50,19 @@ NMOS = 1
 PMOS = -1
 
 
-def _interp_f(u: np.ndarray) -> np.ndarray:
-    """EKV interpolation function F(u) = ln(1 + exp(u/2))^2, stable for all u."""
-    half = 0.5 * np.asarray(u, dtype=np.float64)
-    soft = np.logaddexp(np.asarray(0.0, dtype=np.float64), half)
-    return soft * soft  # ln(1 + exp(u/2)) without overflow
-
-
 def _interp_f_and_deriv(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Return F(u) and dF/du = ln(1+exp(u/2)) * sigmoid(u/2)."""
+    """Return F(u) = ln(1+exp(u/2))^2 and dF/du = ln(1+exp(u/2)) * sigmoid(u/2).
+
+    Both come from one always-decaying exponential ``decay = exp(-|u/2|)``,
+    so neither tail overflows and the code is branch-free (this sits in the
+    innermost solver loop): the softplus is ``max(u/2, 0) + log1p(decay)``
+    and the sigmoid reuses ``decay``.  Both outputs are within 4 ulp of an
+    exact reference over ``u`` in [-1500, 1500]
+    (``tests/test_devices_mosfet.py``).
+    """
     half = 0.5 * np.asarray(u, dtype=np.float64)
-    soft = np.logaddexp(np.asarray(0.0, dtype=np.float64), half)
-    # sigmoid(u/2) from the always-decaying exponential: stable in both
-    # tails and branch-free (this sits in the innermost solver loop).
     decay = np.exp(-np.abs(half))
+    soft = np.maximum(half, 0.0) + np.log1p(decay)
     sig = np.where(half >= 0.0, 1.0, decay) / (1.0 + decay)
     return soft * soft, soft * sig
 

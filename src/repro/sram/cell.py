@@ -47,8 +47,20 @@ arithmetic — sets the cost.  Five measures keep the dispatch count down:
   decisions walk the tree.  One straggler takes 4 rounds instead of 30; an
   importance-sampling shard's ~870 stragglers keep d = 1, the plain loop.
 
+A Monte-Carlo chunk (4,096 rows) is the opposite case: arithmetic per
+lane sets the cost.  Two measures cut it in the read-state Newton pass,
+which the golden read-current Monte Carlo spends nearly all its time in:
+
+* lanes leave the pass as they converge (mostly at iterations 5-8 of a
+  chunk), as they leave :func:`_solve_monotone_node`, and the pass
+  switches to the stacked call once fewer than
+  ``_READ_STACKED_MAX_LANES`` remain;
+* the per-device form computes each access device's pinch-off voltage and
+  drain interpolation once per solve, since the read configuration holds
+  its gate, drain and bulk.
+
 Lanes never interact and every speculative midpoint is formed from its own
-bracket exactly as the sequential step forms it, so all five are
+bracket exactly as the sequential step forms it, so all seven measures are
 bit-identical per lane to the per-side, per-device, sequential solve;
 ``benchmarks/bench_backend_kernels.py`` times them against that solve, kept
 as the oracle in ``tests/test_sram_cell.py``.  Only the Newton lane
@@ -192,7 +204,10 @@ _BISECT_ROUND_LANES = 256
 #: same VM a whole read-state solve was 2.4-2.9x faster stacked at 1-64
 #: lanes, 1.4-1.9x from 256 to 1,024 and 1.2x at 1,280, then 0.79x at 1,536
 #: and 0.65x at 4,096 lanes, where the per-device calls' scalar terminals
-#: save more arithmetic than the stacked call saves dispatches.
+#: save more arithmetic than the stacked call saves dispatches.  With the
+#: access-device terms hoisted, one residual evaluation was 1.8x faster
+#: stacked at 256 lanes, 1.2x at 1,024, even at 1,280, then 0.56x at 1,536
+#: and 0.42x at 4,096 lanes, so the crossover stands.
 _READ_STACKED_MAX_LANES = 1280
 
 #: Gate, drain, source and bulk node of each device in the read
@@ -543,16 +558,17 @@ class SixTransistorCell:
         oscillates and relaxation slows critically, but where the bracketed
         fixed-point bisection stays O(log) regardless.
 
-        The Newton residual evaluates all six devices in one stacked EKV
-        call below ``_READ_STACKED_MAX_LANES`` lanes and one call per device
-        above, with the fixed terminals as scalars; both forms are
-        bit-identical per lane.
+        The Newton pass keeps an active lane set, as
+        :func:`_solve_monotone_node` does: a lane whose residuals meet the
+        tolerance is written back and leaves the pass, so later iterations
+        evaluate only the lanes still running (see
+        :meth:`_read_state_residual` for the two evaluation forms).
         """
         delta_vth = dict(delta_vth or {})
         batch_shape = np.broadcast_shapes(*(np.shape(d) for d in delta_vth.values())) \
             if delta_vth else ()
         vdd = self.vdd
-        # Flatten the batch so straggler compaction below stays simple.
+        # Flatten the batch so lane compaction below stays simple.
         n_batch = int(np.prod(batch_shape)) if batch_shape else 1
         d_flat = {
             name: np.reshape(
@@ -563,51 +579,12 @@ class SixTransistorCell:
             )
             for name in DEVICE_NAMES
         }
-
-        order = tuple(_READ_TERMINALS)
-        if n_batch < _READ_STACKED_MAX_LANES:
-            # Terminal voltages ``(terminal, device, lane)``; the
-            # storage-node rows are rewritten on every residual evaluation.
-            nodes = np.asarray([_READ_TERMINALS[name] for name in order]).T
-            bias = np.empty((4, 6, n_batch), dtype=np.float64)
-            bias[nodes == "vdd"] = vdd
-            bias[nodes == "0"] = 0.0
-            q_at, qb_at = np.nonzero(nodes == "q"), np.nonzero(nodes == "qb")
-            columns = _stacked_parameters([self.devices[name] for name in order])
-            deltas = np.stack([d_flat[name] for name in order])
-
-            def evaluate(vq, vqb):
-                bias[q_at] = vq
-                bias[qb_at] = vqb
-                return ekv_current_and_derivs(*bias, *columns, delta_vth=deltas)
-        else:
-            def evaluate(vq, vqb):
-                at = {"q": vq, "qb": vqb, "vdd": vdd, "0": 0.0}
-                return zip(*(
-                    self.devices[name].current_and_derivs(
-                        *(at[node] for node in _READ_TERMINALS[name]), d_flat[name]
-                    )
-                    for name in order
-                ))
-
-        def residuals(vq, vqb):
-            i, dg, dd, ds = evaluate(vq, vqb)
-            # Rows follow _READ_TERMINALS: pd_l, pu_l, ax_l, pd_r, pu_r, ax_r.
-            fq = i[0] + i[1] - i[2]
-            fqb = i[3] + i[4] - i[5]
-            j11 = dd[0] + dd[1] - ds[2]       # dfq/dvq
-            j12 = dg[0] + dg[1]               # dfq/dvqb
-            j21 = dg[3] + dg[4]               # dfqb/dvq
-            j22 = dd[3] + dd[4] - ds[5]       # dfqb/dvqb
-            return fq, fqb, j11, j12, j21, j22
+        lane_terms, residuals = self._read_state_residual(d_flat, n_batch)
 
         if stored_zero_at_q:
             init_q, init_qb = 0.05, vdd
         else:
             init_q, init_qb = vdd, 0.05
-
-        vq = np.full((n_batch,), float(init_q), dtype=np.float64)
-        vqb = np.full((n_batch,), float(init_qb), dtype=np.float64)
 
         # Residual tolerance: device currents are ~1e-4 A and node
         # conductances ~1e-4 S, so 3e-11 A resolves node voltages to well
@@ -617,40 +594,137 @@ class SixTransistorCell:
         tol = 3e-11
         step_cap = 0.1
 
-        def newton_pass(vq, vqb, iterations):
-            converged = np.zeros(vq.shape, dtype=np.bool)
-            for _ in range(iterations):
-                fq, fqb, j11, j12, j21, j22 = residuals(vq, vqb)
-                converged = (np.abs(fq) < tol) & (np.abs(fqb) < tol)
-                if bool(np.all(converged)):
+        # Phase 1: a short Newton pass settles the vast majority.  Lanes
+        # leave it as they converge; ``active`` ends up holding the lanes
+        # it left unconverged.
+        out_q = np.empty((n_batch,), dtype=np.float64)
+        out_qb = np.empty((n_batch,), dtype=np.float64)
+        vq = np.full((n_batch,), float(init_q), dtype=np.float64)
+        vqb = np.full((n_batch,), float(init_qb), dtype=np.float64)
+        active = np.arange(n_batch)
+        for _ in range(min(14, newton_iterations)):
+            fq, fqb, j11, j12, j21, j22 = residuals(vq, vqb, lane_terms)
+            converged = (np.abs(fq) < tol) & (np.abs(fqb) < tol)
+            if bool(np.any(converged)):
+                # Early lane exit: freeze converged lanes at the state their
+                # residuals were just evaluated at and drop them from the
+                # pass, compacting every per-lane array once.
+                out_q[active[converged]] = vq[converged]
+                out_qb[active[converged]] = vqb[converged]
+                keep = ~converged
+                active = active[keep]
+                if not int(active.shape[0]):
                     break
-                det = j11 * j22 - j12 * j21
-                safe = np.abs(det) > 1e-30
-                inv_det = np.where(safe, 1.0 / np.where(safe, det, 1.0), 0.0)
-                dvq = np.clip(-(j22 * fq - j12 * fqb) * inv_det, -step_cap, step_cap)
-                dvqb = np.clip(-(-j21 * fq + j11 * fqb) * inv_det, -step_cap, step_cap)
-                vq = np.clip(vq + np.where(converged, 0.0, dvq), -0.2, vdd + 0.2)
-                vqb = np.clip(vqb + np.where(converged, 0.0, dvqb), -0.2, vdd + 0.2)
-            return vq, vqb, converged
+                vq, vqb, fq, fqb, j11, j12, j21, j22 = (
+                    a[keep] for a in (vq, vqb, fq, fqb, j11, j12, j21, j22)
+                )
+                lane_terms = lane_terms[:, keep]
+            det = j11 * j22 - j12 * j21
+            safe = np.abs(det) > 1e-30
+            inv_det = np.where(safe, 1.0 / np.where(safe, det, 1.0), 0.0)
+            dvq = np.clip(-(j22 * fq - j12 * fqb) * inv_det, -step_cap, step_cap)
+            dvqb = np.clip(-(-j21 * fq + j11 * fqb) * inv_det, -step_cap, step_cap)
+            vq = np.clip(vq + dvq, -0.2, vdd + 0.2)
+            vqb = np.clip(vqb + dvqb, -0.2, vdd + 0.2)
 
-        # Phase 1: a short full-batch Newton settles the vast majority.
-        first_pass = min(14, newton_iterations)
-        vq, vqb, converged = newton_pass(vq, vqb, first_pass)
-
-        if not bool(np.all(converged)):
-            # Phase 2: compact the stragglers — mostly read-upset cases
-            # where the stored state no longer exists and Newton oscillates
-            # around the fold — and resolve them with the monotone
-            # fixed-point construction, which has no critical slowing.
-            idx = np.nonzero(~converged)[0]
-            d_sub = {name: val[idx] for name, val in d_flat.items()}
-            vq_s, vqb_s = self._read_fixed_point(
-                d_sub, stored_zero_at_q, int(idx.shape[0])
+        if int(active.shape[0]):
+            # Phase 2: the stragglers — mostly read-upset cases where the
+            # stored state no longer exists and Newton oscillates around
+            # the fold — are resolved with the monotone fixed-point
+            # construction, which has no critical slowing.
+            d_sub = {name: val[active] for name, val in d_flat.items()}
+            out_q[active], out_qb[active] = self._read_fixed_point(
+                d_sub, stored_zero_at_q, int(active.shape[0])
             )
-            vq[idx] = vq_s
-            vqb[idx] = vqb_s
 
-        return np.reshape(vq, batch_shape), np.reshape(vqb, batch_shape)
+        return np.reshape(out_q, batch_shape), np.reshape(out_qb, batch_shape)
+
+    def _read_state_residual(self, d_flat, n_lanes):
+        """Residual factory of the read-state Newton pass.
+
+        Returns ``(lane_terms, residuals)``.  ``lane_terms`` holds the
+        per-lane inputs of ``n_lanes`` lanes, one row each, and
+        ``residuals(vq, vqb, lane_terms)`` returns the storage nodes' KCL
+        residuals ``(f_q, f_qb)`` and their Jacobian ``(j11, j12, j21,
+        j22)`` for the lanes those columns describe — so the Newton pass
+        evaluates a subset of lanes by compacting ``lane_terms`` along axis
+        1.
+
+        Below ``_READ_STACKED_MAX_LANES`` lanes the six devices run in one
+        stacked EKV call; above it each runs on its own with its fixed
+        terminals as scalars.  In the read configuration the access
+        devices hold their gate, drain and bulk, so for the per-device form
+        their pinch-off voltage and drain interpolation are computed once
+        here and an iteration evaluates only the moving source
+        (:func:`~repro.devices.mosfet.ekv_source_moving`).  Both forms
+        perform the elementwise operations of the full EKV evaluation in
+        the same order, so every lane is bit-identical whichever form
+        evaluates it, and a pass that starts per-device switches to the
+        stacked call once its active set drops below the crossover.
+        """
+        vdd = self.vdd
+        order = tuple(_READ_TERMINALS)
+        # Rows: the six mismatches in ``order``, then, for the per-device
+        # form, each access device's pinch-off voltage and drain F.
+        rows = [d_flat[name] for name in order]
+        access = []
+        if n_lanes >= _READ_STACKED_MAX_LANES:
+            for name in ("ax_l", "ax_r"):
+                p = self.devices[name].params
+                polarity = float(p.polarity)
+                vp = ekv_pinch_off(vdd, 0.0, polarity, p.vth, p.n, d_flat[name])
+                drain_n, f_drain, _ = ekv_terminal(vdd, 0.0, polarity, vp)
+                rows += [vp, f_drain]
+                access.append(
+                    (ekv_specific_current(p.beta, p.n), p.lam, polarity, drain_n)
+                )
+        lane_terms = np.stack(rows)
+
+        # Terminal voltages ``(terminal, device, lane)`` of the stacked call:
+        # the rails are fixed, the storage-node rows are written per call,
+        # and the array is rebuilt only when the lane count changes.
+        nodes = np.asarray([_READ_TERMINALS[name] for name in order]).T
+        rails = np.where(nodes == "vdd", vdd, 0.0)[:, :, None]
+        q_at, qb_at = np.nonzero(nodes == "q"), np.nonzero(nodes == "qb")
+        columns = _stacked_parameters([self.devices[name] for name in order])
+        bias = rails[:, :, :0]
+
+        def stacked(vq, vqb, terms):
+            nonlocal bias
+            if bias.shape[2] != vq.shape[0]:
+                bias = np.repeat(rails, int(vq.shape[0]), axis=2)
+            bias[q_at] = vq
+            bias[qb_at] = vqb
+            i, dg, dd, ds = ekv_current_and_derivs(*bias, *columns,
+                                                   delta_vth=terms[:6])
+            # Rows follow _READ_TERMINALS: pd_l, pu_l, ax_l, pd_r, pu_r, ax_r.
+            return (i[0] + i[1] - i[2], i[3] + i[4] - i[5],
+                    dd[0] + dd[1] - ds[2], dg[0] + dg[1],
+                    dg[3] + dg[4], dd[3] + dd[4] - ds[5])
+
+        def side(suffix, v_own, v_other, d_pd, d_pu, vp_ax, f_ax, ax):
+            """KCL residual at one storage node, its derivative in that
+            node's voltage and in the other node's."""
+            i_pd, dg_pd, dd_pd, _ = self.devices["pd" + suffix].current_and_derivs(
+                v_other, v_own, 0.0, 0.0, d_pd)
+            i_pu, dg_pu, dd_pu, _ = self.devices["pu" + suffix].current_and_derivs(
+                v_other, v_own, vdd, vdd, d_pu)
+            i_spec, lam, polarity, drain_n = ax
+            i_ax, ds_ax = ekv_source_moving(
+                i_spec, lam, polarity, (drain_n, f_ax),
+                ekv_terminal(v_own, 0.0, polarity, vp_ax),
+            )
+            return i_pd + i_pu - i_ax, dd_pd + dd_pu - ds_ax, dg_pd + dg_pu
+
+        def residuals(vq, vqb, terms):
+            if int(vq.shape[0]) < _READ_STACKED_MAX_LANES:
+                return stacked(vq, vqb, terms)
+            d_pd_l, d_pu_l, _, d_pd_r, d_pu_r, _, vp_l, f_l, vp_r, f_r = terms
+            fq, j11, j12 = side("_l", vq, vqb, d_pd_l, d_pu_l, vp_l, f_l, access[0])
+            fqb, j22, j21 = side("_r", vqb, vq, d_pd_r, d_pu_r, vp_r, f_r, access[1])
+            return fq, fqb, j11, j12, j21, j22
+
+        return lane_terms, residuals
 
     def _read_fixed_point(self, delta, stored_zero_at_q, n_batch,
                           n_grid: int = 33, bisect_iters: int = 30):

@@ -1,11 +1,20 @@
 """Tests for the EKV-style MOSFET model (repro.devices.mosfet)."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.devices.mosfet import NMOS, PMOS, Mosfet, MosfetParams, THERMAL_VOLTAGE
+from repro.devices.mosfet import (
+    NMOS,
+    PMOS,
+    THERMAL_VOLTAGE,
+    Mosfet,
+    MosfetParams,
+    _interp_f_and_deriv,
+)
 
 NMOS_PARAMS = MosfetParams(polarity=NMOS, vth=0.35, beta=9e-4, n=1.35, lam=0.15)
 PMOS_PARAMS = MosfetParams(polarity=PMOS, vth=0.35, beta=1.5e-4, n=1.45, lam=0.15)
@@ -145,3 +154,64 @@ class TestDerivatives:
         assert np.isfinite(ids) and np.isfinite(d_vg)
         ids2 = device.current(-50.0, 1.0, 0.0)
         assert np.isfinite(ids2) and ids2 >= 0
+
+
+def _logaddexp_interp(u):
+    """The interpolation's previous form, verbatim: the softplus from
+    ``np.logaddexp``.  The oracle of the accuracy test below and of the
+    ``ekv_interp`` rows in ``benchmarks/bench_backend_kernels.py``."""
+    half = 0.5 * np.asarray(u, dtype=np.float64)
+    soft = np.logaddexp(np.asarray(0.0, dtype=np.float64), half)
+    decay = np.exp(-np.abs(half))
+    sig = np.where(half >= 0.0, 1.0, decay) / (1.0 + decay)
+    return soft * soft, soft * sig
+
+
+def _exact_interp(u):
+    """``F(u)`` and ``F'(u)`` as Decimals.  ``1 + e^(u/2)`` must resolve
+    ``e^(u/2)`` against 1, so the precision grows with ``|u|``: about
+    ``|u| / 4.6`` digits sit below 1, on top of 40 for the result."""
+    with localcontext() as ctx:
+        ctx.prec = 40 + int(abs(u) / 4.6)
+        grow = (Decimal(float(u)) / 2).exp()
+        soft = (1 + grow).ln()
+        return soft * soft, soft * grow / (1 + grow)
+
+
+def _ulps(got, exact):
+    """Distance of each float in ``got`` from its Decimal in ``exact``, in
+    units of the spacing of doubles at the correctly rounded value."""
+    return np.array([
+        float(abs(Decimal(float(g)) - e) / Decimal(float(np.spacing(float(e)))))
+        for g, e in zip(got, exact)
+    ])
+
+
+#: A grid over [-1500, 1500] (u = 0 included), a dense sample of the range
+#: the SRAM solves visit, and the edges: +-1e-300 and +-1489, where
+#: ``exp(-|u/2|)`` sits at the bottom of the subnormal range.
+_INTERP_POINTS = np.concatenate([
+    np.linspace(-1500.0, 1500.0, 241),
+    np.random.default_rng(2).uniform(-60.0, 60.0, 200),
+    [1e-300, -1e-300, 1489.0, -1489.0],
+])
+
+
+class TestInterpolationAccuracy:
+    """F and F' within 4 ulp of a Decimal reference, with no floating-point
+    exception, in the current form and in the oracle it replaced."""
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        return [list(col) for col in zip(*map(_exact_interp, _INTERP_POINTS))]
+
+    @pytest.mark.parametrize("interp", [_interp_f_and_deriv, _logaddexp_interp],
+                             ids=["one_exponential", "logaddexp_oracle"])
+    def test_within_4_ulp(self, interp, exact):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = interp(_INTERP_POINTS)
+        for value, want in zip(got, exact):
+            ulps = _ulps(value, want)
+            assert ulps.max() <= 4.0, (
+                f"{ulps.max():.2f} ulp at u = {_INTERP_POINTS[ulps.argmax()]!r}"
+            )

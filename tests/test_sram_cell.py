@@ -21,6 +21,7 @@ from repro.sram.cell import (
 )
 from repro.sram.metrics import (
     HoldNoiseMarginMetric,
+    ReadCurrentMetric,
     ReadNoiseMarginMetric,
     WriteNoiseMarginMetric,
 )
@@ -707,6 +708,24 @@ def _assert_same_read_state(fused, oracle, deltas, stored_zero_at_q):
                                       oracle.read_current(deltas))
 
 
+def _spy_active_lanes(cell, monkeypatch):
+    """Record the lane count of every read-state residual evaluation."""
+    counts = []
+    factory = cell._read_state_residual
+
+    def spied(d_flat, n_lanes):
+        lane_terms, residuals = factory(d_flat, n_lanes)
+
+        def counted(vq, vqb, terms):
+            counts.append(int(vq.shape[0]))
+            return residuals(vq, vqb, terms)
+
+        return lane_terms, counted
+
+    monkeypatch.setattr(cell, "_read_state_residual", spied)
+    return counts
+
+
 class TestReadStateMatchesSequentialOracle:
     """The stacked read-state Newton pass, the speculative bisection tree
     and the hoisted half-cell residual reproduce the pre-change read path
@@ -771,6 +790,33 @@ class TestReadStateMatchesSequentialOracle:
             deltas[name][at] = stragglers[stored_zero_at_q][name][:5]
         _assert_same_read_state(*cells, deltas, stored_zero_at_q)
 
+    @pytest.mark.parametrize("stored_zero_at_q", [True, False])
+    @pytest.mark.parametrize("rows", [4096, 1024])
+    def test_metric_chunk_with_stragglers(self, cells, stragglers, monkeypatch,
+                                          rows, stored_zero_at_q):
+        """A read-current Monte-Carlo chunk with 5 stragglers mixed in.  At
+        4,096 rows the pass starts per-device, lanes leave it at different
+        iterations and it goes stacked below the crossover; at 1,024 rows it
+        is stacked throughout.  The stragglers, and any Monte-Carlo lane
+        Newton leaves unconverged, run all 14 iterations."""
+        fused, oracle = cells
+        gen = np.random.default_rng(rows)
+        mapped = ReadCurrentMetric(fused).mismatch.deltas(gen.standard_normal((rows, 2)))
+        deltas = {name: np.array(mapped.get(name, np.zeros(rows)))
+                  for name in DEVICE_NAMES}
+        at = gen.choice(rows, 5, replace=False)
+        for name in DEVICE_NAMES:
+            deltas[name][at] = stragglers[stored_zero_at_q][name][:5]
+        counts = _spy_active_lanes(fused, monkeypatch)
+        _assert_same_read_state(fused, oracle, deltas, stored_zero_at_q)
+        # The first solve is the one compared above; read_current solves again.
+        counts = counts[:14]
+        crossover = cell_module._READ_STACKED_MAX_LANES
+        assert counts[0] == rows and counts[-1] >= 5 and len(counts) == 14
+        assert len(set(counts)) >= 4
+        assert (rows > crossover) == (counts[0] >= crossover)
+        assert min(counts) < crossover
+
 
 class TestBatchIndependence:
     """Regression: results must not depend on batch composition.
@@ -795,6 +841,21 @@ class TestBatchIndependence:
         )
         paired = cell.half_cell_vtc("left", grid, 0.0, mixed)
         np.testing.assert_allclose(paired[:, 0], alone[:, 0], atol=1e-9)
+
+    def test_read_state_alone_equals_in_chunk(self, iread_metric):
+        """Lanes solved alone (stacked throughout) equal the same lanes in
+        a 4,096-row chunk (per-device, then stacked), bit for bit."""
+        x = np.random.default_rng(8).standard_normal((4096, 2))
+        x[-1] = [4.5, -3.5]  # a read-upset straggler: runs the fixed point
+        deltas = iread_metric.mismatch.deltas(x)
+        cell = iread_metric.cell
+        chunk = cell.solve_read_state(deltas)
+        for lane in range(63, 4096, 64):
+            alone = cell.solve_read_state(
+                {name: d[lane:lane + 1] for name, d in deltas.items()}
+            )
+            for got, want in zip(alone, chunk):
+                np.testing.assert_array_equal(got, want[lane:lane + 1])
 
     def test_metric_chunk_vs_single(self, wnm_metric, rng):
         x = rng.uniform(-5, 5, (64, 6))
