@@ -10,8 +10,7 @@ stronger, to a run with a *different* group size — so the bench doubles as
 an end-to-end check of the grouping-invariance contract.
 
 A second section runs the full two-stage flow (fan-out first stage plus
-sharded second stage over one persistent pool) serial versus 4 workers,
-and records the adaptive sizing probe's report for this metric.
+sharded second stage over one persistent pool) serial versus 4 workers.
 
 Headline numbers land in ``BENCH_first_stage_scaling.json`` at the
 repository root.  ``cpu_count`` is recorded alongside, and the speedup
@@ -34,7 +33,7 @@ from repro.gibbs.two_stage import (
     run_first_stage,
 )
 from repro.mc.counter import CountedMetric
-from repro.parallel import ParallelExecutor, default_workers, probe_metric_cost
+from repro.parallel import ParallelExecutor, default_workers
 
 JSON_PATH = Path(__file__).parent.parent / "BENCH_first_stage_scaling.json"
 
@@ -123,8 +122,6 @@ def run():
     assert flow_4.failure_probability == flow_1.failure_probability
     assert flow_4.n_first_stage == flow_1.n_first_stage
 
-    probe = probe_metric_cost(counted, prob.dimension)
-
     speedup_4 = records[2]["speedup_vs_1"]
     if cpu_count >= FLOOR_WORKERS:
         assert speedup_4 >= SPEEDUP_FLOOR, (
@@ -147,7 +144,6 @@ def run():
         "flow_parallel4_s": flow_4_s,
         "flow_speedup": flow_1_s / flow_4_s,
         "flow_results_identical": True,
-        "probe": probe.as_extras(),
         "speedup_floor": SPEEDUP_FLOOR,
         "speedup_floor_workers": FLOOR_WORKERS,
         "speedup_floor_enforced": cpu_count >= FLOOR_WORKERS,
@@ -171,8 +167,6 @@ def run():
         f"end-to-end flow (both stages, one pool): serial {flow_1_s:.2f}s, "
         f"4 workers {flow_4_s:.2f}s ({flow_1_s / flow_4_s:.2f}x), "
         "results identical\n"
-        f"metric probe: {1e6 * probe.per_call_s:.1f} us/call + "
-        f"{1e6 * probe.per_row_s:.3f} us/row\n"
         f"speedup floor ({SPEEDUP_FLOOR}x at {FLOOR_WORKERS} workers) "
         f"{'ENFORCED' if cpu_count >= FLOOR_WORKERS else 'recorded only'} "
         f"on this machine\n"

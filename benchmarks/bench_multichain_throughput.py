@@ -77,9 +77,12 @@ def run():
 
     for n_chains in (1, 4, 16, 64):
         starts = np.tile(start.x, (n_chains, 1))
+        # One stream per chain, as the first stage runs them; chain c
+        # draws from the stream sequential run c used.
+        chain_rngs = [np.random.default_rng(100 + c) for c in range(n_chains)]
         chain, elapsed, sims, calls = _measure(
             lambda: sampler.run_lockstep(
-                starts, n_gibbs, np.random.default_rng(7)
+                starts, n_gibbs, chain_rngs=chain_rngs
             ),
             counted,
         )

@@ -9,10 +9,9 @@ reproduces the Table-I question — how many second-stage simulations until
 the 99%-CI relative error stays below a target.
 
 Panels and trial batteries are embarrassingly parallel — every entry owns
-its spawn-indexed child stream — so both fan out across cores through
-:class:`repro.parallel.ParallelExecutor` when ``n_workers`` is given.  The
-streams are the same ones the serial loop would use, so parallel panels
-return bit-identical results to serial ones.
+its spawn-indexed child stream — so both run as tasks on a
+:class:`repro.parallel.ParallelExecutor`: inline by default, across
+``n_workers`` processes when given.  Results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from repro.mc.montecarlo import brute_force_monte_carlo
 from repro.mc.results import EstimationResult
 from repro.parallel.executor import ParallelExecutor, resolve_executor
 from repro.telemetry import context as _telemetry
-from repro.utils.rng import SeedLike, spawn_rngs, spawn_seed_sequences
+from repro.utils.rng import SeedLike, spawn_seed_sequences
 
 #: Canonical method labels, in the paper's presentation order.
 METHODS = ("MIS", "MNIS", "G-C", "G-S")
@@ -64,17 +63,18 @@ def run_method(
         First-stage chain length K for the Gibbs methods.
     n_chains:
         First-stage chain count C for the Gibbs methods (ignored by the
-        others).  With ``n_workers`` set as well, the chains fan out over
-        the worker pool (see :func:`repro.gibbs.two_stage.run_first_stage`).
+        others); chain groups run on the executor (see
+        :func:`repro.gibbs.two_stage.run_first_stage`).
     doe_budget:
         Surrogate budget for MNIS and the Gibbs starting point.
     n_exploration:
         Uniform exploration budget for MIS.
     n_workers:
-        Shard the method's sampling stage (the second stage for the IS
-        methods, both stages for the Gibbs methods when ``n_chains > 1``,
-        the whole run for "MC") across this many workers on ``backend``;
-        ``None`` keeps the serial paths.
+        How many shards of the method's sampling stages (the second stage
+        for the IS methods, both stages for the Gibbs methods when
+        ``n_chains > 1``, the whole run for "MC") run at once on
+        ``backend``; ``None`` runs them inline.  Results do not depend on
+        it.
     executor:
         Prebuilt :class:`~repro.parallel.ParallelExecutor` (e.g. the
         yield service's persistent pool); overrides
@@ -161,13 +161,24 @@ def _run_method_task(task: _MethodTask) -> EstimationResult:
     return result
 
 
-def _fold_panel_telemetry(executor, outcomes) -> None:
-    """Fold worker telemetry records shipped inside panel results."""
+def _run_tasks(problem, names, seed, pool, run_kwargs) -> list:
+    """Run ``names[i]`` on the child stream at spawn index ``i``, on ``pool``.
+
+    Results keep task order; worker telemetry records shipped inside them
+    are folded into the active recorder.
+    """
+    ship_telemetry = _telemetry.ship_to_workers(pool)
+    tasks = [
+        _MethodTask(name, problem, child, dict(run_kwargs), ship_telemetry)
+        for name, child in zip(names, spawn_seed_sequences(seed, len(names)))
+    ]
+    outcomes = pool.map(_run_method_task, tasks)
     recorder = _telemetry.get_active()
     for result in outcomes:
         record = result.extras.pop("worker_telemetry", None)
         if record and recorder is not None:
             recorder.fold(record)
+    return outcomes
 
 
 def compare_methods(
@@ -181,28 +192,15 @@ def compare_methods(
 ) -> Dict[str, EstimationResult]:
     """Run several methods on independent random streams.
 
-    Each method receives its own child generator spawned from ``seed``, so
+    Each method receives its own child stream spawned from ``seed``, so
     adding or removing a method never perturbs the others' draws.  With
-    ``n_workers`` set, the panel entries run concurrently — on the exact
-    streams the serial loop would use, so the results are identical; only
-    the wall-clock changes.
+    ``n_workers`` set, the panel entries run concurrently on the same
+    streams, so the results are identical; only the wall-clock changes.
     """
     pool = resolve_executor(executor, n_workers, backend)
-    if pool is not None:
-        seeds = spawn_seed_sequences(seed, len(methods))
-        ship_telemetry = _telemetry.ship_to_workers(pool)
-        tasks = [
-            _MethodTask(name, problem, child, dict(run_kwargs), ship_telemetry)
-            for name, child in zip(methods, seeds)
-        ]
-        outcomes = pool.map(_run_method_task, tasks)
-        _fold_panel_telemetry(pool, outcomes)
-        return dict(zip(methods, outcomes))
-    rngs = spawn_rngs(seed, len(methods))
-    results = {}
-    for method, rng in zip(methods, rngs):
-        results[method] = run_method(method, problem, rng=rng, **run_kwargs)
-    return results
+    methods = tuple(methods)
+    return dict(zip(methods, _run_tasks(problem, methods, seed, pool,
+                                        run_kwargs)))
 
 
 def run_trials(
@@ -225,22 +223,7 @@ def run_trials(
     if n_trials < 1:
         raise ValueError(f"n_trials must be positive, got {n_trials}")
     pool = resolve_executor(executor, n_workers, backend)
-    seeds = spawn_seed_sequences(seed, n_trials)
-    if pool is not None:
-        ship_telemetry = _telemetry.ship_to_workers(pool)
-        tasks = [
-            _MethodTask(method, problem, child, dict(run_kwargs), ship_telemetry)
-            for child in seeds
-        ]
-        outcomes = pool.map(_run_method_task, tasks)
-        _fold_panel_telemetry(pool, outcomes)
-        return outcomes
-    return [
-        run_method(
-            method, problem, rng=np.random.default_rng(child), **run_kwargs
-        )
-        for child in seeds
-    ]
+    return _run_tasks(problem, [method] * n_trials, seed, pool, run_kwargs)
 
 
 ResultOrTrials = Union[EstimationResult, Sequence[EstimationResult]]

@@ -64,15 +64,13 @@ def statistical_blockade(
         it are simulated, the rest are blocked.  3% is Singhee's
         recommended safety-margin regime for ~4-sigma tails.
     n_workers:
-        ``None`` keeps the historical single-stream screening loop.  Any
-        integer shards the screening stage into ``shard_size``-candidate
-        slices with spawn-indexed child streams — the same worker layer as
-        the sharded Monte Carlo — so the tally is a function of the seed
-        and the shard grid only, identical for every worker count and
-        backend.  (Classifier training stays in the caller's stream and is
-        unaffected.)  Note the sharded path's generated candidates come
-        from child streams, not the caller's generator, so its numbers
-        differ from ``n_workers=None`` runs; each path is seed-stable.
+        How many screening shards run at once on ``backend``; ``None``
+        (default) runs them inline.  Screening is always the grid of
+        ``shard_size``-candidate slices with spawn-indexed child streams —
+        the same worker layer as the Monte Carlo — so the tally is a
+        function of the seed and the shard grid only, identical for every
+        worker count and backend.  (Classifier training stays in the
+        caller's stream.)
     shard_size:
         Generated candidates per screening shard.  Larger than the MC/IS
         defaults because blocked candidates cost almost nothing — only the
@@ -98,42 +96,28 @@ def statistical_blockade(
 
     pool = resolve_executor(None, n_workers, backend)
     with _telemetry.span(
-        "blockade.screen", generated=int(n_samples), sharded=pool is not None
+        "blockade.screen", generated=int(n_samples)
     ) as screen_span:
-        if pool is not None:
-            shards = plan_shards(n_samples, int(shard_size))
-            seeds = spawn_seed_sequences(rng, len(shards))
-            ship_telemetry = _telemetry.ship_to_workers(pool)
-            tasks = [
-                BlockadeShardTask(
-                    shard=shard,
-                    seed=child,
-                    metric=counted,
-                    spec=spec,
-                    classifier=classifier,
-                    threshold=threshold,
-                    dimension=dimension,
-                    chunk_size=int(chunk_size),
-                    telemetry=ship_telemetry,
-                )
-                for shard, child in zip(shards, seeds)
-            ]
-            results = pool.map(run_blockade_shard, tasks)
-            fold_external_counts(counted, pool, results)
-            failures, simulated = merge_blockade_shards(results, n_samples)
-        else:
-            failures = 0
-            simulated = 0
-            generated = 0
-            while generated < n_samples:
-                take = min(chunk_size, n_samples - generated)
-                x = rng.standard_normal((take, dimension))
-                candidate = classifier.predict(x) < threshold
-                if np.any(candidate):
-                    values = counted(x[candidate])
-                    failures += int(np.sum(spec.indicator(values)))
-                    simulated += int(candidate.sum())
-                generated += take
+        shards = plan_shards(n_samples, int(shard_size))
+        seeds = spawn_seed_sequences(rng, len(shards))
+        ship_telemetry = _telemetry.ship_to_workers(pool)
+        tasks = [
+            BlockadeShardTask(
+                shard=shard,
+                seed=child,
+                metric=counted,
+                spec=spec,
+                classifier=classifier,
+                threshold=threshold,
+                dimension=dimension,
+                chunk_size=int(chunk_size),
+                telemetry=ship_telemetry,
+            )
+            for shard, child in zip(shards, seeds)
+        ]
+        results = pool.map(run_blockade_shard, tasks)
+        fold_external_counts(counted, pool, results)
+        failures, simulated = merge_blockade_shards(results, n_samples)
         screen_span.add("sims", int(simulated))
         screen_span.add("failures", int(failures))
 

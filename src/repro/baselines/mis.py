@@ -130,8 +130,8 @@ def mixture_importance_sampling(
     sample — with the default 5000-point cube this means the failure region
     is outside ``[-s, +s]^M`` or vanishingly thin.
 
-    ``n_workers``/``backend`` shard the second stage across cores (see
-    :func:`repro.mc.importance.importance_sampling_estimate`);
+    ``n_workers``/``backend`` set how many second-stage shards run at
+    once (see :func:`repro.mc.importance.importance_sampling_estimate`);
     ``executor`` reuses a caller-owned pool (e.g. the yield service's)
     instead.
     """

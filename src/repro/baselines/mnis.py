@@ -48,8 +48,8 @@ def minimum_norm_importance_sampling(
 
     ``n_first_stage`` is the norm-minimisation budget (DOE plus
     verification walks); the proposal is ``N(x*, I)``.
-    ``n_workers``/``backend`` shard the second stage across cores (see
-    :func:`repro.mc.importance.importance_sampling_estimate`);
+    ``n_workers``/``backend`` set how many second-stage shards run at
+    once (see :func:`repro.mc.importance.importance_sampling_estimate`);
     ``executor`` reuses a caller-owned pool (e.g. the yield service's)
     instead.
     """

@@ -53,7 +53,7 @@ logger to stderr (``--log-json`` for one JSON object per line).  With
 ``--trace`` / ``--trace-events`` the run records telemetry spans and
 counters and writes a Chrome ``trace_event`` file and/or a JSONL event
 stream, each carrying the run manifest (problem, seed, worker grid,
-versions, adaptive-probe record).
+versions).
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from repro.analysis.diagnostics import check_agreement
 from repro.analysis.experiments import METHODS, compare_methods, run_method
 from repro.analysis.region import ascii_region, map_failure_region
 from repro.mc.diagnostics import diagnose_weights
+from repro.parallel.executor import ParallelExecutor
 from repro.sram.problems import (
     read_current_problem,
     read_noise_margin_problem,
@@ -105,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="first-stage Gibbs samples K")
         p.add_argument("--n-chains", type=int, default=1,
                        help="first-stage Gibbs chains C (Gibbs methods "
-                            "only); with --workers the chains fan out "
-                            "over the worker pool")
+                            "only); with --workers the chain groups fan "
+                            "out over the worker pool")
         p.add_argument("--doe-budget", type=int, default=None,
                        help="surrogate/DOE simulation budget")
         p.add_argument("--ladder-width", type=int, default=1,
@@ -116,20 +117,19 @@ def build_parser() -> argparse.ArgumentParser:
                             "sequential rounds (default: 1, classic "
                             "bisection)")
         p.add_argument("--workers", type=int, default=None,
-                       help="shard the sampling across this many worker "
-                            "processes (default: serial): the second "
-                            "stage always, and the first-stage chains "
-                            "when --n-chains > 1; results depend on the "
-                            "seed only, not the worker count")
+                       help="run this many shards at once in worker "
+                            "processes (default: one at a time, inline); "
+                            "the sampling always runs the same shard "
+                            "grid, so results depend on the seed only, "
+                            "not the worker count")
         p.add_argument("--shard-size", type=int, default=None,
-                       help="samples per shard on the sharded path "
-                            "(default: per-method; the shard grid is part "
-                            "of the run identity, so a ledger resume must "
-                            "reuse the original value)")
+                       help="samples per shard (default: per-method; the "
+                            "shard grid is part of the run identity, so a "
+                            "ledger resume must reuse the original value)")
         p.add_argument("--backend",
                        choices=("serial", "thread", "process", "remote"),
                        default="process",
-                       help="sharded-path backend (with --workers); "
+                       help="backend the shards run on (with --workers); "
                             "'remote' dispatches shards to `repro worker` "
                             "processes over the socket transport "
                             "(trusted networks only, see docs/ELASTIC.md)")
@@ -140,23 +140,18 @@ def build_parser() -> argparse.ArgumentParser:
                             "logged at startup)")
         p.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                        help="persist completed shards to append-only "
-                            "ledgers in DIR (sharded path only); a killed "
-                            "run re-invoked with the same arguments "
-                            "resumes bit-identically, re-running only the "
-                            "missing shards (see docs/ELASTIC.md)")
+                            "ledgers in DIR; a killed run re-invoked with "
+                            "the same arguments (any --workers) resumes "
+                            "bit-identically, re-running only the missing "
+                            "shards (see docs/ELASTIC.md)")
         p.add_argument("--resume", default=True,
                        action=argparse.BooleanOptionalAction,
                        help="with --checkpoint-dir: replay a matching "
                             "ledger (default); --no-resume truncates it "
                             "and starts over")
-        p.add_argument("--adaptive-shards", action="store_true",
-                       help="size shards and chain groups from a "
-                            "metric-throughput probe (requires --workers); "
-                            "the probe numbers and chosen grid are "
-                            "recorded in the result extras")
         p.add_argument("--verbose", action="store_true",
-                       help="print chain diagnostics, the adaptive sizing "
-                            "record and the telemetry summary (stderr)")
+                       help="print chain diagnostics, the ledger record "
+                            "and the telemetry summary (stderr)")
         p.add_argument("--trace", metavar="PATH", default=None,
                        help="record run telemetry and write a Chrome "
                             "trace_event file (open in chrome://tracing "
@@ -323,30 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _adaptive_kwargs(args, method: str) -> Optional[dict]:
-    """Resolve ``--adaptive-shards`` into method kwargs (None on error)."""
-    if not args.adaptive_shards:
-        return {}
-    if args.workers is None:
-        logs.error(
-            "--adaptive-shards tunes the parallel fan-out; "
-            "it requires --workers"
-        )
-        return None
-    if method in ("G-C", "G-S"):
-        return {"chain_group_size": "adaptive", "shard_size": "adaptive"}
-    logs.warning(
-        f"--adaptive-shards is ignored for {method} (Gibbs methods only)"
-    )
-    return {}
-
-
 def _first_stage_kwargs(args, methods) -> dict:
     """Resolve ``--ladder-width`` into method kwargs.
 
     The width tunes the Gibbs first stage only; for other methods it is
-    warned about and dropped rather than rejected, matching the
-    ``--adaptive-shards`` convention.  ``methods`` is the method label
+    warned about and dropped rather than rejected.  ``methods`` is the
+    method label
     (``estimate``) or the iterable of labels (``compare``) — the width is
     forwarded only when *every* target method accepts it, because
     ``compare`` fans the same kwargs to the whole panel.
@@ -394,7 +371,7 @@ def _metrics_exporter(args):
 
 
 def _print_verbose_extras(result) -> None:
-    """``--verbose`` detail: mixing diagnostics and the adaptive record."""
+    """``--verbose`` detail: mixing diagnostics and the ledger record."""
     diagnostics = result.extras.get("chain_diagnostics")
     if diagnostics is not None:
         logs.info(f"chain mixing: {diagnostics.summary()}")
@@ -410,23 +387,6 @@ def _print_verbose_extras(result) -> None:
         if dropped:
             line += f"; {dropped} torn/corrupt row(s) dropped"
         logs.info(line)
-    adaptive = result.extras.get("adaptive_sharding")
-    if adaptive is not None:
-        probe = adaptive["probe"]
-        logs.info(
-            "adaptive sizing probe: "
-            f"{1e6 * probe['per_call_s']:.1f} us/call + "
-            f"{1e6 * probe['per_row_s']:.3f} us/row "
-            f"({probe['n_probe_sims']} probe simulations)"
-        )
-        chosen = {
-            key: adaptive[key]
-            for key in ("chain_group_size", "shard_size")
-            if key in adaptive
-        }
-        if chosen:
-            grid = ", ".join(f"{key}={value}" for key, value in chosen.items())
-            logs.info(f"adaptive sizing chose: {grid}")
 
 
 def _tracing_requested(args) -> bool:
@@ -456,16 +416,14 @@ def _finish_telemetry(recorder, args, method) -> None:
     """Stamp the manifest, write the requested trace files, summarise."""
     if recorder is None:
         return
-    adaptive = None
     recorder.meta["manifest"] = telemetry.build_manifest(
         command=args.command,
         problem=args.problem,
         method=method,
         seed=args.seed,
         n_workers=args.workers,
-        backend="process" if args.workers is not None else None,
+        backend=args.backend,
         argv=list(sys.argv[1:]),
-        adaptive=recorder.meta.get("adaptive_sharding"),
     )
     if args.trace_events:
         telemetry.write_jsonl(recorder, args.trace_events)
@@ -480,57 +438,36 @@ def _finish_telemetry(recorder, args, method) -> None:
 def _cmd_estimate(args) -> int:
     problem = PROBLEMS[args.problem]()
     logs.info(f"problem: {problem.description}")
-    adaptive = _adaptive_kwargs(args, args.method)
-    if adaptive is None:
-        return 2
     first_stage = _first_stage_kwargs(args, args.method)
     elastic = {}
     if args.shard_size is not None:
-        if args.adaptive_shards:
-            logs.error("--shard-size conflicts with --adaptive-shards")
-            return 2
         elastic["shard_size"] = args.shard_size
     if args.checkpoint_dir is not None:
-        if args.workers is None and args.backend != "remote":
-            logs.error(
-                "--checkpoint-dir persists the sharded path's shards; "
-                "it requires --workers (or --backend remote)"
-            )
-            return 2
         elastic.update(checkpoint_dir=args.checkpoint_dir,
                        resume=args.resume)
-    pool = None
-    if args.backend == "remote":
-        # The coordinator binds on __enter__; log the address so
-        # `repro worker --connect` invocations know where to join.
-        from repro.parallel.executor import ParallelExecutor
-
-        pool = ParallelExecutor(
-            n_workers=args.workers, backend="remote",
-            listen=args.listen, min_workers=args.workers or 1,
-        )
+    pool = ParallelExecutor(
+        n_workers=1 if args.workers is None else args.workers,
+        backend=args.backend, listen=args.listen,
+        min_workers=args.workers or 1,
+    )
     recorder = _run_recorder(args)
     with _metrics_exporter(args), (
         telemetry.activate(recorder)
         if recorder is not None
         else contextlib.nullcontext()
-    ), (pool if pool is not None else contextlib.nullcontext()):
-        if pool is not None:
+    ), pool:
+        if pool.backend == "remote":
+            # The coordinator binds on __enter__; log the address so
+            # `repro worker --connect` invocations know where to join.
             host, port = pool.address
             logs.info(f"remote coordinator listening on {host}:{port}; "
                       f"waiting for {pool.min_workers} worker(s)")
         result = run_method(
             args.method, problem, rng=args.seed,
             n_second_stage=args.n_second, n_gibbs=args.n_gibbs,
-            n_chains=args.n_chains,
-            doe_budget=args.doe_budget, n_workers=args.workers,
-            backend=args.backend, executor=pool,
-            **adaptive, **first_stage, **elastic,
+            n_chains=args.n_chains, doe_budget=args.doe_budget,
+            executor=pool, **first_stage, **elastic,
         )
-        if recorder is not None:
-            record = result.extras.get("adaptive_sharding")
-            if record is not None:
-                recorder.meta["adaptive_sharding"] = record
     print(result.summary())
     chain = result.extras.get("chain")
     if chain is not None:
@@ -547,13 +484,6 @@ def _cmd_estimate(args) -> int:
 def _cmd_compare(args) -> int:
     problem = PROBLEMS[args.problem]()
     logs.info(f"problem: {problem.description}")
-    if args.adaptive_shards:
-        # Panel kwargs go to every method and the baselines take no sizing
-        # knobs; adaptive sizing is an `estimate` feature.
-        logs.warning(
-            "--adaptive-shards is ignored by compare "
-            "(use `estimate` with a Gibbs method)"
-        )
     if args.checkpoint_dir is not None:
         logs.warning(
             "--checkpoint-dir is ignored by compare "

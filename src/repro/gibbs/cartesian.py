@@ -11,7 +11,7 @@ of Algorithm 3 (5-10 simulations at default depth).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -253,9 +253,8 @@ class CartesianGibbs:
         self,
         x0: np.ndarray,
         n_samples: int,
-        rng: SeedLike = None,
+        chain_rngs: Sequence[SeedLike],
         verify_start: bool = True,
-        chain_rngs: Optional[list] = None,
     ) -> MultiChainGibbs:
         """Advance ``C`` chains synchronously for ``n_samples`` updates each.
 
@@ -268,15 +267,14 @@ class CartesianGibbs:
         vectorised simulator while the simulation *count* stays exactly the
         sum of ``C`` sequential chains.
 
-        With ``C = 1`` the generated chain is bit-for-bit identical to
-        :meth:`run` under the same seed.
-
-        ``chain_rngs`` gives every chain its own generator instead of the
-        shared ``rng``.  Chain trajectories then depend only on their own
-        stream and starting point — not on which other chains share the
-        batch — so splitting the same chains (with the same streams) across
-        several lockstep calls reproduces identical trajectories.  This is
-        the contract the process-parallel first-stage fan-out builds on.
+        ``chain_rngs`` gives every chain its own generator (one seed-like
+        per chain).  Chain trajectories depend only on their own stream and
+        starting point — not on which other chains share the batch — so
+        splitting the same chains (with the same streams) across several
+        lockstep calls reproduces identical trajectories.  This is the
+        contract the first-stage chain groups build on.  With ``C = 1``
+        and ``chain_rngs=[rng]`` the generated chain is bit-for-bit
+        identical to :meth:`run` under the same ``rng``.
         """
         if n_samples < 1:
             raise ValueError(f"n_samples must be positive, got {n_samples}")
@@ -287,15 +285,12 @@ class CartesianGibbs:
                 f"(n_chains, {self.dimension})"
             )
         n_chains = states.shape[0]
-        if chain_rngs is not None:
-            if len(chain_rngs) != n_chains:
-                raise ValueError(
-                    f"chain_rngs has {len(chain_rngs)} generators for "
-                    f"{n_chains} chains"
-                )
-            draw_rng = [ensure_rng(r) for r in chain_rngs]
-        else:
-            draw_rng = ensure_rng(rng)
+        if len(chain_rngs) != n_chains:
+            raise ValueError(
+                f"chain_rngs has {len(chain_rngs)} generators for "
+                f"{n_chains} chains"
+            )
+        draw_rng = [ensure_rng(r) for r in chain_rngs]
         per_chain = np.zeros(n_chains, dtype=int)
         samples = np.empty((n_chains, n_samples, self.dimension))
         widths = np.empty((n_chains, n_samples))

@@ -11,7 +11,7 @@ are all "base law restricted to the failure slice", so one draw is
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -68,7 +68,7 @@ def sample_conditional_batch(
     base,
     lo: float,
     hi: float,
-    rng: SeedLike = None,
+    rng: Sequence[SeedLike],
     bisect_iters: int = 5,
     ladder_width: int = 1,
 ) -> Tuple[np.ndarray, BatchedFailureIntervals]:
@@ -79,32 +79,26 @@ def sample_conditional_batch(
     simulator call per step (see
     :func:`~repro.gibbs.bounds.batched_failure_interval`), and the
     inverse-transform draw is one truncated-CDF evaluation across all
-    chains.  Per-chain degenerate guards mirror the scalar path exactly —
-    a chain whose verified interval collapsed, or whose interval carries no
-    probability mass at CDF resolution, keeps its current value *and
-    consumes no random draw*, so a single-chain lockstep run is bit-for-bit
-    identical to the sequential sampler under the same rng.
+    chains.
 
-    ``rng`` may also be a *sequence* of generators, one per chain.  Each
-    chain's inverse-transform uniform then comes from its own stream (and
-    a chain that draws nothing consumes nothing from it), which decouples
-    the chains completely: a chain's trajectory becomes a function of its
-    own stream and starting point only, independent of how many chains
-    share the lockstep batch.  This is the mode the process-parallel
-    first-stage fan-out relies on — any grouping of chains into lockstep
-    calls reproduces the same per-chain trajectories bit for bit.
+    ``rng`` is a sequence of generators, one per chain.  Each chain's
+    inverse-transform uniform comes from its own stream, and per-chain
+    degenerate guards mirror the scalar path exactly — a chain whose
+    verified interval collapsed, or whose interval carries no probability
+    mass at CDF resolution, keeps its current value *and consumes no
+    random draw*.  A chain's trajectory is therefore a function of its own
+    stream and starting point only, independent of how many chains share
+    the lockstep batch, and a single-chain batch is bit-for-bit identical
+    to the sequential sampler under the same generator.  The first-stage
+    chain groups rely on this: any grouping of chains into lockstep calls
+    reproduces the same per-chain trajectories bit for bit.
     """
     current = np.asarray(current, dtype=float).reshape(-1)
-    per_chain_rngs = None
-    if isinstance(rng, (list, tuple)):
-        if len(rng) != current.size:
-            raise ValueError(
-                f"got {len(rng)} per-chain generators for {current.size} "
-                "chains"
-            )
-        per_chain_rngs = [ensure_rng(r) for r in rng]
-    else:
-        rng = ensure_rng(rng)
+    if len(rng) != current.size:
+        raise ValueError(
+            f"got {len(rng)} per-chain generators for {current.size} chains"
+        )
+    per_chain_rngs = [ensure_rng(r) for r in rng]
     intervals = batched_failure_interval(
         fails, current, lo, hi, bisect_iters, ladder_width=ladder_width
     )
@@ -121,15 +115,12 @@ def sample_conditional_batch(
         positive = mass > 0.0
         if positive.any():
             draw_idx = np.flatnonzero(valid)[positive]
-            if per_chain_rngs is None:
-                u = rng.uniform(cdf_lo[positive], cdf_hi[positive])
-            else:
-                u = np.array([
-                    per_chain_rngs[c].uniform(a, b)
-                    for c, a, b in zip(
-                        draw_idx, cdf_lo[positive], cdf_hi[positive]
-                    )
-                ])
+            u = np.array([
+                per_chain_rngs[c].uniform(a, b)
+                for c, a, b in zip(
+                    draw_idx, cdf_lo[positive], cdf_hi[positive]
+                )
+            ])
             draw = np.asarray(base.ppf(u), dtype=float)
             new_values[draw_idx] = np.clip(
                 draw, lower[draw_idx], upper[draw_idx]

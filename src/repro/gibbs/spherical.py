@@ -16,7 +16,7 @@ coordinates (Algorithm 5 step 3).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -282,9 +282,8 @@ class SphericalGibbs:
         r0: np.ndarray,
         alpha0: np.ndarray,
         n_samples: int,
-        rng: SeedLike = None,
+        chain_rngs: Sequence[SeedLike],
         verify_start: bool = True,
-        chain_rngs: Optional[list] = None,
     ) -> MultiChainGibbs:
         """Advance ``C`` spherical chains synchronously (lockstep G-S).
 
@@ -292,15 +291,14 @@ class SphericalGibbs:
         points are promoted to one chain).  All chains move through the
         same coordinate schedule — radius, then each orientation component
         — so every bisection step batches into one metric call across
-        chains, exactly as in :meth:`CartesianGibbs.run_lockstep`.  With
-        ``C = 1`` the chain is bit-for-bit identical to :meth:`run` under
-        the same seed.
+        chains, exactly as in :meth:`CartesianGibbs.run_lockstep`.
 
         ``chain_rngs`` assigns every chain its own generator (see
-        :meth:`CartesianGibbs.run_lockstep`): trajectories then no longer
-        depend on how chains are grouped into lockstep calls, which is what
-        lets the first-stage fan-out split chains across processes without
-        changing any number.
+        :meth:`CartesianGibbs.run_lockstep`): trajectories do not depend
+        on how chains are grouped into lockstep calls, which is what lets
+        the first stage split chains across processes without changing
+        any number.  With ``C = 1`` and ``chain_rngs=[rng]`` the chain is
+        bit-for-bit identical to :meth:`run` under the same ``rng``.
         """
         if n_samples < 1:
             raise ValueError(f"n_samples must be positive, got {n_samples}")
@@ -311,15 +309,12 @@ class SphericalGibbs:
                 f"(n_chains, {self.dimension})"
             )
         n_chains = alpha.shape[0]
-        if chain_rngs is not None:
-            if len(chain_rngs) != n_chains:
-                raise ValueError(
-                    f"chain_rngs has {len(chain_rngs)} generators for "
-                    f"{n_chains} chains"
-                )
-            draw_rng = [ensure_rng(r) for r in chain_rngs]
-        else:
-            draw_rng = ensure_rng(rng)
+        if len(chain_rngs) != n_chains:
+            raise ValueError(
+                f"chain_rngs has {len(chain_rngs)} generators for "
+                f"{n_chains} chains"
+            )
+        draw_rng = [ensure_rng(r) for r in chain_rngs]
         r = np.asarray(r0, dtype=float).reshape(-1)
         if r.size not in (1, n_chains):
             raise ValueError(

@@ -18,33 +18,29 @@ paper defers to future work (Section IV-C).
 With ``n_chains > 1`` the first stage runs the **lockstep multi-chain
 engine**: ``C`` chains start from jittered copies of the Algorithm-4
 minimum-norm point, advance synchronously (each bisection step issues one
-batched metric call across all chains), and all chains' Cartesian samples
-are pooled for the ``g_nor`` fit.  Cross-chain mixing diagnostics
-(split Gelman-Rubin ``R-hat``, pooled ESS) land in
-``extras["chain_diagnostics"]``.  ``n_chains=1`` takes exactly the
-sequential code path, so single-chain results are seed-stable across the
-two engines.
+batched metric call across the chains of a group), and all chains'
+Cartesian samples are pooled for the ``g_nor`` fit.  Cross-chain mixing
+diagnostics (split Gelman-Rubin ``R-hat``, pooled ESS) land in
+``extras["chain_diagnostics"]``.  ``n_chains=1`` runs the sequential
+sampler.
 
-With ``n_workers`` set as well, the first stage additionally **fans chain
-groups out over a worker pool** (see :func:`run_first_stage`): every chain
-owns the spawn-indexed child stream at its global chain index, so the
-merged chain is bit-identical for any group size, worker count and
-backend — the grouping is purely a performance knob, optionally sized by
-a metric-throughput probe (``chain_group_size="adaptive"``).
+The chain groups run on an executor (see :func:`run_first_stage`) —
+inline by default, or fanned out over ``n_workers`` processes: every
+chain owns the spawn-indexed child stream at its global chain index, so
+the merged chain is bit-identical for any group size, worker count and
+backend.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from repro.gibbs.cartesian import CartesianGibbs, MultiChainGibbs
-from repro.gibbs.coordinates import initial_spherical_coordinates
 from repro.gibbs.spherical import SphericalGibbs
 from repro.gibbs.starting_point import StartingPoint, find_starting_point
 from repro.mc.counter import CountedMetric
@@ -52,11 +48,6 @@ from repro.mc.diagnostics import diagnose_chains
 from repro.mc.importance import importance_sampling_estimate
 from repro.mc.indicator import FailureSpec
 from repro.mc.results import SCHEMA_VERSION, EstimationResult
-from repro.parallel.adaptive import (
-    adaptive_group_size,
-    adaptive_shard_size,
-    probe_metric_cost,
-)
 from repro.parallel.executor import ParallelExecutor, resolve_executor
 from repro.parallel.ledger import metric_fingerprint, open_ledger, seed_key
 from repro.parallel.sharding import merge_chain_shards, plan_shards
@@ -175,11 +166,17 @@ def _spread_starting_points(
     """Verified failure-region starting points for ``n_chains`` chains.
 
     Chain 0 keeps the Algorithm-4 minimum-norm point; the others are
-    jittered copies — pushed slightly outward along their own ray and
-    perturbed isotropically — each *verified to fail* before use (batched,
-    one simulation per candidate, charged to the first stage like any other
-    exploration cost).  Candidates that pass are retried with the jitter
-    halved, pulling them back toward the verified point.  If the attempt
+    jittered copies — pushed slightly outward along the start's ray and
+    perturbed within the start's tangent plane (the noise has no component
+    along ``start.x``) — each *verified to fail* before use (batched, one
+    simulation per candidate, charged to the first stage like any other
+    exploration cost).  Every candidate therefore lies beyond the
+    hyperplane through the start perpendicular to ``start.x``, so it fails
+    whenever the pass region is convex near a minimum-norm start (a
+    half-space, a sphere tail); a radial noise component would pull a
+    fixed share of candidates back across a flat boundary at every jitter
+    scale.  Candidates that pass are retried with the jitter halved,
+    pulling them back toward the verified point.  If the attempt
     budget (4 halving rounds) runs out with chains still unplaced, that is
     a strong sign the failure region is a sliver the jitter keeps missing:
     rather than silently reusing the same start for several chains — which
@@ -193,7 +190,9 @@ def _spread_starting_points(
     if need == 0 or jitter <= 0.0:
         return points
     dimension = start.x.size
-    radius = max(float(np.linalg.norm(start.x)), 1.0)
+    norm = float(np.linalg.norm(start.x))
+    radius = max(norm, 1.0)
+    normal = start.x / norm if norm > 0.0 else np.zeros(dimension)
     pending = np.arange(1, n_chains)
     scale = float(jitter)
     for _ in range(4):
@@ -201,6 +200,7 @@ def _spread_starting_points(
             break
         outward = 1.0 + scale * rng.random((pending.size, 1))
         noise = scale * radius * rng.standard_normal((pending.size, dimension))
+        noise -= np.outer(noise @ normal, normal)
         candidates = np.clip(start.x * outward + noise, -zeta, zeta)
         failing = np.asarray(spec.indicator(metric(candidates)), dtype=bool)
         points[pending[failing]] = candidates[failing]
@@ -245,12 +245,11 @@ def run_first_stage(
     draws are RNG-free — so the merged chain is bit-identical for **any**
     group size, worker count and backend, and equals one direct
     ``run_lockstep(chain_rngs=...)`` call over all chains.  Group size is
-    therefore a pure performance knob (see
-    :func:`repro.parallel.adaptive.adaptive_group_size`).
+    therefore a pure performance knob.
 
     ``starts`` must already be verified failure points (see
-    ``_spread_starting_points``); workers skip re-verification so the
-    fan-out costs exactly the same simulations as the single-process path.
+    ``_spread_starting_points``); workers skip re-verification, so the
+    chains cost the same simulations whatever the grouping.
     Sample tensors travel back via shared memory when the executor crosses
     process boundaries and the payload is large enough
     (:func:`repro.parallel.transport.should_use_shm`).
@@ -352,7 +351,7 @@ def _build_first_stage(
     spec: FailureSpec,
     dimension: int,
     rng: np.random.Generator,
-    pool: Optional[ParallelExecutor],
+    pool: ParallelExecutor,
     coordinate_system: str,
     n_gibbs: int,
     n_chains: int,
@@ -367,7 +366,6 @@ def _build_first_stage(
     proposal_fit: str,
     mixture_components: int,
     chain_group_size: Optional[int],
-    stage1_start: int,
     checkpoint_dir=None,
     resume: bool = True,
 ) -> FirstStageArtifact:
@@ -376,11 +374,9 @@ def _build_first_stage(
     This is the one implementation of Algorithm 5 steps 1-4, shared by the
     full flow and the standalone :func:`fit_first_stage` extraction path,
     so the two consume the ``rng`` stream identically draw for draw.
-    ``stage1_start`` is the caller's pre-stage checkpoint of ``counted``
-    (taken before any adaptive probe, so probe simulations are charged to
-    the first stage exactly as before).
     """
     t0 = time.perf_counter()
+    stage1_start = counted.checkpoint()
     engine = _progress.get_active()
     if engine is not None:
         engine.stage_begin("first_stage")
@@ -420,42 +416,15 @@ def _build_first_stage(
             starts_x = _spread_starting_points(
                 counted, spec, start, n_chains, rng, zeta, chain_jitter
             )
-            if pool is not None:
-                chain = run_first_stage(
-                    counted, spec, starts_x, n_gibbs, pool,
-                    coordinate_system=coordinate_system,
-                    seed=rng,
-                    chain_group_size=chain_group_size,
-                    zeta=zeta, bisect_iters=bisect_iters, epsilon=epsilon,
-                    ladder_width=ladder_width,
-                    checkpoint_dir=checkpoint_dir, resume=resume,
-                )
-            elif coordinate_system == "cartesian":
-                sampler = CartesianGibbs(
-                    counted, spec, dimension, zeta=zeta,
-                    bisect_iters=bisect_iters,
-                    ladder_width=ladder_width,
-                )
-                chain = sampler.run_lockstep(
-                    starts_x, n_gibbs, rng, verify_start=False
-                )
-            else:
-                sampler = SphericalGibbs(
-                    counted, spec, dimension, zeta=zeta,
-                    bisect_iters=bisect_iters,
-                    ladder_width=ladder_width,
-                )
-                spherical = [
-                    initial_spherical_coordinates(point, epsilon)
-                    for point in starts_x
-                ]
-                chain = sampler.run_lockstep(
-                    np.array([r for r, _ in spherical]),
-                    np.vstack([alpha for _, alpha in spherical]),
-                    n_gibbs,
-                    rng,
-                    verify_start=False,
-                )
+            chain = run_first_stage(
+                counted, spec, starts_x, n_gibbs, pool,
+                coordinate_system=coordinate_system,
+                seed=rng,
+                chain_group_size=chain_group_size,
+                zeta=zeta, bisect_iters=bisect_iters, epsilon=epsilon,
+                ladder_width=ladder_width,
+                checkpoint_dir=checkpoint_dir, resume=resume,
+            )
 
         fit_samples = (
             chain.samples if n_chains == 1 else chain.pooled_samples
@@ -524,8 +493,8 @@ def gibbs_importance_sampling(
     store_samples: bool = False,
     n_workers: Optional[int] = None,
     backend: str = "process",
-    chain_group_size: Union[None, int, str] = None,
-    shard_size: Union[int, str] = 8192,
+    chain_group_size: Optional[int] = None,
+    shard_size: int = 8192,
     first_stage: Optional[FirstStageArtifact] = None,
     executor: Optional[ParallelExecutor] = None,
     checkpoint_dir=None,
@@ -573,28 +542,22 @@ def gibbs_importance_sampling(
         Keep second-stage samples and pass/fail labels in ``extras`` for
         the scatter-plot reproductions.
     n_workers:
-        Parallelise *both* stages across cores.  The second stage shards
-        into ``shard_size``-sample slices (see
+        How many shards of *both* stages run at once on ``backend``;
+        ``None`` (default) runs them inline.  The second stage is always
+        the grid of ``shard_size``-sample shards (see
         :func:`repro.mc.importance.importance_sampling_estimate`); with
-        ``n_chains > 1`` the first stage fans chain groups out over the
-        same worker pool (see :func:`run_first_stage`), each chain on its
-        own spawn-indexed stream so the merged chain is bit-identical for
+        ``n_chains > 1`` the first stage runs chain groups (see
+        :func:`run_first_stage`), each chain on its own spawn-indexed
+        stream, so the merged chain and the estimate are bit-identical for
         every worker count, backend and group size.  A single persistent
-        pool serves both stages.  Note the parallel first stage draws
-        per-chain streams rather than the legacy shared-generator lockstep
-        draws, so its numbers differ from ``n_workers=None`` multi-chain
-        runs (each path is internally seed-stable).
+        pool serves both stages.
     chain_group_size:
-        Chains per first-stage worker task.  ``None`` splits the chains
-        evenly over the workers; an integer pins the group size;
-        ``"adaptive"`` sizes groups from a metric-throughput probe
-        (:func:`repro.parallel.adaptive.adaptive_group_size`).  Pure
+        Chains per first-stage task.  ``None`` splits the chains evenly
+        over the workers; an integer pins the group size.  Pure
         performance knob — results never depend on it.
     shard_size:
-        Second-stage samples per shard, or ``"adaptive"`` to size shards
-        from the same probe.  Unlike the chain grouping, this value *does*
-        select which stream draws which sample, so an adaptive choice is
-        recorded in ``extras["adaptive_sharding"]`` for bit-exact replays.
+        Second-stage samples per shard.  Unlike the chain grouping, this
+        value *does* select which stream draws which sample.
     first_stage:
         Inject a prebuilt :class:`FirstStageArtifact` (from
         :func:`fit_first_stage` or a previous run's extraction) instead of
@@ -607,12 +570,11 @@ def gibbs_importance_sampling(
         Prebuilt :class:`~repro.parallel.ParallelExecutor` (e.g. the yield
         service's persistent pool); overrides ``n_workers``/``backend``.
     checkpoint_dir:
-        Persist the sharded stages' completed shards to append-only
-        ledgers in this directory (``repro-ledger-v1``): the first-stage
-        chain groups (parallel multi-chain path) and the second-stage
-        weight shards each get their own keyed ledger, so a killed run
-        resumes bit-identically, paying only for missing shards.  Only
-        effective on the sharded paths (``n_workers``/``executor`` set).
+        Persist completed shards to append-only ledgers in this directory
+        (``repro-ledger-v1``): the first-stage chain groups (multi-chain
+        runs) and the second-stage weight shards each get their own keyed
+        ledger, so a killed run resumes bit-identically, paying only for
+        missing shards.
     resume:
         With ``checkpoint_dir``: replay matching ledgers (default);
         ``False`` truncates them and reruns everything.
@@ -621,8 +583,7 @@ def gibbs_importance_sampling(
     -------
     :class:`~repro.mc.results.EstimationResult` with method label "G-C" or
     "G-S"; ``extras`` carries the chain, the starting point and the fitted
-    proposal, plus ``adaptive_sharding`` (probe costs and the chosen grid)
-    when adaptive sizing ran.
+    proposal.
     """
     if coordinate_system not in LABELS:
         raise ValueError(
@@ -639,51 +600,21 @@ def gibbs_importance_sampling(
     )
     dimension = counted.dimension
     pool = resolve_executor(executor, n_workers, backend)
-
-    adaptive_requested = "adaptive" in (chain_group_size, shard_size)
-    if adaptive_requested and pool is None:
-        raise ValueError(
-            "adaptive shard/group sizing tunes the parallel fan-out; "
-            "pass n_workers to enable it (the serial path has no shards)"
-        )
-    stage1_start = counted.checkpoint()
-
-    adaptive_record = None
-    if adaptive_requested:
-        # The probe's own draws come from a fixed child stream, so it never
-        # perturbs the flow's generator; its simulations are real and are
-        # charged to the first stage through ``counted``.
-        probe = probe_metric_cost(counted, dimension)
-        adaptive_record = {"probe": probe.as_extras()}
-        if chain_group_size == "adaptive":
-            chain_group_size = adaptive_group_size(
-                n_chains, probe, n_workers=pool.n_workers, n_gibbs=n_gibbs
-            )
-            adaptive_record["chain_group_size"] = int(chain_group_size)
-        if shard_size == "adaptive":
-            shard_size = adaptive_shard_size(
-                n_second_stage, probe, n_workers=pool.n_workers
-            )
-            adaptive_record["shard_size"] = int(shard_size)
-
     if qmc_second_stage and proposal_fit != "normal":
         raise ValueError(
             "qmc_second_stage is only supported with proposal_fit='normal'"
         )
 
-    # One persistent pool serves starting-point-free first-stage fan-out
-    # and the sharded second stage; inline/serial executors make this a
-    # no-op (see ParallelExecutor.__enter__).
-    with pool if pool is not None else contextlib.nullcontext():
+    # One persistent pool serves the first-stage chain groups and the
+    # second-stage shards; inline executors make this a no-op (see
+    # ParallelExecutor.__enter__).
+    with pool:
         if first_stage is not None:
             proposal = first_stage.proposal
             extras = dict(first_stage.extras)
             extras["starting_point"] = first_stage.starting_point
             extras["first_stage_reused"] = True
-            # Nothing ran: the only simulations since the checkpoint are
-            # an adaptive probe's, if one was requested — charge those
-            # honestly; a plain reuse reports exactly zero.
-            n_first_stage = counted.checkpoint() - stage1_start
+            n_first_stage = 0
         else:
             artifact = _build_first_stage(
                 counted, spec, dimension, rng, pool,
@@ -696,7 +627,6 @@ def gibbs_importance_sampling(
                 proposal_fit=proposal_fit,
                 mixture_components=mixture_components,
                 chain_group_size=chain_group_size,
-                stage1_start=stage1_start,
                 checkpoint_dir=checkpoint_dir, resume=resume,
             )
             proposal = artifact.proposal
@@ -706,8 +636,6 @@ def gibbs_importance_sampling(
             proposal = QMCNormal(
                 proposal, seed=int(rng.integers(0, 2**31 - 1))
             )
-        if adaptive_record is not None:
-            extras["adaptive_sharding"] = adaptive_record
         return importance_sampling_estimate(
             counted,
             spec,
@@ -719,8 +647,8 @@ def gibbs_importance_sampling(
             store_samples=store_samples,
             extras=extras,
             executor=pool,
-            shard_size=int(shard_size),
-            checkpoint_dir=checkpoint_dir if pool is not None else None,
+            shard_size=shard_size,
+            checkpoint_dir=checkpoint_dir,
             resume=resume,
         )
 
@@ -777,8 +705,7 @@ def fit_first_stage(
     )
     dimension = counted.dimension
     pool = resolve_executor(executor, n_workers, backend)
-    stage1_start = counted.checkpoint()
-    with pool if pool is not None else contextlib.nullcontext():
+    with pool:
         return _build_first_stage(
             counted, spec, dimension, rng, pool,
             coordinate_system=coordinate_system,
@@ -790,6 +717,5 @@ def fit_first_stage(
             proposal_fit=proposal_fit,
             mixture_components=mixture_components,
             chain_group_size=chain_group_size,
-            stage1_start=stage1_start,
             checkpoint_dir=checkpoint_dir, resume=resume,
         )

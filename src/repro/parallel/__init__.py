@@ -17,7 +17,9 @@ reproducible:
 * :func:`plan_shards` / :func:`spawn_seed_sequences` — a worker-count-free
   shard grid where every shard owns the child stream at its spawn index,
   so results depend on the seed and the shard grid, never on the backend
-  or the number of workers;
+  or the number of workers.  It is the only sampling path: with
+  ``n_workers=None`` the grid runs inline (``n_workers=1``), and
+  ``n_workers`` only sets how many shards run at once;
 * spawn-safe shard workers plus merge helpers that reconstruct what a
   serial pass would have produced (failure counts, checkpoint-aligned
   convergence traces, simulation-count folding into the parent
@@ -28,12 +30,6 @@ contract and the wiring into ``brute_force_monte_carlo``,
 ``importance_sampling_estimate`` and the experiment panels.
 """
 
-from repro.parallel.adaptive import (
-    ProbeReport,
-    adaptive_group_size,
-    adaptive_shard_size,
-    probe_metric_cost,
-)
 from repro.parallel.executor import (
     BACKENDS,
     ParallelExecutor,
@@ -130,8 +126,4 @@ __all__ = [
     "RemoteCoordinator",
     "RemoteTaskError",
     "run_worker",
-    "ProbeReport",
-    "probe_metric_cost",
-    "adaptive_shard_size",
-    "adaptive_group_size",
 ]

@@ -43,7 +43,7 @@ BACKENDS = ("serial", "thread", "process", "remote")
 
 
 def default_workers() -> int:
-    """Worker count used when the caller passes ``n_workers=None``.
+    """Worker count of a :class:`ParallelExecutor` given ``n_workers=None``.
 
     Respects CPU affinity masks (containers, ``taskset``) where the
     platform exposes them, falling back to the raw core count.
@@ -349,15 +349,17 @@ def resolve_executor(
     executor: Optional[ParallelExecutor],
     n_workers: Optional[int],
     backend: str = "process",
-) -> Optional[ParallelExecutor]:
+) -> ParallelExecutor:
     """Shared argument plumbing for ``(executor, n_workers, backend)`` knobs.
 
     Entry points accept either a prebuilt executor or the plain
-    ``n_workers``/``backend`` pair; ``None`` for both means "serial legacy
-    path" and returns ``None`` so the caller can keep its unsharded code.
+    ``n_workers``/``backend`` pair.  ``None`` for both means the inline
+    executor (``n_workers=1``): every sampling stage runs the same shard
+    grid whatever executes it, and ``n_workers`` only sets how many shards
+    run at once.
     """
     if executor is not None:
         return executor
-    if n_workers is None:
-        return None
-    return ParallelExecutor(n_workers=n_workers, backend=backend)
+    return ParallelExecutor(
+        n_workers=1 if n_workers is None else n_workers, backend=backend
+    )

@@ -15,8 +15,8 @@ The transport degrades automatically:
 
 * ``serial`` / ``thread`` backends share the caller's address space, so
   arrays are returned directly (nothing to transport);
-* payloads below :func:`shm_min_bytes` stay on the pickle path — for a
-  few hundred kilobytes the pipe is cheaper than two shm round-trip
+* payloads below :data:`DEFAULT_SHM_MIN_BYTES` stay on the pickle path —
+  for a few hundred kilobytes the pipe is cheaper than two shm round-trip
   copies plus the kernel object;
 * platforms without ``multiprocessing.shared_memory`` (``SHM_AVAILABLE``
   is False) always use the pickle path.
@@ -31,7 +31,6 @@ tracker process in the loop.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -48,17 +47,8 @@ except ImportError:  # pragma: no cover - python built without _posixshmem
     resource_tracker = None
     SHM_AVAILABLE = False
 
-#: Default payload floor (bytes) below which pickling wins; override with
-#: the ``REPRO_SHM_MIN_BYTES`` environment variable.
+#: Payload floor (bytes) below which pickling wins.
 DEFAULT_SHM_MIN_BYTES = 1 << 20
-
-
-def shm_min_bytes() -> int:
-    """The configured minimum payload size for the shared-memory path."""
-    try:
-        return int(os.environ.get("REPRO_SHM_MIN_BYTES", DEFAULT_SHM_MIN_BYTES))
-    except ValueError:
-        return DEFAULT_SHM_MIN_BYTES
 
 
 @dataclass(frozen=True)
@@ -90,14 +80,15 @@ def should_use_shm(
     executor crosses a process boundary *on this machine* (serial/thread
     workers share the caller's memory already; remote workers may live on
     hosts where a block name means nothing), and the payload is big enough
-    for the block setup to pay for itself.
+    for the block setup to pay for itself (``threshold``, default
+    :data:`DEFAULT_SHM_MIN_BYTES`).
     """
-    if not SHM_AVAILABLE or executor is None:
+    if not SHM_AVAILABLE:
         return False
     if not getattr(executor, "supports_shm", executor.cross_process):
         return False
     if threshold is None:
-        threshold = shm_min_bytes()
+        threshold = DEFAULT_SHM_MIN_BYTES
     return int(nbytes) >= int(threshold)
 
 

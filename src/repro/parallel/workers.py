@@ -204,8 +204,7 @@ def run_gibbs_shard(task: GibbsShardTask) -> GibbsShardResult:
     Starting points are *not* re-verified here: the parent verified (or
     deliberately duplicated) them in ``_spread_starting_points`` before
     planning the shards, and re-simulating them per group would charge the
-    flow ``n_chains`` extra simulations that the single-process path does
-    not pay.
+    flow ``n_chains`` extra simulations.
     """
     # Local imports: repro.gibbs packages import the parallel layer through
     # repro.mc.importance, so the samplers must resolve lazily here.
@@ -338,8 +337,8 @@ def run_is_shard(task: ISShardTask) -> ISShardResult:
     thread sharing the caller's object — draws its own disjoint slice of
     the one underlying sequence.
     """
-    # Local import: repro.mc.importance itself imports the parallel layer
-    # for its sharded path, so the weight helper is resolved lazily here.
+    # Local import: repro.mc.importance itself imports the parallel layer,
+    # so the weight helper is resolved lazily here.
     from repro.mc.importance import importance_weights
 
     shard = task.shard
@@ -482,7 +481,7 @@ def fold_external_counts(metric, executor, shard_results) -> None:
     results.  Calling this after every sharded run keeps first/second-stage
     accounting exact on all backends.
     """
-    if executor is None or not executor.cross_process:
+    if not executor.cross_process:
         return
     # Worker recorder snapshots come home on the same boat as the counts
     # and fold into the parent's active recorder here — before the

@@ -22,7 +22,7 @@ run-wide instrument:
   ``trace_event`` file (:func:`write_chrome_trace`) plus the run
   :func:`manifest <build_manifest>`;
 * the shared injectable **clock** (:mod:`repro.telemetry.clock`) that
-  spans and the adaptive-sizing probe both read;
+  spans and the exporters read;
 * the structured CLI **logger** (:mod:`repro.telemetry.logs`) keeping
   stdout machine-parseable.
 

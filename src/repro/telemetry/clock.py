@@ -1,9 +1,8 @@
 """The one monotonic time source behind every telemetry measurement.
 
-Span durations, the adaptive-sizing probe (:func:`repro.parallel.adaptive.
-probe_metric_cost`) and the trace exporters all read the same clock, so a
+Span durations and the trace exporters all read the same clock, so a
 test that installs a fake timer sees *consistent* fake time everywhere —
-probe reports, span durations and trace timestamps move together.
+span durations and trace timestamps move together.
 
 The default is :func:`time.perf_counter`: on every platform we target it
 is a system-wide monotonic clock, so timestamps taken in worker processes

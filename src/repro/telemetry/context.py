@@ -116,11 +116,7 @@ def ship_to_workers(executor) -> bool:
     caller's recorder (its mutations are lock-guarded), so shipping there
     would double-count every event.
     """
-    return (
-        _active is not None
-        and executor is not None
-        and executor.cross_process
-    )
+    return _active is not None and executor.cross_process
 
 
 class ShardTelemetry:

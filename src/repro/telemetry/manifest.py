@@ -1,9 +1,8 @@
 """Run manifest: everything needed to interpret (and re-run) a trace.
 
 A trace without its context is noise: the manifest records the problem,
-the seed, the worker grid, the adaptive-probe record when one ran, and
-the package/python versions, so a trace artifact pulled out of CI three
-months later still says what produced it.  Wall-clock timestamps are
+the seed, the worker grid and the package/python versions, so a trace
+artifact pulled out of CI three months later still says what produced it.  Wall-clock timestamps are
 included deliberately — the manifest, like all telemetry, sits outside
 the determinism contract (compare results, never manifests).
 """
@@ -24,7 +23,6 @@ def build_manifest(
     n_workers: Optional[int] = None,
     backend: Optional[str] = None,
     argv: Optional[Sequence[str]] = None,
-    adaptive: Optional[dict] = None,
     extra: Optional[dict] = None,
 ) -> dict:
     """Assemble the JSON-friendly run manifest.
@@ -34,14 +32,10 @@ def build_manifest(
     command / problem / method / seed:
         What ran: CLI subcommand, problem key, method label(s), seed.
     n_workers / backend:
-        The worker grid the parallel layer fanned out over (``None``
-        means the serial legacy path).
+        How many shards ran at once, and on which backend (``None``
+        workers: one at a time, inline).  Results never depend on them.
     argv:
         The invocation's argument vector, verbatim.
-    adaptive:
-        The ``extras["adaptive_sharding"]`` record (probe numbers and
-        the chosen grid) when adaptive sizing ran — the piece a bit-exact
-        replay needs.
     extra:
         Free-form additions merged in last.
     """
@@ -56,7 +50,6 @@ def build_manifest(
         "seed": seed,
         "workers": {"n_workers": n_workers, "backend": backend},
         "argv": list(argv) if argv is not None else None,
-        "adaptive_sharding": adaptive,
         "versions": {
             "repro": repro.__version__,
             "python": sys.version.split()[0],

@@ -84,16 +84,25 @@ class TestCheckAgreement:
 
 class TestEndToEndDiagnostic:
     def test_flags_gc_on_arc_problem(self):
-        """Full pipeline: on the arc region G-C's biased estimate must be
-        flagged against G-S, and G-S recommended."""
+        """Full pipeline: on the arc region G-C's biased estimate is
+        flagged against G-S, and every flag recommends G-S.
+
+        G-C's weights are heavy-tailed here, so one seed's verdict is a
+        coin flip: over seeds 0-11 the check flags 4-5 (9-10 of 20), so
+        the test asserts that rate and the direction of every flag.
+        """
         from repro.analysis.experiments import compare_methods
         from repro.synthetic import AnnularArcMetric
 
         prob = AnnularArcMetric(4.5, 0.6, 0.9).problem()
-        results = compare_methods(
-            prob, methods=("G-C", "G-S"), seed=4,
-            n_second_stage=6000, n_gibbs=300,
-        )
-        report = check_agreement(results)
-        assert not report.consistent
-        assert report.recommended == "G-S"
+        flagged = []
+        for seed in range(12):
+            results = compare_methods(
+                prob, methods=("G-C", "G-S"), seed=seed,
+                n_second_stage=6000, n_gibbs=300,
+            )
+            report = check_agreement(results)
+            if not report.consistent:
+                flagged.append(report.recommended)
+        assert len(flagged) >= 3
+        assert set(flagged) == {"G-S"}

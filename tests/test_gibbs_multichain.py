@@ -105,13 +105,20 @@ class TestBatchedSearchParity:
 # 2. Single-chain lockstep == sequential, bit for bit
 # --------------------------------------------------------------------------
 
+def _rngs(seed, n_chains):
+    """One generator per chain."""
+    return [np.random.default_rng(seed + c) for c in range(n_chains)]
+
+
 class TestSingleChainBitEquality:
     def test_cartesian(self):
         metric = LinearMetric(np.array([1.0, 0.0]), 3.0)
         x0 = np.array([3.5, 0.0])
         sampler = CartesianGibbs(metric, SPEC)
         seq = sampler.run(x0, 40, np.random.default_rng(7))
-        lock = sampler.run_lockstep(x0, 40, np.random.default_rng(7))
+        lock = sampler.run_lockstep(
+            x0, 40, chain_rngs=[np.random.default_rng(7)]
+        )
         assert lock.n_chains == 1
         assert np.array_equal(seq.samples, lock.samples[0])
         assert seq.n_simulations == lock.n_simulations
@@ -124,7 +131,9 @@ class TestSingleChainBitEquality:
         r0, a0 = initial_spherical_coordinates(np.array([3.5, 0.0]))
         sampler = SphericalGibbs(metric, SPEC)
         seq = sampler.run(r0, a0, 40, np.random.default_rng(11))
-        lock = sampler.run_lockstep(r0, a0, 40, np.random.default_rng(11))
+        lock = sampler.run_lockstep(
+            r0, a0, 40, chain_rngs=[np.random.default_rng(11)]
+        )
         assert np.array_equal(seq.samples, lock.samples[0])
         assert seq.n_simulations == lock.n_simulations
 
@@ -135,7 +144,9 @@ class TestSingleChainBitEquality:
         x0 = np.array([1.0, 1.0])
         sampler = CartesianGibbs(metric, SPEC)
         seq = sampler.run(x0, 30, np.random.default_rng(5))
-        lock = sampler.run_lockstep(x0, 30, np.random.default_rng(5))
+        lock = sampler.run_lockstep(
+            x0, 30, chain_rngs=[np.random.default_rng(5)]
+        )
         assert np.array_equal(seq.samples, lock.samples[0])
         assert seq.n_simulations == lock.n_simulations
 
@@ -171,7 +182,7 @@ class TestMultiChainAccounting:
         counted = CountedMetric(QuadrantMetric(np.zeros(2)), 2)
         sampler = CartesianGibbs(counted, SPEC)
         multi = sampler.run_lockstep(
-            starts, n_samples, np.random.default_rng(999)
+            starts, n_samples, chain_rngs=_rngs(999, 4)
         )
         assert counted.count == multi.n_simulations == scalar_total
         assert np.all(multi.per_chain_simulations == scalar_total // 4)
@@ -193,7 +204,7 @@ class TestMultiChainAccounting:
         metric = LinearMetric(np.array([1.0, 0.0]), 3.0)
         sampler = CartesianGibbs(metric, SPEC)
         starts = np.array([[3.5, 0.0], [3.2, 0.4], [3.8, -0.3]])
-        multi = sampler.run_lockstep(starts, 12, np.random.default_rng(2))
+        multi = sampler.run_lockstep(starts, 12, chain_rngs=_rngs(2, 3))
         assert isinstance(multi, MultiChainGibbs)
         assert multi.samples.shape == (3, 12, 2)
         assert multi.n_samples == 36
@@ -211,7 +222,7 @@ class TestMultiChainAccounting:
         sampler = CartesianGibbs(metric, SPEC)
         starts = np.array([[3.5, 0.0], [0.0, 0.0]])  # second start passes
         with pytest.raises(ValueError, match="not in the failure region"):
-            sampler.run_lockstep(starts, 5, np.random.default_rng(0))
+            sampler.run_lockstep(starts, 5, chain_rngs=_rngs(0, 2))
 
     def test_spherical_lockstep_rejects_bad_r0_size(self):
         metric = LinearMetric(np.array([1.0, 0.0]), 3.0)
@@ -220,7 +231,7 @@ class TestMultiChainAccounting:
         with pytest.raises(ValueError):
             sampler.run_lockstep(
                 np.array([3.5, 3.5, 3.5]), np.tile(a0, (2, 1)), 5,
-                np.random.default_rng(0),
+                chain_rngs=_rngs(0, 2),
             )
 
 

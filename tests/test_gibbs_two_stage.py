@@ -42,19 +42,28 @@ class TestEstimates:
     def test_spherical_wins_on_arc(self):
         """The Section V-B/Table II shape with a closed-form answer: G-S
         recovers the truth; G-C, trapped in one end of the arc,
-        underestimates."""
+        underestimates.
+
+        G-C's weights are heavy-tailed (a rare draw in the arc's far end
+        carries a huge weight), so its bias is asserted on the median of
+        seeds 0-11 (one seed lands below 0.75x exact only ~60% of the
+        time); every G-S seed must hold its 30% band.
+        """
         metric = AnnularArcMetric(radius=4.5, center_angle=0.6, half_width=0.9)
         exact = metric.exact_failure_probability
-        gs = gibbs_importance_sampling(
-            metric, SPEC, coordinate_system="spherical",
-            n_gibbs=300, n_second_stage=6000, rng=5,
-        )
-        gc = gibbs_importance_sampling(
-            metric, SPEC, coordinate_system="cartesian",
-            n_gibbs=300, n_second_stage=6000, rng=5,
-        )
-        assert gs.failure_probability == pytest.approx(exact, rel=0.3)
-        assert gc.failure_probability < 0.75 * exact
+        gc_ratios = []
+        for seed in range(12):
+            gs = gibbs_importance_sampling(
+                metric, SPEC, coordinate_system="spherical",
+                n_gibbs=300, n_second_stage=6000, rng=seed,
+            )
+            gc = gibbs_importance_sampling(
+                metric, SPEC, coordinate_system="cartesian",
+                n_gibbs=300, n_second_stage=6000, rng=seed,
+            )
+            assert gs.failure_probability == pytest.approx(exact, rel=0.3)
+            gc_ratios.append(gc.failure_probability / exact)
+        assert np.median(gc_ratios) < 0.75
 
 
 class TestFlowMechanics:

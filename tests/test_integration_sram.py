@@ -40,18 +40,27 @@ class TestReadCurrentFlow:
 
     def test_gc_underestimates_nonconvex_region(self, iread_problem):
         """The Table II signature, at reduced budget: G-C's trapped chain
-        must yield a notably smaller estimate than G-S."""
+        must yield a notably smaller estimate than G-S.
+
+        G-C is asserted on the median of seeds 22-24: its weights are
+        heavy-tailed, and one draw in the arm its chain missed can lift a
+        single seed's estimate (seed 22 reads 0.71x G-S at a 196% claimed
+        error; the other seeds of 16-27 read 0.12-0.35x).
+        """
         gs = gibbs_importance_sampling(
             iread_problem.metric, iread_problem.spec,
             coordinate_system="spherical",
             n_gibbs=200, n_second_stage=3000, rng=22,
         )
-        gc = gibbs_importance_sampling(
-            iread_problem.metric, iread_problem.spec,
-            coordinate_system="cartesian",
-            n_gibbs=200, n_second_stage=3000, rng=22,
-        )
-        assert gc.failure_probability < 0.7 * gs.failure_probability
+        gc = [
+            gibbs_importance_sampling(
+                iread_problem.metric, iread_problem.spec,
+                coordinate_system="cartesian",
+                n_gibbs=200, n_second_stage=3000, rng=seed,
+            ).failure_probability
+            for seed in (22, 23, 24)
+        ]
+        assert np.median(gc) < 0.7 * gs.failure_probability
 
     def test_mnis_runs(self, iread_problem):
         result = minimum_norm_importance_sampling(

@@ -74,8 +74,10 @@ class TestParallelExecutor:
         ex = ParallelExecutor(n_workers=3, backend="thread")
         assert resolve_executor(ex, 8, "process") is ex
 
-    def test_resolve_none_means_legacy(self):
-        assert resolve_executor(None, None) is None
+    def test_resolve_none_means_inline(self):
+        ex = resolve_executor(None, None, "process")
+        assert ex.n_workers == 1 and ex.backend == "process"
+        assert ex.runs_inline
 
     def test_resolve_builds_from_workers(self):
         ex = resolve_executor(None, 2, "thread")
@@ -292,7 +294,7 @@ class TestShardedQMCSecondStage:
     ])
     def test_sharded_qmc_matches_serial(self, problem, base, backend, n_workers):
         """Shards draw [offset, offset+count) of the one scrambled sequence,
-        so the sharded estimate equals the legacy serial QMC path bit-exactly
+        so a 4-shard estimate equals the default one-shard run bit-exactly
         — no duplicated Sobol points on any backend."""
         serial = importance_sampling_estimate(
             problem.metric, problem.spec, QMCNormal(base, seed=21), 2048,
@@ -308,7 +310,7 @@ class TestShardedQMCSecondStage:
 
     def test_sharded_run_advances_parent_sequence(self, problem, base):
         """After a sharded run the proposal has consumed its points, exactly
-        like the serial path — a follow-up draw must not replay them."""
+        like a one-shard run — a follow-up draw must not replay them."""
         serial_prop = QMCNormal(base, seed=22)
         importance_sampling_estimate(
             problem.metric, problem.spec, serial_prop, 1024, rng=3,

@@ -6,8 +6,7 @@ its global chain index and the bisection searches between draws are
 RNG-free, so the merged chain is bit-identical not only for every worker
 count and backend but for every chain-group size — grouping is purely a
 performance knob.  These tests pin that contract, the shared-memory shard
-transport, the adaptive sizing probe, the sharded blockade screening and
-the starting-point spread error.
+transport, the sharded blockade screening and the starting-point spread.
 """
 
 import pickle
@@ -27,12 +26,8 @@ from repro.mc.importance import importance_sampling_estimate
 from repro.mc.indicator import FailureSpec
 from repro.parallel import (
     ParallelExecutor,
-    ProbeReport,
-    adaptive_group_size,
-    adaptive_shard_size,
     merge_blockade_shards,
     merge_chain_shards,
-    probe_metric_cost,
     run_gibbs_shard,
     spawn_seed_sequences,
 )
@@ -256,119 +251,13 @@ class TestSharedMemoryTransport:
                 n_workers=2, backend="process", shard_size=128,
             )
 
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "1")
+        monkeypatch.setattr(transport, "DEFAULT_SHM_MIN_BYTES", 1)
         via_shm = run()
-        monkeypatch.delenv("REPRO_SHM_MIN_BYTES")
+        monkeypatch.undo()
         via_pickle = run()
         assert via_shm.failure_probability == via_pickle.failure_probability
         np.testing.assert_array_equal(
             via_shm.extras["samples"], via_pickle.extras["samples"]
-        )
-
-
-class _FakeClock:
-    """Deterministic timer: each call advances by a scripted step."""
-
-    def __init__(self, step):
-        self.step = step
-        self.now = 0.0
-        self.rows = 0
-
-    def __call__(self):
-        self.now += self.step
-        return self.now
-
-
-class TestAdaptiveSizing:
-    def test_probe_is_pure_given_a_fake_timer(self, problem):
-        metric = CountedMetric(problem.metric, problem.dimension)
-        reports = [
-            probe_metric_cost(metric, 2, timer=_FakeClock(0.001))
-            for _ in range(2)
-        ]
-        assert reports[0] == reports[1]
-        assert reports[0].n_probe_sims == (16 + 512) * 3
-        assert metric.count == 2 * reports[0].n_probe_sims
-
-    def test_probe_draws_are_seed_deterministic(self):
-        seen = []
-
-        def recording_metric(x):
-            seen.append(np.array(x))
-            return np.zeros(x.shape[0])
-
-        probe_metric_cost(recording_metric, 3, seed=9, repeats=1)
-        first = [s.copy() for s in seen]
-        seen.clear()
-        probe_metric_cost(recording_metric, 3, seed=9, repeats=1)
-        for a, b in zip(first, seen):
-            np.testing.assert_array_equal(a, b)
-
-    def test_probe_validates_arguments(self):
-        with pytest.raises(ValueError, match="probe_rows"):
-            probe_metric_cost(lambda x: x[:, 0], 2, probe_rows=(512, 16))
-        with pytest.raises(ValueError, match="repeats"):
-            probe_metric_cost(lambda x: x[:, 0], 2, repeats=0)
-
-    def test_shard_size_is_pure_and_snapped(self):
-        report = ProbeReport(
-            per_call_s=1e-4, per_row_s=1e-6,
-            probe_rows=(16, 512), repeats=3, n_probe_sims=1584,
-        )
-        size = adaptive_shard_size(1_000_000, report, n_workers=4)
-        assert size == adaptive_shard_size(1_000_000, report, n_workers=4)
-        assert size & (size - 1) == 0  # power of two
-        assert 64 <= size <= 1 << 16
-
-    def test_slow_metric_gets_small_shards(self):
-        fast = ProbeReport(1e-5, 1e-7, (16, 512), 3, 1584)
-        slow = ProbeReport(1e-5, 1e-2, (16, 512), 3, 1584)
-        assert adaptive_shard_size(100_000, slow) < adaptive_shard_size(
-            100_000, fast
-        )
-        assert adaptive_shard_size(100_000, slow) == 64  # floor
-
-    def test_shard_size_never_exceeds_total(self):
-        # The pow2 floor is 64; a smaller workload caps at n_total itself.
-        report = ProbeReport(0.0, 0.0, (16, 512), 3, 1584)
-        assert adaptive_shard_size(50, report) == 50
-
-    def test_group_size_bounds(self):
-        slow = ProbeReport(1e-2, 1e-3, (16, 512), 3, 1584)
-        assert adaptive_group_size(8, slow, n_workers=2) == 1
-        fast = ProbeReport(1e-9, 1e-10, (16, 512), 3, 1584)
-        assert adaptive_group_size(8, fast, n_workers=2) == 4  # ceil(8/2)
-
-    def test_adaptive_requires_workers(self, problem):
-        with pytest.raises(ValueError, match="n_workers"):
-            _gibbs(problem, shard_size="adaptive")
-        with pytest.raises(ValueError, match="n_workers"):
-            importance_sampling_estimate(
-                CountedMetric(problem.metric, problem.dimension),
-                problem.spec,
-                MultivariateNormal(np.array([2.0, 1.0]), np.eye(2)),
-                400, rng=0, shard_size="adaptive",
-            )
-
-    def test_adaptive_run_records_grid_and_replays_bitwise(self, problem):
-        adaptive = _gibbs(
-            problem, n_workers=2, backend="thread",
-            chain_group_size="adaptive", shard_size="adaptive",
-        )
-        record = adaptive.extras["adaptive_sharding"]
-        assert set(record) == {"probe", "chain_group_size", "shard_size"}
-        assert record["probe"]["n_probe_sims"] > 0
-        # Replaying with the recorded integers reproduces the estimate
-        # exactly (the probe cost shows up in the first-stage accounting
-        # only, so compare the sampling outcomes, not n_first_stage).
-        replay = _gibbs(
-            problem, n_workers=2, backend="thread",
-            chain_group_size=record["chain_group_size"],
-            shard_size=record["shard_size"],
-        )
-        assert replay.failure_probability == adaptive.failure_probability
-        np.testing.assert_array_equal(
-            replay.extras["chain"].samples, adaptive.extras["chain"].samples
         )
 
 
@@ -392,20 +281,20 @@ class TestShardedBlockade:
         assert run.n_second_stage == reference.n_second_stage
         assert run.extras["n_blocked"] == reference.extras["n_blocked"]
 
-    def test_training_stage_is_shared_with_legacy_path(self, problem):
-        """Sharding only touches screening: thresholds match the serial run."""
-        legacy = statistical_blockade(
+    def test_training_stage_ignores_shard_grid(self, problem):
+        """The grid only touches screening: training thresholds match."""
+        default = statistical_blockade(
             problem.metric, problem.spec, 4000,
             dimension=problem.dimension, n_train=300, rng=8,
         )
-        sharded = statistical_blockade(
+        regridded = statistical_blockade(
             problem.metric, problem.spec, 4000,
             dimension=problem.dimension, n_train=300, rng=8,
             n_workers=2, backend="serial", shard_size=1000,
         )
         assert (
-            sharded.extras["blockade_threshold"]
-            == legacy.extras["blockade_threshold"]
+            regridded.extras["blockade_threshold"]
+            == default.extras["blockade_threshold"]
         )
 
     def test_process_counts_fold(self, problem):
@@ -452,6 +341,39 @@ class TestSpreadStartingPoints:
             np.random.default_rng(0), zeta=8.0, jitter=0.0,
         )
         np.testing.assert_array_equal(points, np.tile([3.0, 0.0], (4, 1)))
+
+    @pytest.mark.parametrize("dimension", [6, 24])
+    @pytest.mark.parametrize("region", ["halfspace", "sphere"])
+    def test_flat_boundary_places_every_chain(self, region, dimension):
+        """A start on a convex pass region's boundary: no seed fails.
+
+        Noise drawn in the start's tangent plane keeps every candidate
+        beyond the tangent hyperplane, so with the default jitter all ten
+        chains are placed on every one of 200 seeds (a radial noise
+        component missed on ~8% of seeds at 4 sigma).
+        """
+        from repro.synthetic import SphereTailMetric
+
+        unit = np.ones(dimension) / np.sqrt(dimension)
+        if region == "halfspace":
+            radius = 4.0
+            metric = LinearMetric(unit, radius)
+        else:
+            radius = 4.0 + np.sqrt(dimension)
+            metric = SphereTailMetric(radius, dimension)
+        spec = metric.problem().spec
+        x = unit * radius * (1.0 + 1e-12)
+        assert spec.indicator(metric(x[np.newaxis]))[0]
+        start = StartingPoint(
+            x=x, r=float(np.linalg.norm(x)), alpha=unit,
+            n_simulations=0, surrogate=None,
+        )
+        for seed in range(200):
+            points = _spread_starting_points(
+                metric, spec, start, 10, np.random.default_rng(seed),
+                zeta=8.0, jitter=0.25,
+            )
+            assert spec.indicator(metric(points)).all()
 
     def test_error_propagates_from_the_full_flow(self, problem):
         spec = FailureSpec(0.0, fail_below=True)

@@ -406,12 +406,20 @@ class TestMonteCarloResume:
         assert counted.count == 4000
         assert len(list(tmp_path.glob("mc-*.jsonl"))) == 2
 
-    def test_serial_path_rejects_checkpoint_dir(self, problem, tmp_path):
-        with pytest.raises(ValueError, match="sharded path"):
-            brute_force_monte_carlo(
-                problem.metric, problem.spec, 100,
-                dimension=problem.dimension, checkpoint_dir=tmp_path,
-            )
+    def test_default_path_resumes_from_truncated_ledger(
+        self, problem, tmp_path
+    ):
+        """``n_workers=None`` runs the same grid inline, ledger included."""
+        reference = _mc(problem)
+        _mc(problem, checkpoint_dir=tmp_path, n_workers=None)
+        _truncate_ledger(_ledger_file(tmp_path), keep_rows=3)
+        counted = _counted(problem)
+        resumed = _mc(
+            problem, metric=counted, checkpoint_dir=tmp_path, n_workers=None
+        )
+        _assert_same_estimate(reference, resumed)
+        assert resumed.extras["resume"]["shards_replayed"] == 3
+        assert counted.count == 5 * 500
 
     def test_worker_hosts_recorded(self, problem, tmp_path):
         result = _mc(problem, checkpoint_dir=tmp_path)
@@ -453,13 +461,29 @@ class TestImportanceSamplingResume:
         assert extended.failure_probability == reference.failure_probability
         assert len(list(tmp_path.glob("is-*.jsonl"))) == 1
 
-    def test_serial_path_rejects_checkpoint_dir(self, problem, tmp_path):
-        proposal = MultivariateNormal.standard(2)
-        with pytest.raises(ValueError, match="sharded path"):
-            importance_sampling_estimate(
-                problem.metric, problem.spec, proposal, 100,
-                checkpoint_dir=tmp_path,
+    def test_default_path_resumes_from_truncated_ledger(
+        self, problem, tmp_path
+    ):
+        """``n_workers=None`` runs the same grid inline, ledger included."""
+        proposal = MultivariateNormal(np.array([2.0, 1.0]), np.eye(2))
+
+        def estimate(metric, checkpoint_dir=None):
+            return importance_sampling_estimate(
+                metric, problem.spec, proposal, 1200, rng=5, shard_size=300,
+                checkpoint_dir=checkpoint_dir,
             )
+
+        reference = self._estimate(problem, _counted(problem))
+        estimate(_counted(problem), tmp_path)
+        _truncate_ledger(_ledger_file(tmp_path, "is"), keep_rows=1)
+        counted = _counted(problem)
+        resumed = estimate(counted, tmp_path)
+        assert resumed.failure_probability == reference.failure_probability
+        np.testing.assert_array_equal(
+            resumed.trace.estimate, reference.trace.estimate
+        )
+        assert resumed.extras["resume"]["shards_replayed"] == 1
+        assert counted.count == 3 * 300
 
 
 class TestFirstStageResume:

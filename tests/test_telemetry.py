@@ -21,7 +21,7 @@ from repro import telemetry
 from repro.gibbs.two_stage import gibbs_importance_sampling
 from repro.mc.counter import CountedMetric
 from repro.mc.montecarlo import brute_force_monte_carlo
-from repro.parallel import ParallelExecutor, probe_metric_cost
+from repro.parallel import ParallelExecutor
 from repro.synthetic import LinearMetric
 from repro.telemetry import clock as telemetry_clock
 from repro.telemetry import context as telemetry_context
@@ -138,7 +138,9 @@ class TestActiveRecorderFastPath:
         with telemetry.activate(telemetry.Recorder("t")):
             assert telemetry.ship_to_workers(process)
             assert not telemetry.ship_to_workers(thread)
-            assert not telemetry.ship_to_workers(None)
+            assert not telemetry.ship_to_workers(
+                ParallelExecutor(n_workers=1, backend="process")
+            )
 
     def test_shard_telemetry_disabled_records_nothing(self):
         shard = telemetry.ShardTelemetry(False, "s")
@@ -199,17 +201,13 @@ class TestActiveRecorderFastPath:
 
 
 class TestSharedClock:
-    def test_use_timer_affects_spans_and_probe(self, problem):
+    def test_use_timer_affects_spans(self):
         with telemetry_clock.use_timer(_fake_timer(0.5)):
             rec = telemetry.Recorder("t")
             with rec.span("s"):
                 pass
-            report = probe_metric_cost(problem.metric, problem.dimension)
+        # Fake clock ticks 0.5 s per read: the span measures one tick.
         assert rec.spans[0]["dur"] == pytest.approx(0.5)
-        # Fake clock ticks 0.5 s per read: each timed call measures exactly
-        # one tick, so the two-point fit sees identical small/large times.
-        assert report.per_row_s == 0.0
-        assert report.per_call_s == pytest.approx(0.5)
 
     def test_set_timer_restores_default(self):
         fake = _fake_timer()
@@ -219,12 +217,6 @@ class TestSharedClock:
         finally:
             telemetry_clock.set_timer(previous)
         assert telemetry_clock.get_timer() is previous
-
-    def test_explicit_probe_timer_still_wins(self, problem):
-        report = probe_metric_cost(
-            problem.metric, problem.dimension, timer=_fake_timer(2.0)
-        )
-        assert report.per_call_s == pytest.approx(2.0)
 
 
 class TestCountedMetricSnapshot:
@@ -365,10 +357,8 @@ class TestExport:
         manifest = telemetry.build_manifest(
             command="estimate", problem="rnm", method="G-S", seed=7,
             n_workers=4, backend="process", argv=["estimate"],
-            adaptive={"shard_size": 256},
         )
         assert manifest["workers"] == {"n_workers": 4, "backend": "process"}
-        assert manifest["adaptive_sharding"] == {"shard_size": 256}
         assert manifest["versions"]["repro"]
         assert manifest["versions"]["python"]
         assert manifest["timestamp"] > 0
