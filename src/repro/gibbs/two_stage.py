@@ -84,9 +84,11 @@ class FirstStageArtifact:
     identity can skip the Gibbs stage entirely and re-run only the
     parametric second stage.  This record is the extraction/injection
     seam: :func:`fit_first_stage` produces it, and passing it back into
-    :func:`gibbs_importance_sampling` (``first_stage=...``) — or the
-    service runner's shard-level second stage — consumes it with **zero**
-    first-stage metric evaluations.
+    :func:`gibbs_importance_sampling` (``first_stage=...``) — or its
+    ``proposal`` into
+    :func:`~repro.mc.importance.importance_sampling_estimate`, as the
+    service runner does — consumes it with **zero** first-stage metric
+    evaluations.
 
     Attributes
     ----------
@@ -125,17 +127,20 @@ class FirstStageArtifact:
         return LABELS[self.coordinate_system]
 
     def lean(self) -> "FirstStageArtifact":
-        """A copy without the chain sample tensor, for compact persistence.
+        """A copy holding only what reuse needs, for compact persistence.
 
-        Keeps the proposal, the starting point and the scalar diagnostics
-        — everything reuse needs — and drops the raw chain, which can be
-        megabytes for long multi-chain runs and is only needed for
+        Keeps the proposal, the starting point (without its surrogate
+        model) and the chain diagnostics, and drops the raw chain, which
+        can be megabytes for long multi-chain runs and is only needed for
         trajectory plots.
         """
         extras = {
-            key: value for key, value in self.extras.items() if key != "chain"
+            key: value
+            for key, value in self.extras.items()
+            if key == "chain_diagnostics"
         }
-        return replace(self, extras=extras)
+        start = replace(self.starting_point, surrogate=None)
+        return replace(self, starting_point=start, extras=extras)
 
     def validate(self, coordinate_system: str) -> None:
         """Fail loudly on schema or coordinate-system mismatch."""

@@ -25,12 +25,14 @@ Design rules that keep the parallel layer deterministic and debuggable:
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
+from contextlib import contextmanager
 from typing import Callable, List, Optional, Sequence
 
 from repro.obs import progress as _progress
@@ -119,6 +121,7 @@ class ParallelExecutor:
         self._pool = None
         self._coordinator = None
         self._depth = 0
+        self._hooks = threading.local()
 
     @property
     def runs_inline(self) -> bool:
@@ -247,6 +250,23 @@ class ParallelExecutor:
         self._depth = 0
         self._shutdown(cancel=True)
 
+    @contextmanager
+    def cancellation_hook(self, check: Callable[[], None]):
+        """Call ``check()`` after every shard completion of this thread's maps.
+
+        ``check`` stops the run by raising: :meth:`map` then drops the
+        shards not yet started and re-raises, after the callback that
+        persisted the finished shard has run.  The hook is scoped to the
+        calling thread, so jobs sharing one executor from different
+        threads (the yield service's job workers) each see only their own.
+        """
+        previous = getattr(self._hooks, "check", None)
+        self._hooks.check = check
+        try:
+            yield
+        finally:
+            self._hooks.check = previous
+
     def map(
         self,
         fn: Callable,
@@ -270,7 +290,8 @@ class ParallelExecutor:
         completion is additionally reported to it, and the remote
         coordinator's fleet snapshot is attached for the exporter.  The
         engine only observes results after they exist, so mapped output
-        is bit-identical with observability on or off.
+        is bit-identical with observability on or off.  Last, every
+        completion runs the thread's :meth:`cancellation_hook`, if any.
         """
         tasks = list(tasks)
         if not tasks:
@@ -290,6 +311,15 @@ class ParallelExecutor:
                 if _cb is not None:
                     _cb(result)
                 _engine.shard_done(_stage, result)
+
+        check = getattr(self._hooks, "check", None)
+        if check is not None:
+            inner_cb = on_result
+
+            def on_result(result, _cb=inner_cb, _check=check):
+                if _cb is not None:
+                    _cb(result)
+                _check()
 
         with _telemetry.span(
             "parallel.map",

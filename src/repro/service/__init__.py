@@ -11,14 +11,15 @@ serving layer:
   fields pin a job's sampled numbers (and which — the second-stage
   budget — are refinable);
 * :mod:`repro.service.cache` — the disk-backed artifact cache (JSON
-  index + pickled entries) holding the fitted proposal, the verified
-  starting point, the mergeable second-stage weight record and the
-  final :class:`~repro.mc.results.EstimationResult`;
+  index, one JSON + ``.npz`` pair per entry) holding the fitted
+  proposal, the verified starting point and the final
+  :class:`~repro.mc.results.EstimationResult`'s scalars and trace;
 * :mod:`repro.service.runner` — one job's execution: cold runs build
   and persist the artifact, warm runs re-use it with **zero**
-  first-stage metric evaluations, and larger budgets refine the stored
-  weights shard-by-shard, bit-identical to a fresh run at the same
-  total budget;
+  first-stage metric evaluations, and every sampled stage checkpoints
+  its shards to the cache's ledgers, so a larger budget replays the
+  shards already paid for and runs only the new ones, bit-identical to
+  a fresh run at the same total budget;
 * :mod:`repro.service.scheduler` — :class:`YieldService`: a bounded
   job queue on top of one persistent
   :class:`~repro.parallel.ParallelExecutor` pool, with submit / status /

@@ -85,9 +85,9 @@ class JobRequest:
         least this many samples is returned outright.  This is the one
         knob excluded from the cache key (it is refinable).
     shard_size:
-        Second-stage samples per shard.  Part of the stored weight
-        record's identity, not of the cache key: a mismatched grid
-        re-runs only the second stage.
+        Second-stage samples per shard.  Part of the stored result's and
+        the shard ledgers' identity, not of the cache key: a mismatched
+        grid re-runs only the second stage.
     timeout:
         Per-job wall-clock limit in seconds (``None``: the service
         default); expiry cancels the job at the next shard boundary.

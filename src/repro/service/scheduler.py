@@ -5,8 +5,8 @@ cache, one persistent :class:`~repro.parallel.ParallelExecutor` entered
 once and shared by every job (worker processes start once, not per
 query), and a small thread pool of *job workers* that bounds how many
 jobs simulate concurrently.  Jobs move ``queued -> running -> done /
-failed / cancelled``; cancellation is cooperative (checked at stage and
-shard-batch boundaries) and per-job timeouts ride the same hook.
+failed / cancelled``; cancellation is cooperative (checked between stages
+and after every shard) and per-job timeouts ride the same hook.
 
 Every finished job's telemetry manifest is kept on the job record and —
 when the cache directory is set — written to ``<cache>/jobs/<id>.json``
@@ -76,15 +76,9 @@ class YieldService:
             )
         self.cache = ArtifactCache(cache_dir) if cache_dir else None
         self.manifest_dir: Optional[Path] = None
-        self.ledger_dir: Optional[Path] = None
         if cache_dir:
             self.manifest_dir = Path(cache_dir) / "jobs"
             self.manifest_dir.mkdir(parents=True, exist_ok=True)
-            # Shard ledgers live beside the artifact cache: a job killed
-            # mid-run (or the whole service) resumes from its completed
-            # shards on resubmission instead of re-simulating them.
-            self.ledger_dir = Path(cache_dir) / "ledgers"
-            self.ledger_dir.mkdir(parents=True, exist_ok=True)
         self.executor = ParallelExecutor(n_workers=n_workers, backend=backend)
         self.executor.__enter__()  # persistent pool, closed in close()
         self.default_timeout = default_timeout
@@ -169,7 +163,6 @@ class YieldService:
                     executor=self.executor,
                     should_abort=should_abort,
                     job_id=job.id,
-                    checkpoint_dir=self.ledger_dir,
                 )
         except JobCancelled as exc:
             with self._lock:

@@ -629,21 +629,25 @@ class TestKillResume:
 
 class TestServiceResume:
     def test_job_resumes_from_ledger_dir(self, tmp_path):
+        from repro.service.cache import ArtifactCache
         from repro.service.jobs import JobRequest
         from repro.service.runner import execute_job
 
+        # use_cache=False skips the stored result, never the ledgers.
         request = JobRequest(
             problem="iread", method="MC", seed=4,
             n_second_stage=2000, shard_size=500, use_cache=False,
         )
-        _, first = execute_job(request, checkpoint_dir=tmp_path)
+        _, first = execute_job(request, cache=ArtifactCache(tmp_path))
         assert first["job"]["resume"]["shards_recorded"] == 4
-        result, manifest = execute_job(request, checkpoint_dir=tmp_path)
+        assert list((tmp_path / "ledgers").glob("mc-*.jsonl"))
+        result, manifest = execute_job(request, cache=ArtifactCache(tmp_path))
         record = manifest["job"]["resume"]
         assert record["shards_replayed"] == 4
         assert manifest["job"]["sims_run"] == 0
 
     def test_gibbs_job_second_stage_resumes(self, tmp_path):
+        from repro.service.cache import ArtifactCache
         from repro.service.jobs import JobRequest
         from repro.service.runner import execute_job
 
@@ -652,8 +656,8 @@ class TestServiceResume:
             n_second_stage=1000, shard_size=250, use_cache=False,
         )
         reference, _ = execute_job(request)
-        _, first = execute_job(request, checkpoint_dir=tmp_path)
-        resumed, manifest = execute_job(request, checkpoint_dir=tmp_path)
+        _, first = execute_job(request, cache=ArtifactCache(tmp_path))
+        resumed, manifest = execute_job(request, cache=ArtifactCache(tmp_path))
         assert (
             resumed.failure_probability == reference.failure_probability
         )

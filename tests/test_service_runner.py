@@ -8,19 +8,24 @@ metric, injected through ``execute_job``'s ``problem`` override):
 * an incremental-refinement hit evaluates exactly the missing shards and
   its merged sim counts equal the instrument's, on every backend;
 * a refined result is bit-identical to a fresh run at the same total
-  budget (the tagged second-stage stream + prefix-stable shard grid).
+  budget (the tagged second-stage stream + prefix-stable shard grid);
+* a job cancelled mid-stage keeps its finished shards in the ledger, and
+  resubmitting it replays them into the uninterrupted run's estimate.
 
 Synthetic problems keep the metric analytic, so a full cold Gibbs job
 runs in milliseconds.
 """
 
 import dataclasses
+import json
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.mc.counter import CountedMetric
 from repro.parallel.executor import ParallelExecutor
+from repro.parallel.ledger import decode_value
 from repro.service.cache import ArtifactCache
 from repro.service.jobs import JobCancelled, JobRequest
 from repro.service.runner import execute_job, second_stage_seed
@@ -42,6 +47,23 @@ def _instrumented_problem():
 
 def _job(manifest):
     return manifest["job"]
+
+
+def _ledger_rows(cache, kind="*"):
+    """Shard rows of the cache's ledgers of one kind, in shard order."""
+    rows = []
+    for path in (cache.root / "ledgers").glob(f"{kind}-*.jsonl"):
+        lines = path.read_text().splitlines()[1:]
+        rows += [json.loads(line) for line in lines]
+    return sorted(rows, key=lambda row: row["index"])
+
+
+def _ledger_weights(cache):
+    """The second-stage weights the cache's IS ledger holds, in order."""
+    return np.concatenate([
+        decode_value(row["payload"]["weights"])
+        for row in _ledger_rows(cache, "is")
+    ])
 
 
 class TestColdWarm:
@@ -146,9 +168,10 @@ class TestRefinement:
         job = _job(manifest)
         assert job["mode"] == "refined"
         assert job["sims_run"] == result.n_second_stage - 128 == 128
-        entry = cache.get(job["key"])
-        assert entry.second_stage["n_samples"] == 256
-        assert entry.second_stage["weights"].size == 256
+        assert job["resume"]["shards_replayed"] == 4
+        assert job["resume"]["shards_executed"] == 4
+        assert cache.get(job["key"]).result.n_second_stage == 256
+        assert _ledger_weights(cache).size == 256
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_refined_result_is_backend_invariant(self, tmp_path, backend):
@@ -211,11 +234,9 @@ class TestRefinement:
         problem2, _ = _instrumented_problem()
         execute_job(bigger, cache=big_cache, problem=problem2)
 
-        from repro.service.keys import job_key
-
-        key = job_key(request)
-        small = small_cache.get(key).second_stage["weights"]
-        big = big_cache.get(key).second_stage["weights"]
+        small = _ledger_weights(small_cache)
+        big = _ledger_weights(big_cache)
+        assert (small.size, big.size) == (128, 256)
         np.testing.assert_array_equal(big[: small.size], small)
 
     def test_grid_mismatch_reruns_second_stage_only(self, tmp_path):
@@ -237,6 +258,54 @@ class TestRefinement:
         assert instrument.count == 144 == job["sims_run"]
         assert result.n_first_stage == 0
         assert result.extras["first_stage_reused"] is True
+
+    def test_partial_trailing_shard_reruns_only_that_shard(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        problem, _ = _instrumented_problem()
+        # 144 = four whole 32-sample shards plus a 16-sample tail.
+        execute_job(
+            JobRequest(**{**GIBBS_KWARGS, "n_second_stage": 144}),
+            cache=cache, problem=problem,
+        )
+        bigger = JobRequest(**{**GIBBS_KWARGS, "n_second_stage": 256})
+        warm_problem, instrument = _instrumented_problem()
+        refined, manifest = execute_job(
+            bigger, cache=cache, problem=warm_problem
+        )
+        assert _job(manifest)["mode"] == "refined"
+        assert instrument.count == 256 - 4 * 32
+        fresh, _ = execute_job(
+            bigger, cache=ArtifactCache(tmp_path / "fresh"),
+            problem=_instrumented_problem()[0],
+        )
+        assert refined.failure_probability == fresh.failure_probability
+        np.testing.assert_array_equal(
+            refined.trace.estimate, fresh.trace.estimate
+        )
+
+    def test_deleted_ledger_costs_sims_never_bits(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        problem, _ = _instrumented_problem()
+        execute_job(JobRequest(**GIBBS_KWARGS), cache=cache, problem=problem)
+        shutil.rmtree(tmp_path / "ledgers")
+
+        bigger = JobRequest(**{**GIBBS_KWARGS, "n_second_stage": 256})
+        warm_problem, instrument = _instrumented_problem()
+        rerun, manifest = execute_job(
+            bigger, cache=cache, problem=warm_problem
+        )
+        job = _job(manifest)
+        assert job["mode"] == "second_stage_rerun"
+        assert job["first_stage_sims"] == 0
+        assert instrument.count == 256 == job["sims_run"]
+        fresh, _ = execute_job(
+            bigger, cache=ArtifactCache(tmp_path / "fresh"),
+            problem=_instrumented_problem()[0],
+        )
+        assert rerun.failure_probability == fresh.failure_probability
+        np.testing.assert_array_equal(
+            rerun.trace.relative_error, fresh.trace.relative_error
+        )
 
 
 class TestSecondStageStream:
@@ -317,6 +386,46 @@ class TestCancellation:
             )
         # The first stage ran to completion; the second stage never started.
         assert instrument.count == cold.n_first_stage
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("method", ["MC", "G-S"])
+    def test_mid_stage_cancel_resumes_from_ledger(
+        self, tmp_path, method, backend
+    ):
+        """Cancellation lands at a shard completion; the shards persist."""
+        k = 2
+        request = JobRequest(**{
+            **GIBBS_KWARGS, "method": method, "n_second_stage": 256,
+        })
+        reference, _ = execute_job(
+            request, problem=_instrumented_problem()[0]
+        )
+        cache = ArtifactCache(tmp_path)
+
+        def abort_after_k_shards():
+            return "cancelled" if len(_ledger_rows(cache)) >= k else None
+
+        with ParallelExecutor(n_workers=2, backend=backend) as executor:
+            with pytest.raises(JobCancelled, match="cancelled"):
+                execute_job(
+                    request, cache=cache, executor=executor,
+                    problem=_instrumented_problem()[0],
+                    should_abort=abort_after_k_shards,
+                )
+            assert k <= len(_ledger_rows(cache)) < 256 // 32
+            assert len(cache) == 0
+            resumed, manifest = execute_job(
+                request, cache=cache, executor=executor,
+                problem=_instrumented_problem()[0],
+            )
+        assert _job(manifest)["resume"]["shards_replayed"] >= k
+        assert resumed.failure_probability == reference.failure_probability
+        np.testing.assert_array_equal(
+            resumed.trace.estimate, reference.trace.estimate
+        )
+        np.testing.assert_array_equal(
+            resumed.trace.relative_error, reference.trace.relative_error
+        )
 
     def test_cancelled_job_stores_nothing(self, tmp_path):
         cache = ArtifactCache(tmp_path)
