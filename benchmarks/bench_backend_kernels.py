@@ -11,16 +11,21 @@ metric chunk (4,096 rows: µs/row).  The read-state tiny calls use
 read-upset samples, whose unconverged Newton lanes take the fixed-point
 straggler path; its 4,096-row chunk uses Monte-Carlo samples.  The
 ``read_upset_fixed_point`` rows time that straggler path alone — the
-least-fixed-point construction with its speculative bisection tree against
-the oracle's 30 sequential steps — at 1, 8, 64 and ~870 straggler lanes
-(one- and few-row Gibbs simulations, and an importance-sampling shard).
-Outputs are asserted bit-identical to the oracle's.  The ``ekv_interp``
-rows time the EKV interpolation ``F``, ``F'`` itself — the one-exponential
-form every kernel above calls against the ``np.logaddexp`` form it
-replaced (kept in tests/test_devices_mosfet.py) — at 486 lanes (one-row
-Gibbs VTC call: 81 grid points, 2 sides, 3 devices) and 24,576 lanes (a
-4,096-row read-state chunk, 6 devices); there the two agree within 4 ulp,
-not bitwise.
+least-fixed-point construction with its speculative bisection tree,
+stopped once a lane's bracket bounds its read current within
+``_READ_CURRENT_TOL``, against the oracle's 30 sequential steps — at 1,
+8, 64 and ~870 straggler lanes (one- and few-row Gibbs simulations, and
+an importance-sampling shard).  RNM outputs are asserted bit-identical to
+the oracle's.  The read-state and fixed-point rows are asserted to the
+read-current contract instead: every lane's read current within
+``_READ_CURRENT_TOL`` (1 pA) of the oracle's, the same pass/fail at the
+35 uA spec, and the lanes the Newton pass converges bit-identical.  The
+``ekv_interp`` rows time the EKV interpolation ``F``, ``F'`` itself — the
+one-exponential form every kernel above calls against the
+``np.logaddexp`` form it replaced (kept in tests/test_devices_mosfet.py)
+— at 486 lanes (one-row Gibbs VTC call: 81 grid points, 2 sides, 3
+devices) and 24,576 lanes (a 4,096-row read-state chunk, 6 devices);
+there the two agree within 4 ulp, not bitwise.
 
 Timing is fully interleaved min-of-k: every round times each variant once
 in rotation, and each variant reports its best round.  On a shared
@@ -44,7 +49,12 @@ from repro.devices.mosfet import _interp_f_and_deriv
 from repro.sram.metrics import ReadCurrentMetric, ReadNoiseMarginMetric
 from repro.sram.problems import fragile_cell
 from tests.test_devices_mosfet import _logaddexp_interp
-from tests.test_sram_cell import SequentialReadCell, _half_cell_vtc_reference
+from tests.test_sram_cell import (
+    SequentialReadCell,
+    _assert_read_current_contract,
+    _half_cell_vtc_reference,
+    _newton_lanes,
+)
 
 JSON_PATH = Path(__file__).parent.parent / "BENCH_backend_kernels.json"
 
@@ -75,7 +85,8 @@ def _sram_kernels(rows, seed=23):
     The RNM VTC pair solves the read butterfly's two sides; the read
     state is the read-current metric's DC solve.  Tiny read-state calls
     sit in the read-upset wedge (the straggler path), the chunk is a
-    Monte-Carlo batch.
+    Monte-Carlo batch.  The VTC pair must match the oracle bit for bit,
+    the read state its read-current contract.
     """
     rng = np.random.default_rng(seed + rows)
     rnm = ReadNoiseMarginMetric()
@@ -105,15 +116,19 @@ def _sram_kernels(rows, seed=23):
             "oracle": lambda: oracle_fragile.solve_read_state(read_deltas),
         },
     }
-    for variants in kernels.values():
-        for got, want in zip(variants["fused"](), variants["oracle"]()):
-            np.testing.assert_array_equal(got, want)
+    rnm_pair, read_state = kernels["rnm_vtc_pair"], kernels["iread_read_state"]
+    for got, want in zip(rnm_pair["fused"](), rnm_pair["oracle"]()):
+        np.testing.assert_array_equal(got, want)
+    _assert_read_current_contract(
+        fragile, read_state["fused"](), read_state["oracle"](), read_deltas,
+        True, _newton_lanes(fragile, read_deltas, True),
+    )
     return kernels
 
 
 def _fixed_point_kernel(lanes, seed=29):
     """``{variant: call}`` of the read-upset fixed point on ``lanes``
-    stragglers, outputs checked."""
+    stragglers, outputs checked against the read-current contract."""
     rng = np.random.default_rng(seed + lanes)
     iread = ReadCurrentMetric(fragile_cell())
     cell = iread.cell
@@ -125,8 +140,9 @@ def _fixed_point_kernel(lanes, seed=29):
         "fused": lambda: cell._read_fixed_point(deltas, True, lanes),
         "oracle": lambda: oracle_cell._read_fixed_point(deltas, True, lanes),
     }
-    for got, want in zip(variants["fused"](), variants["oracle"]()):
-        np.testing.assert_array_equal(got, want)
+    _assert_read_current_contract(
+        cell, variants["fused"](), variants["oracle"](), deltas, True
+    )
     return variants
 
 
@@ -187,9 +203,11 @@ def test_backend_kernel_throughput():
     sram = bench_sram_kernels()
     payload = {
         "workload": "RNM VTC pair (81-point grid, both sides), iread read "
-                    "state and its read-upset fixed point; fused kernel vs "
-                    "the pre-change oracle.  ekv_interp: the EKV "
-                    "interpolation F, F' vs its logaddexp form",
+                    "state and its read-upset fixed point (bisection "
+                    "stopped at a 1 pA read-current bracket); fused kernel "
+                    "vs the pre-change oracle (30 sequential bisection "
+                    "steps).  ekv_interp: the EKV interpolation F, F' vs "
+                    "its logaddexp form",
         "environment": bench_metadata(),
         "tiny_rows": list(TINY_ROWS),
         "chunk_rows": CHUNK_ROWS,

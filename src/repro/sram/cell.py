@@ -43,9 +43,10 @@ arithmetic — sets the cost.  Five measures keep the dispatch count down:
 * the read-upset fixed point bisects in speculative rounds: one batched
   loop-map call evaluates every midpoint the next d sequential steps can
   visit (a depth-d bracket tree, ``2**d - 1`` lanes per straggler, d the
-  deepest that fits ``_BISECT_ROUND_LANES``), then the sequential
-  decisions walk the tree.  One straggler takes 4 rounds instead of 30; an
-  importance-sampling shard's ~870 stragglers keep d = 1, the plain loop.
+  deepest that fits ``_BISECT_ROUND_LANES`` for the lanes still
+  bisecting), then the sequential decisions walk the tree.  One straggler
+  takes at most 4 rounds instead of 30; ~870 stragglers start at d = 1,
+  the plain loop.
 
 A Monte-Carlo chunk (4,096 rows) is the opposite case: arithmetic per
 lane sets the cost.  Two measures cut it in the read-state Newton pass,
@@ -65,6 +66,15 @@ bit-identical per lane to the per-side, per-device, sequential solve;
 ``benchmarks/bench_backend_kernels.py`` times them against that solve, kept
 as the oracle in ``tests/test_sram_cell.py``.  Only the Newton lane
 counters see the difference: they count the speculative lanes too.
+
+One measure changes results, within a stated bound: a straggler stops
+bisecting once its bracket bounds the read current within
+``_READ_CURRENT_TOL`` (1 pA), where the oracle always takes 30 steps.  A
+read-upset cell's current has collapsed to femtoamps, so most stragglers
+stop right after the scan.  Every read current stays within the tolerance
+of the oracle's (:meth:`SixTransistorCell._read_fixed_point` says why),
+lanes the Newton pass converges are untouched, and with the tolerance at
+``-inf`` the fixed point is the oracle's bit for bit.
 """
 
 from __future__ import annotations
@@ -198,6 +208,22 @@ _STACKED_MAX_LANES = 1024
 #: took 7.7 ms against 26 ms sequentially (interleaved min-of-15); caps of
 #: 384 and 512 were within noise of it.
 _BISECT_ROUND_LANES = 256
+
+#: Read current (A) to which ``_read_fixed_point`` resolves a straggler:
+#: its bisection stops once the low node's access current at the two
+#: bracket ends differs by at most this much.  That current falls strictly
+#: as the low node rises, so the bracket then bounds the read current of
+#: every voltage in it, the fixed point's and the returned one's included.
+#: 1 pA is 3e-8 of the read-current example's 35 uA spec; a read-upset
+#: cell's current has already collapsed to femtoamps, and most leave the
+#: 33-point scan within it.
+_READ_CURRENT_TOL = 1e-12
+
+#: Newton iterations of the read-state pass, then the scan points and the
+#: bisection-step cap of the least-fixed-point construction behind it.
+_READ_NEWTON_ITERATIONS = 14
+_READ_SCAN_POINTS = 33
+_READ_BISECT_STEPS = 30
 
 #: Lane count under which the read-state Newton pass evaluates its six
 #: devices in one stacked EKV call instead of six per-device calls.  On the
@@ -541,7 +567,6 @@ class SixTransistorCell:
         self,
         delta_vth: Optional[Mapping[str, np.ndarray]] = None,
         stored_zero_at_q: bool = True,
-        newton_iterations: int = 80,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """DC state ``(v_q, v_qb)`` during a read access (WL=BL=BLB=VDD).
 
@@ -556,7 +581,8 @@ class SixTransistorCell:
         (:meth:`_read_fixed_point`) for any members Newton left unconverged
         — typically samples at or past the read-upset fold, where Newton
         oscillates and relaxation slows critically, but where the bracketed
-        fixed-point bisection stays O(log) regardless.
+        fixed-point bisection stops at the read-current tolerance
+        regardless.
 
         The Newton pass keeps an active lane set, as
         :func:`_solve_monotone_node` does: a lane whose residuals meet the
@@ -602,7 +628,7 @@ class SixTransistorCell:
         vq = np.full((n_batch,), float(init_q), dtype=np.float64)
         vqb = np.full((n_batch,), float(init_qb), dtype=np.float64)
         active = np.arange(n_batch)
-        for _ in range(min(14, newton_iterations)):
+        for _ in range(_READ_NEWTON_ITERATIONS):
             fq, fqb, j11, j12, j21, j22 = residuals(vq, vqb, lane_terms)
             converged = (np.abs(fq) < tol) & (np.abs(fqb) < tol)
             if bool(np.any(converged)):
@@ -726,8 +752,7 @@ class SixTransistorCell:
 
         return lane_terms, residuals
 
-    def _read_fixed_point(self, delta, stored_zero_at_q, n_batch,
-                          n_grid: int = 33, bisect_iters: int = 30):
+    def _read_fixed_point(self, delta, stored_zero_at_q, n_batch):
         """Basin-correct read state via the monotone loop map.
 
         The read-configuration DC states are the fixed points of
@@ -741,78 +766,112 @@ class SixTransistorCell:
         close the cell sits to the read-upset fold, where Newton and
         relaxation methods slow critically.
 
-        The ``bisect_iters`` steps run in rounds of up to
-        ``_bisection_depth(n_batch)`` steps, each one batched loop-map call
-        over the round's bracket tree (see the module performance note);
-        the result is the sequential bisection's, bit for bit.
+        A lane bisects until the low node's access current differs by at
+        most ``_READ_CURRENT_TOL`` between its bracket's ends, or for
+        ``_READ_BISECT_STEPS`` steps.  That current falls strictly as the
+        low node rises, so the bracket bounds it at the fixed point; the
+        returned state, ``phi`` of the bracket midpoint, stays in the
+        bracket too (``phi`` is increasing, ``phi(lo) >= lo`` and
+        ``phi(hi) < hi``), so its read current is within the tolerance of
+        the fixed point's.  The steps run in rounds over the lanes still
+        bisecting, each one batched loop-map call over a bracket tree of
+        up to ``_bisection_depth(lanes)`` levels (see the module
+        performance note), and the stop is checked after every step of the
+        tree walk: each lane's result is the sequential bisection's,
+        stopped at its first bracket within the tolerance, bit for bit,
+        whatever the rest of the batch.
 
         ``stored_zero_at_q`` selects which storage node is the low one;
         ``v`` always parametrises the *low* node.
         """
         vdd = self.vdd
         if stored_zero_at_q:
-            near, far = "left", "right"
+            near, far, low = "left", "right", "_l"
         else:
-            near, far = "right", "left"
+            near, far, low = "right", "left", "_r"
+        access = self.devices["ax" + low]
+        d_access = delta.get("ax" + low, np.zeros(n_batch))
+        recorder = _telemetry.get_active()
 
-        def loop_map(v_low):
-            """phi: low-node voltage -> far response -> near response."""
+        def loop_map(v_low, subset=slice(None)):
+            """phi of the batch lanes ``subset``: low-node voltage -> far
+            response -> near response."""
             shape = np.shape(v_low)
-            far_res = self._half_cell_residual(far, v_low, vdd, vdd, delta, shape)
+            d = {name: val[subset] for name, val in delta.items()}
+            far_res = self._half_cell_residual(far, v_low, vdd, vdd, d, shape)
             v_far = _solve_monotone_node(far_res, -0.2, vdd + 0.2, shape)
-            near_res = self._half_cell_residual(near, v_far, vdd, vdd, delta, shape)
+            near_res = self._half_cell_residual(near, v_far, vdd, vdd, d, shape)
             v_near = _solve_monotone_node(near_res, -0.2, vdd + 0.2, shape)
             return v_near, v_far
 
-        grid = np.linspace(-0.1, vdd + 0.1, n_grid)
-        grid_b = np.broadcast_to(grid[:, None], (n_grid, n_batch))
+        def access_current(v_low, subset=slice(None)):
+            """The low node's access current (the read current) at ``v_low``."""
+            return access.current(vdd, vdd, v_low, 0.0, d_access[subset])
+
+        grid = np.linspace(-0.1, vdd + 0.1, _READ_SCAN_POINTS)
+        grid_b = np.broadcast_to(grid[:, None], (_READ_SCAN_POINTS, n_batch))
         phi, _ = loop_map(grid_b)
         psi = phi - grid_b
         # First + -> - transition: psi starts positive (phi maps the range
         # into itself) and ends negative.
         negative = psi < 0.0
         first_neg = np.argmax(negative.astype(np.int64), axis=0)
-        first_neg = np.clip(first_neg, 1, n_grid - 1)
+        first_neg = np.clip(first_neg, 1, _READ_SCAN_POINTS - 1)
         lo = grid[first_neg - 1]
         hi = grid[first_neg]
-        # Bisection in rounds of ``depth`` steps: each round evaluates phi
-        # at every midpoint the next ``depth`` steps can visit in one
-        # batched call, then takes the sequential decisions on them.
-        lanes = np.arange(n_batch)
-        rounds = -(-bisect_iters // _bisection_depth(n_batch))
-        left = bisect_iters
-        for r in range(rounds):
-            depth = -(-left // (rounds - r))
-            left -= depth
+        i_lo, i_hi = access_current(np.stack([lo, hi]))
+        # Bisection in rounds of ``depth`` steps over the lanes still
+        # bisecting: each round evaluates phi and the read current at every
+        # midpoint the next ``depth`` steps can visit in one batched call,
+        # then takes the sequential decisions on them.
+        active = np.flatnonzero(~(i_lo - i_hi <= _READ_CURRENT_TOL))
+        taken = steps = 0
+        while active.shape[0] and taken < _READ_BISECT_STEPS:
+            n_active = int(active.shape[0])
+            left = _READ_BISECT_STEPS - taken
+            rounds = -(-left // _bisection_depth(n_active))
+            depth = -(-left // rounds)
+            taken += depth
+            a_lo, a_hi, a_ilo, a_ihi = lo[active], hi[active], i_lo[active], i_hi[active]
             # Level-order tree of brackets: node j's children are 2j (lower
             # half) and 2j + 1 (upper half), each midpoint formed from its
             # own bracket exactly as the sequential step forms it.
-            level_lo, level_hi = lo[None], hi[None]
+            level_lo, level_hi = a_lo[None], a_hi[None]
             mids = []
             for level in range(depth):
                 mid = 0.5 * (level_lo + level_hi)
                 mids.append(mid)
                 if level + 1 < depth:
-                    level_lo = np.reshape(np.stack([level_lo, mid], axis=1), (-1, n_batch))
-                    level_hi = np.reshape(np.stack([mid, level_hi], axis=1), (-1, n_batch))
+                    level_lo = np.reshape(np.stack([level_lo, mid], axis=1), (-1, n_active))
+                    level_hi = np.reshape(np.stack([mid, level_hi], axis=1), (-1, n_active))
             mids = np.concat(mids)
-            phi_mid, _ = loop_map(mids)
+            phi_mid, _ = loop_map(mids, active)
             above = phi_mid >= mids
-            node = np.zeros(n_batch, dtype=np.intp)
+            i_mid = access_current(mids, active)
+            lanes = np.arange(n_active)
+            node = np.zeros(n_active, dtype=np.intp)
+            running = np.ones(n_active, dtype=np.bool)
             for level in range(depth):
                 row = node + ((1 << level) - 1)
-                mid, up = mids[row, lanes], above[row, lanes]
-                lo = np.where(up, mid, lo)
-                hi = np.where(up, hi, mid)
+                mid, up, i_m = mids[row, lanes], above[row, lanes], i_mid[row, lanes]
+                raise_lo, lower_hi = running & up, running & ~up
+                a_lo = np.where(raise_lo, mid, a_lo)
+                a_ilo = np.where(raise_lo, i_m, a_ilo)
+                a_hi = np.where(lower_hi, mid, a_hi)
+                a_ihi = np.where(lower_hi, i_m, a_ihi)
+                if recorder is not None:
+                    steps += int(np.count_nonzero(running))
+                # A lane whose bracket now bounds the read current freezes.
+                running &= ~(a_ilo - a_ihi <= _READ_CURRENT_TOL)
                 node = 2 * node + up
-        v_low = 0.5 * (lo + hi)
-        _, v_far = loop_map(v_low)
-        # Evaluate the near node once more so (v_low, v_far) is an exact
+            lo[active], hi[active], i_lo[active], i_hi[active] = a_lo, a_hi, a_ilo, a_ihi
+            active = active[running]
+        # One more loop-map evaluation makes (v_low, v_far) an exact
         # consistent pair at the fixed point.
-        near_res = self._half_cell_residual(
-            near, v_far, vdd, vdd, delta, np.shape(v_low)
-        )
-        v_low = _solve_monotone_node(near_res, -0.2, vdd + 0.2, np.shape(v_low))
+        v_low, v_far = loop_map(0.5 * (lo + hi))
+        if recorder is not None:
+            recorder.count("read.fixed_point_lanes", n_batch)
+            recorder.count("read.bisect_steps", steps)
         if stored_zero_at_q:
             return v_low, v_far
         return v_far, v_low

@@ -25,7 +25,7 @@ from repro.sram.metrics import (
     ReadNoiseMarginMetric,
     WriteNoiseMarginMetric,
 )
-from repro.sram.problems import fragile_cell
+from repro.sram.problems import fragile_cell, read_current_problem
 
 
 def _solve_monotone_node_reference(residual, lo, hi, shape,
@@ -612,9 +612,12 @@ class TestFusedKernelMatchesPerSideOracle:
             np.testing.assert_array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("stored_zero_at_q", [True, False])
-    def test_read_state_straggler_path(self, stored_zero_at_q):
+    def test_read_state_straggler_path(self, monkeypatch, stored_zero_at_q):
         """Read-upset samples leave Newton unconverged and run the
-        fixed-point construction, built on the same residual."""
+        fixed-point construction, built on the same residual.  With the
+        read-current stop disabled, the result is the sequential
+        oracle's, bit for bit."""
+        monkeypatch.setattr(cell_module, "_READ_CURRENT_TOL", -np.inf)
         fused = fragile_cell()
         oracle = ReferenceCell(fused.technology, fused.geometries)
         low = "_l" if stored_zero_at_q else "_r"
@@ -726,29 +729,49 @@ def _spy_active_lanes(cell, monkeypatch):
     return counts
 
 
+@pytest.fixture(scope="module")
+def cells():
+    fused = fragile_cell()
+    return fused, SequentialReadCell(fused.technology, fused.geometries)
+
+
+@pytest.fixture(scope="module")
+def stragglers(cells):
+    """Per stored state, a pool of read-upset samples Newton leaves
+    unconverged: the mismatch the fixed point receives."""
+    oracle = SequentialReadCell(cells[0].technology, cells[0].geometries)
+    pools = {}
+    for stored_zero_at_q in (True, False):
+        seen = []
+        oracle._read_fixed_point = lambda d, *args: seen.append(d) or (0.0, 0.0)
+        oracle.solve_read_state(_read_upset_deltas(1100, stored_zero_at_q, seed=3),
+                                stored_zero_at_q)
+        (pools[stored_zero_at_q],) = seen
+    return pools
+
+
+def _chunk_with_stragglers(cell, pool, rows):
+    """A read-current Monte-Carlo chunk of ``rows`` lanes with 5 stragglers
+    from ``pool`` mixed in."""
+    gen = np.random.default_rng(rows)
+    mapped = ReadCurrentMetric(cell).mismatch.deltas(gen.standard_normal((rows, 2)))
+    deltas = {name: np.array(mapped.get(name, np.zeros(rows)))
+              for name in DEVICE_NAMES}
+    at = gen.choice(rows, 5, replace=False)
+    for name in DEVICE_NAMES:
+        deltas[name][at] = pool[name][:5]
+    return deltas
+
+
 class TestReadStateMatchesSequentialOracle:
     """The stacked read-state Newton pass, the speculative bisection tree
     and the hoisted half-cell residual reproduce the pre-change read path
-    (:class:`SequentialReadCell`) bit for bit."""
+    (:class:`SequentialReadCell`) bit for bit once the read-current stop
+    is disabled: the tree then walks all 30 steps, as the oracle does."""
 
-    @pytest.fixture(scope="class")
-    def cells(self):
-        fused = fragile_cell()
-        return fused, SequentialReadCell(fused.technology, fused.geometries)
-
-    @pytest.fixture(scope="class")
-    def stragglers(self, cells):
-        """Per stored state, a pool of read-upset samples Newton leaves
-        unconverged: the mismatch the fixed point receives."""
-        oracle = SequentialReadCell(cells[0].technology, cells[0].geometries)
-        pools = {}
-        for stored_zero_at_q in (True, False):
-            seen = []
-            oracle._read_fixed_point = lambda d, *args: seen.append(d) or (0.0, 0.0)
-            oracle.solve_read_state(_read_upset_deltas(1100, stored_zero_at_q, seed=3),
-                                    stored_zero_at_q)
-            (pools[stored_zero_at_q],) = seen
-        return pools
+    @pytest.fixture(autouse=True)
+    def no_stop(self, monkeypatch):
+        monkeypatch.setattr(cell_module, "_READ_CURRENT_TOL", -np.inf)
 
     @pytest.mark.parametrize("stored_zero_at_q", [True, False])
     @pytest.mark.parametrize("n", _STRAGGLER_COUNTS)
@@ -800,13 +823,7 @@ class TestReadStateMatchesSequentialOracle:
         is stacked throughout.  The stragglers, and any Monte-Carlo lane
         Newton leaves unconverged, run all 14 iterations."""
         fused, oracle = cells
-        gen = np.random.default_rng(rows)
-        mapped = ReadCurrentMetric(fused).mismatch.deltas(gen.standard_normal((rows, 2)))
-        deltas = {name: np.array(mapped.get(name, np.zeros(rows)))
-                  for name in DEVICE_NAMES}
-        at = gen.choice(rows, 5, replace=False)
-        for name in DEVICE_NAMES:
-            deltas[name][at] = stragglers[stored_zero_at_q][name][:5]
+        deltas = _chunk_with_stragglers(fused, stragglers[stored_zero_at_q], rows)
         counts = _spy_active_lanes(fused, monkeypatch)
         _assert_same_read_state(fused, oracle, deltas, stored_zero_at_q)
         # The first solve is the one compared above; read_current solves again.
@@ -816,6 +833,126 @@ class TestReadStateMatchesSequentialOracle:
         assert len(set(counts)) >= 4
         assert (rows > crossover) == (counts[0] >= crossover)
         assert min(counts) < crossover
+
+
+#: The read-current example's spec: a cell fails below 35 uA.
+_READ_SPEC = read_current_problem().spec.threshold
+
+
+def _low_read_current(cell, state, deltas, stored_zero_at_q):
+    """Current of the low node's access device in read state ``state``:
+    the read current (M3's when ``q`` stores 0)."""
+    low = "_l" if stored_zero_at_q else "_r"
+    v_low = state[0] if stored_zero_at_q else state[1]
+    return cell.devices["ax" + low].current(
+        cell.vdd, cell.vdd, v_low, 0.0, deltas.get("ax" + low, 0.0)
+    )
+
+
+def _newton_lanes(cell, deltas, stored_zero_at_q):
+    """Mask of the lanes the read-state Newton pass converges: the ones a
+    fixed point returning NaN leaves finite."""
+    cell._read_fixed_point = lambda d, s, n: (np.full(n, np.nan),) * 2
+    try:
+        v_q, _ = cell.solve_read_state(deltas, stored_zero_at_q)
+    finally:
+        del cell._read_fixed_point
+    return np.isfinite(v_q)
+
+
+def _assert_read_current_contract(cell, got, want, deltas, stored_zero_at_q,
+                                  newton=None):
+    """Read currents within ``_READ_CURRENT_TOL`` of the oracle's, the same
+    pass/fail at the spec, and the ``newton`` lanes bit for bit."""
+    i_got = _low_read_current(cell, got, deltas, stored_zero_at_q)
+    i_want = _low_read_current(cell, want, deltas, stored_zero_at_q)
+    assert np.max(np.abs(i_got - i_want)) <= cell_module._READ_CURRENT_TOL
+    np.testing.assert_array_equal(i_got < _READ_SPEC, i_want < _READ_SPEC)
+    if newton is not None:
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g[newton], w[newton])
+
+
+def _bisect_counts(fn):
+    """``fn()`` under a fresh recorder: (result, straggler lanes, steps)."""
+    recorder = telemetry.Recorder(run_id="bisect-steps")
+    with telemetry.activate(recorder):
+        result = fn()
+    counters = recorder.counters
+    return (result, counters.get("read.fixed_point_lanes", 0),
+            counters.get("read.bisect_steps", 0))
+
+
+class TestReadCurrentTolerance:
+    """With the stop on, a straggler bisects only until its bracket bounds
+    the read current within ``_READ_CURRENT_TOL``: every lane's read
+    current is within it of the sequential oracle's, its pass/fail at the
+    35 uA spec is the oracle's, and the lanes the Newton pass converges
+    are the oracle's, bit for bit."""
+
+    @pytest.mark.parametrize("stored_zero_at_q", [True, False])
+    @pytest.mark.parametrize("n", _STRAGGLER_COUNTS)
+    def test_fixed_point_within_tolerance(self, cells, n, stored_zero_at_q):
+        fused, oracle = cells
+        delta = _read_upset_deltas(n, stored_zero_at_q, seed=n)
+        _assert_read_current_contract(
+            fused, fused._read_fixed_point(delta, stored_zero_at_q, n),
+            oracle._read_fixed_point(delta, stored_zero_at_q, n),
+            delta, stored_zero_at_q,
+        )
+
+    @pytest.mark.parametrize("stored_zero_at_q", [True, False])
+    @pytest.mark.parametrize("rows", [4096, 1024])
+    def test_metric_chunk_within_tolerance(self, cells, stragglers, rows,
+                                           stored_zero_at_q):
+        fused, oracle = cells
+        deltas = _chunk_with_stragglers(fused, stragglers[stored_zero_at_q], rows)
+        newton = _newton_lanes(fused, deltas, stored_zero_at_q)
+        assert np.count_nonzero(~newton) >= 5
+        _assert_read_current_contract(
+            fused, fused.solve_read_state(deltas, stored_zero_at_q),
+            oracle.solve_read_state(deltas, stored_zero_at_q),
+            deltas, stored_zero_at_q, newton,
+        )
+
+    def test_mixed_population(self, cells):
+        """49,152 read-current lanes: golden Monte-Carlo draws plus
+        importance-sampling tails around the read-upset wedge, where most
+        lanes straggle, and a widened normal."""
+        fused, oracle = cells
+        gen = np.random.default_rng(2011)
+        x = np.concatenate(
+            [gen.standard_normal((32768, 2))]
+            + [np.array(shift) + gen.standard_normal((4096, 2))
+               for shift in ((3.0, -3.0), (4.0, -2.0), (2.0, -4.0))]
+            + [2.5 * gen.standard_normal((4096, 2))]
+        )
+        mapped = ReadCurrentMetric(fused).mismatch.deltas(x)
+        deltas = {name: np.asarray(mapped.get(name, np.zeros(len(x))))
+                  for name in DEVICE_NAMES}
+        newton = _newton_lanes(fused, deltas, True)
+        (got, lanes, steps) = _bisect_counts(lambda: fused.solve_read_state(deltas))
+        assert lanes == np.count_nonzero(~newton) > 5000
+        assert steps < lanes
+        want = oracle.solve_read_state(deltas)
+        _assert_read_current_contract(fused, got, want, deltas, True, newton)
+        i_want = _low_read_current(fused, want, deltas, True)
+        assert 0 < np.count_nonzero(i_want < _READ_SPEC) < len(x)
+
+    @pytest.mark.parametrize("stored_zero_at_q", [True, False])
+    def test_bisect_step_counters(self, cells, monkeypatch, stored_zero_at_q):
+        """``read.bisect_steps`` counts the steps taken: 30 per straggler
+        with the stop disabled, fewer with it on."""
+        fused, _ = cells
+        n = 33
+        delta = _read_upset_deltas(n, stored_zero_at_q, seed=5)
+        _, lanes, steps = _bisect_counts(
+            lambda: fused._read_fixed_point(delta, stored_zero_at_q, n))
+        assert lanes == n and steps < 30 * n
+        monkeypatch.setattr(cell_module, "_READ_CURRENT_TOL", -np.inf)
+        _, lanes, steps = _bisect_counts(
+            lambda: fused._read_fixed_point(delta, stored_zero_at_q, n))
+        assert (lanes, steps) == (n, 30 * n)
 
 
 class TestBatchIndependence:
@@ -855,6 +992,48 @@ class TestBatchIndependence:
                 {name: d[lane:lane + 1] for name, d in deltas.items()}
             )
             for got, want in zip(alone, chunk):
+                np.testing.assert_array_equal(got, want[lane:lane + 1])
+
+    def test_stopped_stragglers_alone_equal_in_batches(self, iread_metric,
+                                                     monkeypatch):
+        """With the read-current stop on, stragglers leave the bisection at
+        different steps, so a batch's later rounds run deeper trees over
+        fewer lanes.  Each straggler solved alone (depth 8 throughout)
+        equals the same lane in batches of 8 and of all of them, bit for
+        bit."""
+        cell = iread_metric.cell
+        x = np.array([2.0, -4.0]) + np.random.default_rng(9).standard_normal((400, 2))
+        seen = []
+        fixed_point = cell._read_fixed_point
+        monkeypatch.setattr(cell, "_read_fixed_point",
+                            lambda d, *args: seen.append(d) or fixed_point(d, *args))
+        cell.solve_read_state(iread_metric.mismatch.deltas(x))
+        monkeypatch.undo()
+        (pool,) = seen
+        n = len(pool["pd_l"])
+        depths = []
+        bisection_depth = cell_module._bisection_depth
+        monkeypatch.setattr(cell_module, "_bisection_depth",
+                            lambda lanes: depths.append(bisection_depth(lanes))
+                            or depths[-1])
+
+        def solve(lanes):
+            depths.clear()
+            out = cell._read_fixed_point(
+                {name: d[lanes] for name, d in pool.items()}, True, len(lanes))
+            return out, set(depths)
+
+        whole, whole_depths = solve(np.arange(n))
+        assert n > 100 and len(whole_depths) >= 2 and 8 not in whole_depths
+        for start in range(0, n, 8):
+            lanes = np.arange(start, min(start + 8, n))
+            group, _ = solve(lanes)
+            for got, want in zip(group, whole):
+                np.testing.assert_array_equal(got, want[lanes])
+        for lane in range(0, n, 7):
+            alone, alone_depths = solve(np.arange(lane, lane + 1))
+            assert alone_depths <= {8}
+            for got, want in zip(alone, whole):
                 np.testing.assert_array_equal(got, want[lane:lane + 1])
 
     def test_metric_chunk_vs_single(self, wnm_metric, rng):
