@@ -19,7 +19,13 @@ an importance-sampling shard).  RNM outputs are asserted bit-identical to
 the oracle's.  The read-state and fixed-point rows are asserted to the
 read-current contract instead: every lane's read current within
 ``_READ_CURRENT_TOL`` (1 pA) of the oracle's, the same pass/fail at the
-35 uA spec, and the lanes the Newton pass converges bit-identical.  The
+35 uA spec, and the lanes the Newton pass converges bit-identical — for
+the read state with its Newton start pinned to the stored state, the
+oracle's start.  The timed read state starts each lane at its first-order
+predicted state, and is asserted to that start's contract against the
+pinned one: the same lanes reach the fixed point, bit-identical there, no
+pass/fail change, and every Newton-accepted read current within the two
+solutions' first-order errors.  The
 ``ekv_interp`` rows time the EKV interpolation ``F``, ``F'`` itself — the
 one-exponential form every kernel above calls against the
 ``np.logaddexp`` form it replaced (kept in tests/test_devices_mosfet.py)
@@ -43,6 +49,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from benchmarks._shared import SCALE, bench_metadata, interleaved_min, write_report
 from repro.devices.mosfet import _interp_f_and_deriv
@@ -52,8 +59,10 @@ from tests.test_devices_mosfet import _logaddexp_interp
 from tests.test_sram_cell import (
     SequentialReadCell,
     _assert_read_current_contract,
+    _assert_start_contract,
     _half_cell_vtc_reference,
     _newton_lanes,
+    _pin_stored_start,
 )
 
 JSON_PATH = Path(__file__).parent.parent / "BENCH_backend_kernels.json"
@@ -85,8 +94,10 @@ def _sram_kernels(rows, seed=23):
     The RNM VTC pair solves the read butterfly's two sides; the read
     state is the read-current metric's DC solve.  Tiny read-state calls
     sit in the read-upset wedge (the straggler path), the chunk is a
-    Monte-Carlo batch.  The VTC pair must match the oracle bit for bit,
-    the read state its read-current contract.
+    Monte-Carlo batch.  The VTC pair must match the oracle bit for bit;
+    the read state must keep both of its contracts: the read-current stop
+    against the oracle with the Newton start pinned to the stored state,
+    and the predicted start against that pinned start.
     """
     rng = np.random.default_rng(seed + rows)
     rnm = ReadNoiseMarginMetric()
@@ -119,10 +130,13 @@ def _sram_kernels(rows, seed=23):
     rnm_pair, read_state = kernels["rnm_vtc_pair"], kernels["iread_read_state"]
     for got, want in zip(rnm_pair["fused"](), rnm_pair["oracle"]()):
         np.testing.assert_array_equal(got, want)
-    _assert_read_current_contract(
-        fragile, read_state["fused"](), read_state["oracle"](), read_deltas,
-        True, _newton_lanes(fragile, read_deltas, True),
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        _pin_stored_start(mp)
+        _assert_read_current_contract(
+            fragile, read_state["fused"](), read_state["oracle"](), read_deltas,
+            True, _newton_lanes(fragile, read_deltas, True),
+        )
+    _assert_start_contract(fragile, read_deltas, True)
     return kernels
 
 
@@ -203,11 +217,12 @@ def test_backend_kernel_throughput():
     sram = bench_sram_kernels()
     payload = {
         "workload": "RNM VTC pair (81-point grid, both sides), iread read "
-                    "state and its read-upset fixed point (bisection "
+                    "state (Newton from each lane's first-order predicted "
+                    "state) and its read-upset fixed point (bisection "
                     "stopped at a 1 pA read-current bracket); fused kernel "
-                    "vs the pre-change oracle (30 sequential bisection "
-                    "steps).  ekv_interp: the EKV interpolation F, F' vs "
-                    "its logaddexp form",
+                    "vs the pre-change oracle (stored-state Newton start, "
+                    "30 sequential bisection steps).  ekv_interp: the EKV "
+                    "interpolation F, F' vs its logaddexp form",
         "environment": bench_metadata(),
         "tiny_rows": list(TINY_ROWS),
         "chunk_rows": CHUNK_ROWS,

@@ -66,6 +66,9 @@ PROTOCOL_VERSION = 1
 #: Missed-heartbeat multiplier before a silent worker is declared dead.
 DEAD_AFTER_BEATS = 3.0
 
+#: Seconds ``RemoteCoordinator.close`` waits for each of its threads.
+_CLOSE_JOIN_S = 5.0
+
 _HEADER = struct.Struct(">IQ")
 _BUFLEN = struct.Struct(">Q")
 
@@ -175,6 +178,8 @@ class _Worker:
         self.completed = 0
         #: Cumulative simulations reported in this worker's shard results.
         self.sims = 0
+        #: The thread running the coordinator's receive loop for it.
+        self.receiver: Optional[threading.Thread] = None
 
 
 class RemoteCoordinator:
@@ -232,9 +237,21 @@ class RemoteCoordinator:
                 sock.close()
                 continue
             worker = _Worker(conn, hello[2], name=f"{peer[0]}:{peer[1]}")
+            worker.receiver = threading.Thread(
+                target=self._receive_loop,
+                args=(worker,),
+                name=f"repro-remote-recv-{worker.name}",
+                daemon=True,
+            )
             with self._lock:
+                if self._closed:
+                    # The handshake finished after close() took the worker
+                    # list: nobody would ever close this connection.
+                    conn.close()
+                    return
                 self._workers.append(worker)
                 self.workers_joined += 1
+                worker.receiver.start()
             _telemetry.count("remote.workers_joined", 1)
             logs.info(
                 "remote worker joined",
@@ -243,12 +260,6 @@ class RemoteCoordinator:
                 pid=worker.meta.get("pid"),
                 cpu_count=worker.meta.get("cpu_count"),
             )
-            threading.Thread(
-                target=self._receive_loop,
-                args=(worker,),
-                name=f"repro-remote-recv-{worker.name}",
-                daemon=True,
-            ).start()
             with self._join_cond:
                 self._join_cond.notify_all()
             self._inbox.put(("joined", worker))
@@ -543,14 +554,25 @@ class RemoteCoordinator:
     def close(self) -> None:
         if self._closed:
             return
-        self._closed = True
+        with self._lock:
+            self._closed = True
         self._broadcast(("shutdown",))
+        # Closing a listening socket does not wake a thread blocked in
+        # accept() on Linux, and the port keeps accepting until that
+        # thread lets go of it; shutting it down first does both.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._listener.close()
+        self._accepter.join(timeout=_CLOSE_JOIN_S)
         with self._lock:
             workers, self._workers = self._workers, []
         for worker in workers:
             worker.alive = False
             worker.conn.close()
+        for worker in workers:
+            worker.receiver.join(timeout=_CLOSE_JOIN_S)
 
     def __enter__(self) -> "RemoteCoordinator":
         return self
@@ -587,8 +609,12 @@ def run_worker(
             continue
         sock.settimeout(None)
         conn = FramedConnection(sock)
-        conn.send(("hello", PROTOCOL_VERSION, host_stamp()))
-        welcome = conn.recv()
+        try:
+            conn.send(("hello", PROTOCOL_VERSION, host_stamp()))
+            welcome = conn.recv()
+        except (ConnectionError, OSError, EOFError):
+            conn.close()
+            return completed  # the coordinator closed before welcoming us
         if welcome[0] != "welcome":
             conn.close()
             raise RuntimeError(

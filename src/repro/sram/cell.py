@@ -67,14 +67,27 @@ bit-identical per lane to the per-side, per-device, sequential solve;
 as the oracle in ``tests/test_sram_cell.py``.  Only the Newton lane
 counters see the difference: they count the speculative lanes too.
 
-One measure changes results, within a stated bound: a straggler stops
-bisecting once its bracket bounds the read current within
-``_READ_CURRENT_TOL`` (1 pA), where the oracle always takes 30 steps.  A
-read-upset cell's current has collapsed to femtoamps, so most stragglers
-stop right after the scan.  Every read current stays within the tolerance
-of the oracle's (:meth:`SixTransistorCell._read_fixed_point` says why),
-lanes the Newton pass converges are untouched, and with the tolerance at
-``-inf`` the fixed point is the oracle's bit for bit.
+Two measures change results, each within a stated bound:
+
+* a straggler stops bisecting once its bracket bounds the read current
+  within ``_READ_CURRENT_TOL`` (1 pA), where the oracle always takes 30
+  steps.  A read-upset cell's current has collapsed to femtoamps, so most
+  stragglers stop right after the scan.  Every read current stays within
+  the tolerance of the oracle's (:meth:`SixTransistorCell._read_fixed_point`
+  says why), lanes the Newton pass converges are untouched, and with the
+  tolerance at ``-inf`` the fixed point is the oracle's bit for bit;
+* each Newton lane starts at its first-order predicted read state, the
+  nominal state moved along its mismatch tangent, where the oracle starts
+  every lane at the stored state (low node 0.05 V, high node VDD).  On a
+  golden Monte-Carlo chunk that takes Newton from 6.0 lane-iterations per
+  lane to 2.8.  A lane is accepted only at the stored state, clear of the
+  read-upset fold (a stable root with loop gain at most 0.9, low node below
+  high node); any other converged lane reruns from the stored start, and
+  lanes left unconverged go to the fixed point as before, so those lanes
+  are the oracle's.  An accepted lane lands
+  within Newton's own tolerance of the root the stored start reaches, and
+  on ~1.2M golden, tail and fold-grid lanes none changed pass/fail
+  (``benchmarks/bench_read_current_tolerance.py``).
 """
 
 from __future__ import annotations
@@ -224,6 +237,35 @@ _READ_CURRENT_TOL = 1e-12
 _READ_NEWTON_ITERATIONS = 14
 _READ_SCAN_POINTS = 33
 _READ_BISECT_STEPS = 30
+
+#: Residual tolerance (A) of the read-state Newton pass: device currents
+#: are ~1e-4 A and node conductances ~1e-4 S, so 3e-11 A resolves node
+#: voltages to well under a microvolt — far tighter than any metric needs,
+#: yet loose enough that near-fold (read-upset boundary) points, where
+#: Newton slows to linear convergence, still terminate quickly.
+_READ_TOL = 3e-11
+
+#: Mismatch step (V) of the central differences behind the first-order
+#: read-state prediction.
+_READ_SENSITIVITY_STEP = 1e-4
+
+#: Fold margin of the read-state guard: a lane converged from its predicted
+#: start is accepted only where ``det J >= _READ_FOLD_MARGIN * j11 * j22``,
+#: i.e. where the cell's loop gain ``j12 * j21 / (j11 * j22)`` is at most
+#: 0.9.  The gain reaches 1 at the read-upset fold, where a residual under
+#: ``_READ_TOL`` no longer tells a root from the ghost of one: on a grid
+#: across the fold, the predicted start met the tolerance at ghosts with a
+#: positive determinant (gain 1 - 1.4e-5 and 1 - 1.9e-3) past the fold,
+#: where the stored start ran out of iterations and the fixed point found
+#: the flipped state.  Every lane the stored start needed 12 or more
+#: iterations for had gain above 0.92 at its predicted-start root, so a
+#: lane inside the margin reruns from the stored start.
+_READ_FOLD_MARGIN = 0.1
+
+#: First-order read-state predictions ``(v_nom, S)`` by cell: keyed by the
+#: six devices' parameters, VDD and the stored state, and kept off the cell
+#: so that pickling a metric (its ledger fingerprint) never sees them.
+_READ_PREDICTIONS: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
 
 #: Lane count under which the read-state Newton pass evaluates its six
 #: devices in one stacked EKV call instead of six per-device calls.  On the
@@ -570,11 +612,10 @@ class SixTransistorCell:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """DC state ``(v_q, v_qb)`` during a read access (WL=BL=BLB=VDD).
 
-        The solve starts from the stored state, so if that state still exists
-        it is returned; if large mismatch has destroyed it (static read
-        upset) the solver lands on the flipped state — exactly the physics
-        that makes the read-current failure region of Section V-B
-        non-convex.
+        If the stored state still exists it is returned; if large mismatch
+        has destroyed it (static read upset) the solver lands on the
+        flipped state — exactly the physics that makes the read-current
+        failure region of Section V-B non-convex.
 
         Strategy: batched damped 2-D Newton for the bulk of the batch, then
         the monotone least-fixed-point construction
@@ -584,16 +625,30 @@ class SixTransistorCell:
         fixed-point bisection stops at the read-current tolerance
         regardless.
 
+        Each lane's Newton pass starts at its first-order predicted state
+        (:meth:`_read_start`), the nominal read state moved along its
+        tangent by the lane's own mismatch.  A converged lane is accepted
+        only at a stable root clear of the read-upset fold (loop gain at
+        most 0.9, ``_READ_FOLD_MARGIN``) whose low node sits below its high
+        node: the stored state, not the metastable or the flipped one, nor
+        a ghost the residual tolerance cannot tell from a root at the fold.
+        A lane that fails this guard reruns the pass from the stored state
+        (low node 0.05 V, high node VDD), so its result is that pass's bit
+        for bit, fixed point included.  Lanes the first pass leaves
+        unconverged go straight to the fixed point.  A lane the pass
+        accepts returns one Newton step past where its residuals met the
+        tolerance, and lands within Newton's own tolerance of the root the
+        stored start reaches (DESIGN.md, "Kernels", states the bound).
+
         The Newton pass keeps an active lane set, as
         :func:`_solve_monotone_node` does: a lane whose residuals meet the
         tolerance is written back and leaves the pass, so later iterations
-        evaluate only the lanes still running (see
+        evaluate only the lanes still running (:meth:`_read_newton`; see
         :meth:`_read_state_residual` for the two evaluation forms).
         """
         delta_vth = dict(delta_vth or {})
         batch_shape = np.broadcast_shapes(*(np.shape(d) for d in delta_vth.values())) \
             if delta_vth else ()
-        vdd = self.vdd
         # Flatten the batch so lane compaction below stays simple.
         n_batch = int(np.prod(batch_shape)) if batch_shape else 1
         d_flat = {
@@ -607,63 +662,187 @@ class SixTransistorCell:
         }
         lane_terms, residuals = self._read_state_residual(d_flat, n_batch)
 
-        if stored_zero_at_q:
-            init_q, init_qb = 0.05, vdd
-        else:
-            init_q, init_qb = vdd, 0.05
-
-        # Residual tolerance: device currents are ~1e-4 A and node
-        # conductances ~1e-4 S, so 3e-11 A resolves node voltages to well
-        # under a microvolt — far tighter than any metric needs, yet loose
-        # enough that near-fold (read-upset boundary) points, where Newton
-        # slows to linear convergence, still terminate quickly.
-        tol = 3e-11
-        step_cap = 0.1
-
         # Phase 1: a short Newton pass settles the vast majority.  Lanes
-        # leave it as they converge; ``active`` ends up holding the lanes
-        # it left unconverged.
+        # that start at their predicted state run it guarded; the rest (the
+        # lanes the guard rejects, and any whose prediction is the stored
+        # state itself) run it from the stored state, unguarded.
+        start_q, start_qb = self._read_start(d_flat, stored_zero_at_q)
+        home_q, home_qb = self._stored_start(d_flat, stored_zero_at_q)
+        predicted = (start_q != home_q) | (start_qb != home_qb)
         out_q = np.empty((n_batch,), dtype=np.float64)
         out_qb = np.empty((n_batch,), dtype=np.float64)
-        vq = np.full((n_batch,), float(init_q), dtype=np.float64)
-        vqb = np.full((n_batch,), float(init_qb), dtype=np.float64)
-        active = np.arange(n_batch)
-        for _ in range(_READ_NEWTON_ITERATIONS):
-            fq, fqb, j11, j12, j21, j22 = residuals(vq, vqb, lane_terms)
-            converged = (np.abs(fq) < tol) & (np.abs(fqb) < tol)
-            if bool(np.any(converged)):
-                # Early lane exit: freeze converged lanes at the state their
-                # residuals were just evaluated at and drop them from the
-                # pass, compacting every per-lane array once.
-                out_q[active[converged]] = vq[converged]
-                out_qb[active[converged]] = vqb[converged]
-                keep = ~converged
-                active = active[keep]
-                if not int(active.shape[0]):
-                    break
-                vq, vqb, fq, fqb, j11, j12, j21, j22 = (
-                    a[keep] for a in (vq, vqb, fq, fqb, j11, j12, j21, j22)
-                )
-                lane_terms = lane_terms[:, keep]
-            det = j11 * j22 - j12 * j21
-            safe = np.abs(det) > 1e-30
-            inv_det = np.where(safe, 1.0 / np.where(safe, det, 1.0), 0.0)
-            dvq = np.clip(-(j22 * fq - j12 * fqb) * inv_det, -step_cap, step_cap)
-            dvqb = np.clip(-(-j21 * fq + j11 * fqb) * inv_det, -step_cap, step_cap)
-            vq = np.clip(vq + dvq, -0.2, vdd + 0.2)
-            vqb = np.clip(vqb + dvqb, -0.2, vdd + 0.2)
+        left, n_rejected = [np.empty((0,), dtype=np.intp)], 0
+        for guard, start in ((stored_zero_at_q, (start_q, start_qb)),
+                             (None, (home_q, home_qb))):
+            lanes = np.flatnonzero(predicted if guard is not None else ~predicted)
+            if not int(lanes.shape[0]):
+                continue
+            # A pass over the whole batch indexes by a slice: no copies.
+            sub = slice(None) if int(lanes.shape[0]) == n_batch else lanes
+            v_q, v_qb, unconverged, rejected = self._read_newton(
+                residuals, lane_terms[:, sub], start[0][sub], start[1][sub],
+                guard=guard,
+            )
+            out_q[sub], out_qb[sub] = v_q, v_qb
+            left.append(lanes[unconverged])
+            n_rejected += int(rejected.shape[0])
+            predicted[lanes[rejected]] = False
+        left = np.sort(np.concat(left))
+        recorder = _telemetry.get_active()
+        if recorder is not None:
+            recorder.count("read.start_rejected", n_rejected)
 
-        if int(active.shape[0]):
+        if int(left.shape[0]):
             # Phase 2: the stragglers — mostly read-upset cases where the
             # stored state no longer exists and Newton oscillates around
             # the fold — are resolved with the monotone fixed-point
             # construction, which has no critical slowing.
-            d_sub = {name: val[active] for name, val in d_flat.items()}
-            out_q[active], out_qb[active] = self._read_fixed_point(
-                d_sub, stored_zero_at_q, int(active.shape[0])
+            d_sub = {name: val[left] for name, val in d_flat.items()}
+            out_q[left], out_qb[left] = self._read_fixed_point(
+                d_sub, stored_zero_at_q, int(left.shape[0])
             )
 
         return np.reshape(out_q, batch_shape), np.reshape(out_qb, batch_shape)
+
+    def _stored_start(self, d_flat, stored_zero_at_q):
+        """Newton start ``(v_q, v_qb)`` of every lane of ``d_flat`` at the
+        stored state: the low node at 0.05 V, the high node at VDD."""
+        n = int(d_flat[DEVICE_NAMES[0]].shape[0])
+        low, high = 0.05, float(self.vdd)
+        v_q, v_qb = (low, high) if stored_zero_at_q else (high, low)
+        return (np.full((n,), v_q, dtype=np.float64),
+                np.full((n,), v_qb, dtype=np.float64))
+
+    def _read_start(self, d_flat, stored_zero_at_q):
+        """Newton start ``(v_q, v_qb)`` of every lane of ``d_flat``: its
+        first-order predicted read state ``v_nom + S · ΔVth``
+        (:meth:`_read_prediction`), clipped to the Newton box.  The sum
+        runs device by device in a fixed order, elementwise, so a lane's
+        start depends only on its own mismatch."""
+        v_nom, sens = self._read_prediction(stored_zero_at_q)
+        shift = sens[:, :1] * d_flat[DEVICE_NAMES[0]]
+        for k in range(1, len(DEVICE_NAMES)):
+            shift = shift + sens[:, k:k + 1] * d_flat[DEVICE_NAMES[k]]
+        v_q, v_qb = np.clip(v_nom[:, None] + shift, -0.2, self.vdd + 0.2)
+        return v_q, v_qb
+
+    def _read_prediction(self, stored_zero_at_q):
+        """``(v_nom, S)`` of the first-order read-state prediction.
+
+        ``v_nom`` is the nominal cell's read state ``(v_q, v_qb)``, solved
+        by :meth:`_read_newton` from the stored state; ``S = -J^-1 df/dΔVth``
+        (``(2, 6)``, columns in ``DEVICE_NAMES`` order) is its sensitivity
+        to each device's mismatch, with ``J`` the Jacobian at ``v_nom`` and
+        ``df/dΔVth`` central differences of the residuals there.  If the
+        nominal solve does not settle, the prediction is the stored state
+        with ``S = 0``.  Computed once per process for each cell design and
+        stored state, in ``_READ_PREDICTIONS``, never on the cell.
+        """
+        key = (tuple(self.devices[name].params for name in DEVICE_NAMES),
+               float(self.vdd), bool(stored_zero_at_q))
+        cached = _READ_PREDICTIONS.get(key)
+        if cached is not None:
+            return cached
+        nominal = {name: np.zeros(1) for name in DEVICE_NAMES}
+        stored = self._stored_start(nominal, stored_zero_at_q)
+        lane_terms, residuals = self._read_state_residual(nominal, 1)
+        v_q, v_qb, left, _ = self._read_newton(residuals, lane_terms, *stored)
+        if int(left.shape[0]):
+            v_nom = np.concat(stored)
+            sens = np.zeros((2, len(DEVICE_NAMES)))
+        else:
+            v_nom = np.concat([v_q, v_qb])
+            # Lanes 2k and 2k + 1 raise and lower device k's threshold by
+            # h; the last lane is the nominal cell, for the Jacobian.
+            h = _READ_SENSITIVITY_STEP
+            n = 2 * len(DEVICE_NAMES) + 1
+            shifted = {name: np.zeros(n) for name in DEVICE_NAMES}
+            for k, name in enumerate(DEVICE_NAMES):
+                shifted[name][2 * k:2 * k + 2] = (h, -h)
+            terms, shifted_residuals = self._read_state_residual(shifted, n)
+            fq, fqb, j11, j12, j21, j22 = shifted_residuals(
+                np.full(n, v_nom[0]), np.full(n, v_nom[1]), terms
+            )
+            dfd = np.stack([f[0:-1:2] - f[1:-1:2] for f in (fq, fqb)]) / (2.0 * h)
+            jac = np.array([[j11[-1], j12[-1]], [j21[-1], j22[-1]]])
+            sens = -np.linalg.solve(jac, dfd)
+        _READ_PREDICTIONS[key] = (v_nom, sens)
+        return v_nom, sens
+
+    def _read_newton(self, residuals, lane_terms, vq, vqb, guard=None):
+        """The damped 2-D Newton pass of the read state from ``(vq, vqb)``.
+
+        ``residuals`` and ``lane_terms`` come from
+        :meth:`_read_state_residual`, one column of ``lane_terms`` per lane
+        of ``vq``.  Returns ``(v_q, v_qb, left, rejected)``: the converged
+        states, the indices of the lanes left unconverged after
+        ``_READ_NEWTON_ITERATIONS`` (their ``v_q``/``v_qb`` entries are
+        unset), and those of the converged lanes the guard rejects.  With
+        ``guard`` set to ``stored_zero_at_q``, a lane is rejected unless it
+        converged at a stable root clear of the read-upset fold (a Jacobian
+        determinant of at least ``_READ_FOLD_MARGIN * j11 * j22``: loop gain
+        at most 0.9) with its low node below its high node; with ``None``
+        none is.
+
+        A lane whose residuals meet ``_READ_TOL`` leaves the pass,
+        compacting every per-lane array once, so later iterations evaluate
+        only the lanes still running.  Unguarded, it is written back at the
+        state its residuals were just evaluated at, as the stored-start
+        pass always was; guarded and accepted, at one Newton step further,
+        the step those residuals already give.  That step costs no
+        evaluation and puts the lane far inside the residual tolerance, so
+        its read current moves from the stored start's by about the stored
+        start's own error, not by the sum of two.  Lanes never interact: a
+        lane's result does not depend on the others in the pass.
+        """
+        n = int(vq.shape[0])
+        hi = self.vdd + 0.2
+        step_cap = 0.1
+        out_q = np.empty((n,), dtype=np.float64)
+        out_qb = np.empty((n,), dtype=np.float64)
+        active = np.arange(n)
+        rejected = [active[:0]]
+        recorder = _telemetry.get_active()
+        lane_iters = 0
+        for _ in range(_READ_NEWTON_ITERATIONS):
+            if recorder is not None:
+                lane_iters += int(active.shape[0])
+            fq, fqb, j11, j12, j21, j22 = residuals(vq, vqb, lane_terms)
+            det = j11 * j22 - j12 * j21
+            converged = (np.abs(fq) < _READ_TOL) & (np.abs(fqb) < _READ_TOL)
+            if bool(np.any(converged)):
+                done_q, done_qb = vq[converged], vqb[converged]
+                if guard is not None:
+                    low, high = (vq, vqb) if guard else (vqb, vq)
+                    stored = (det >= _READ_FOLD_MARGIN * (j11 * j22)) & (low < high)
+                    rejected.append(active[converged & ~stored])
+                    # An accepted lane takes the Newton step its residuals
+                    # already ask for: no further evaluation, and its read
+                    # current lands well inside the stored start's error.
+                    c = converged
+                    inv = 1.0 / np.where(stored[c], det[c], np.inf)
+                    done_q = done_q - (j22[c] * fq[c] - j12[c] * fqb[c]) * inv
+                    done_qb = done_qb - (-j21[c] * fq[c] + j11[c] * fqb[c]) * inv
+                out_q[active[converged]] = done_q
+                out_qb[active[converged]] = done_qb
+                keep = ~converged
+                active = active[keep]
+                if not int(active.shape[0]):
+                    break
+                vq, vqb, fq, fqb, j11, j12, j21, j22, det = (
+                    a[keep] for a in (vq, vqb, fq, fqb, j11, j12, j21, j22, det)
+                )
+                lane_terms = lane_terms[:, keep]
+            safe = np.abs(det) > 1e-30
+            inv_det = np.where(safe, 1.0 / np.where(safe, det, 1.0), 0.0)
+            dvq = np.clip(-(j22 * fq - j12 * fqb) * inv_det, -step_cap, step_cap)
+            dvqb = np.clip(-(-j21 * fq + j11 * fqb) * inv_det, -step_cap, step_cap)
+            vq = np.clip(vq + dvq, -0.2, hi)
+            vqb = np.clip(vqb + dvqb, -0.2, hi)
+        if recorder is not None:
+            recorder.count("read.newton_lanes", n)
+            recorder.count("read.newton_lane_iters", lane_iters)
+        return out_q, out_qb, active, np.concat(rejected)
 
     def _read_state_residual(self, d_flat, n_lanes):
         """Residual factory of the read-state Newton pass.
@@ -753,7 +932,7 @@ class SixTransistorCell:
         return lane_terms, residuals
 
     def _read_fixed_point(self, delta, stored_zero_at_q, n_batch):
-        """Basin-correct read state via the monotone loop map.
+        """Read state via the monotone loop map, for the Newton stragglers.
 
         The read-configuration DC states are the fixed points of
         ``phi(v) = h_near(h_far(v))`` — the composition of the two
@@ -761,10 +940,23 @@ class SixTransistorCell:
         strictly decreasing).  By monotone-map theory, the state reachable
         from the stored value (low node near 0) is the **least** fixed
         point, i.e. the first sign change of ``psi(v) = phi(v) - v`` going
-        up from the bottom of the range.  A vectorised grid scan brackets
-        that crossing and bisection refines it: cost is independent of how
-        close the cell sits to the read-upset fold, where Newton and
-        relaxation methods slow critically.
+        up from the bottom of the range.  A ``_READ_SCAN_POINTS``-point
+        grid scan brackets the first sign change it sees and bisection
+        refines it: cost is independent of how close the cell sits to the
+        read-upset fold, where Newton and relaxation methods slow
+        critically.
+
+        The scan is not basin-correct on its own.  Where the stored and
+        the metastable crossing fall inside one 43.75 mV scan cell, psi is
+        positive at both ends of that cell, the scan misses both, and the
+        flipped state is returned: a read-current lane at whitened
+        ``(2.9515, -2.8867)`` has its stored state (48.3 uA, a pass) near
+        0.473 V and its metastable one near 0.487 V, and gets the flipped
+        state (4e-18 A, a fail) here.  Such a lane keeps a stable stored
+        state, which the Newton pass of :meth:`solve_read_state` converges
+        to, so it never reaches this method there; a test on a grid across
+        the read-upset fold checks that every lane routed here lands in the
+        least fixed point's basin as a fine scan sees it.
 
         A lane bisects until the low node's access current differs by at
         most ``_READ_CURRENT_TOL`` between its bracket's ends, or for

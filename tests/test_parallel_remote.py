@@ -141,6 +141,55 @@ class TestCoordinator:
         with RemoteCoordinator(min_workers=1, heartbeat=0.5) as coord:
             assert coord.map(_square, []) == []
 
+    def test_close_frees_port_and_threads(self):
+        """After close() the port refuses connections, and neither the
+        accept thread nor any receive thread is left running."""
+        coord = RemoteCoordinator(min_workers=2, heartbeat=0.5)
+        workers = [_start_worker(coord.address) for _ in range(2)]
+        assert coord.map(_square, [2, 3]) == [4, 9]
+        receivers = [w.receiver for w in coord._workers]
+        names = {t.name for t in [coord._accepter] + receivers}
+        coord.close()
+        assert not coord._accepter.is_alive()
+        assert not any(t.is_alive() for t in receivers)
+        for thread in workers:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(coord.address, timeout=2).close()
+        left = [t.name for t in threading.enumerate()
+                if t.name.startswith("repro-remote-recv") and t.name in names]
+        assert left == []
+
+    def test_late_handshake_after_close_is_dropped(self, monkeypatch):
+        """A worker whose handshake completes after close() set the closed
+        flag is disconnected instead of joining a closed coordinator."""
+        coord = RemoteCoordinator(min_workers=1, heartbeat=0.5)
+        accepted = threading.Event()
+        release = threading.Event()
+        recv = FramedConnection.recv
+
+        def slow_hello(conn):
+            message = recv(conn)
+            if message[0] == "hello":
+                accepted.set()
+                release.wait(timeout=5)
+            return message
+
+        monkeypatch.setattr(FramedConnection, "recv", slow_hello)
+        worker = _start_worker(coord.address)
+        assert accepted.wait(timeout=5)
+        closer = threading.Thread(target=coord.close)
+        closer.start()
+        while not coord._closed:
+            time.sleep(0.01)
+        release.set()
+        closer.join(timeout=10)
+        worker.join(timeout=5)
+        assert not closer.is_alive() and not worker.is_alive()
+        assert not coord._accepter.is_alive()
+        assert coord.workers_joined == 0 and coord._workers == []
+
     def test_worker_error_carries_remote_traceback(self):
         with RemoteCoordinator(min_workers=1, heartbeat=0.5) as coord:
             thread = _start_worker(coord.address)

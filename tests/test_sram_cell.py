@@ -616,8 +616,10 @@ class TestFusedKernelMatchesPerSideOracle:
         """Read-upset samples leave Newton unconverged and run the
         fixed-point construction, built on the same residual.  With the
         read-current stop disabled, the result is the sequential
-        oracle's, bit for bit."""
+        oracle's, bit for bit, with the Newton pass started at the stored
+        state as the oracle's is."""
         monkeypatch.setattr(cell_module, "_READ_CURRENT_TOL", -np.inf)
+        _pin_stored_start(monkeypatch)
         fused = fragile_cell()
         oracle = ReferenceCell(fused.technology, fused.geometries)
         low = "_l" if stored_zero_at_q else "_r"
@@ -711,6 +713,13 @@ def _assert_same_read_state(fused, oracle, deltas, stored_zero_at_q):
                                       oracle.read_current(deltas))
 
 
+def _pin_stored_start(monkeypatch):
+    """Start every read-state Newton lane at the stored state, as the
+    oracle's pass does, instead of at its first-order predicted state."""
+    monkeypatch.setattr(SixTransistorCell, "_read_start",
+                        SixTransistorCell._stored_start)
+
+
 def _spy_active_lanes(cell, monkeypatch):
     """Record the lane count of every read-state residual evaluation."""
     counts = []
@@ -767,11 +776,13 @@ class TestReadStateMatchesSequentialOracle:
     """The stacked read-state Newton pass, the speculative bisection tree
     and the hoisted half-cell residual reproduce the pre-change read path
     (:class:`SequentialReadCell`) bit for bit once the read-current stop
-    is disabled: the tree then walks all 30 steps, as the oracle does."""
+    is disabled: the tree then walks all 30 steps, as the oracle does —
+    and the Newton pass starts at the stored state, as the oracle's does."""
 
     @pytest.fixture(autouse=True)
     def no_stop(self, monkeypatch):
         monkeypatch.setattr(cell_module, "_READ_CURRENT_TOL", -np.inf)
+        _pin_stored_start(monkeypatch)
 
     @pytest.mark.parametrize("stored_zero_at_q", [True, False])
     @pytest.mark.parametrize("n", _STRAGGLER_COUNTS)
@@ -839,6 +850,22 @@ class TestReadStateMatchesSequentialOracle:
 _READ_SPEC = read_current_problem().spec.threshold
 
 
+def _mixed_population(cell):
+    """Mismatch of 49,152 read-current lanes: golden Monte-Carlo draws
+    plus importance-sampling tails around the read-upset wedge, where most
+    lanes straggle, and a widened normal."""
+    gen = np.random.default_rng(2011)
+    x = np.concatenate(
+        [gen.standard_normal((32768, 2))]
+        + [np.array(shift) + gen.standard_normal((4096, 2))
+           for shift in ((3.0, -3.0), (4.0, -2.0), (2.0, -4.0))]
+        + [2.5 * gen.standard_normal((4096, 2))]
+    )
+    mapped = ReadCurrentMetric(cell).mismatch.deltas(x)
+    return {name: np.asarray(mapped.get(name, np.zeros(len(x))))
+            for name in DEVICE_NAMES}
+
+
 def _low_read_current(cell, state, deltas, stored_zero_at_q):
     """Current of the low node's access device in read state ``state``:
     the read current (M3's when ``q`` stores 0)."""
@@ -904,7 +931,8 @@ class TestReadCurrentTolerance:
     @pytest.mark.parametrize("stored_zero_at_q", [True, False])
     @pytest.mark.parametrize("rows", [4096, 1024])
     def test_metric_chunk_within_tolerance(self, cells, stragglers, rows,
-                                           stored_zero_at_q):
+                                           stored_zero_at_q, monkeypatch):
+        _pin_stored_start(monkeypatch)
         fused, oracle = cells
         deltas = _chunk_with_stragglers(fused, stragglers[stored_zero_at_q], rows)
         newton = _newton_lanes(fused, deltas, stored_zero_at_q)
@@ -915,21 +943,13 @@ class TestReadCurrentTolerance:
             deltas, stored_zero_at_q, newton,
         )
 
-    def test_mixed_population(self, cells):
+    def test_mixed_population(self, cells, monkeypatch):
         """49,152 read-current lanes: golden Monte-Carlo draws plus
         importance-sampling tails around the read-upset wedge, where most
         lanes straggle, and a widened normal."""
+        _pin_stored_start(monkeypatch)
         fused, oracle = cells
-        gen = np.random.default_rng(2011)
-        x = np.concatenate(
-            [gen.standard_normal((32768, 2))]
-            + [np.array(shift) + gen.standard_normal((4096, 2))
-               for shift in ((3.0, -3.0), (4.0, -2.0), (2.0, -4.0))]
-            + [2.5 * gen.standard_normal((4096, 2))]
-        )
-        mapped = ReadCurrentMetric(fused).mismatch.deltas(x)
-        deltas = {name: np.asarray(mapped.get(name, np.zeros(len(x))))
-                  for name in DEVICE_NAMES}
+        deltas = _mixed_population(fused)
         newton = _newton_lanes(fused, deltas, True)
         (got, lanes, steps) = _bisect_counts(lambda: fused.solve_read_state(deltas))
         assert lanes == np.count_nonzero(~newton) > 5000
@@ -937,7 +957,7 @@ class TestReadCurrentTolerance:
         want = oracle.solve_read_state(deltas)
         _assert_read_current_contract(fused, got, want, deltas, True, newton)
         i_want = _low_read_current(fused, want, deltas, True)
-        assert 0 < np.count_nonzero(i_want < _READ_SPEC) < len(x)
+        assert 0 < np.count_nonzero(i_want < _READ_SPEC) < len(i_want)
 
     @pytest.mark.parametrize("stored_zero_at_q", [True, False])
     def test_bisect_step_counters(self, cells, monkeypatch, stored_zero_at_q):
@@ -953,6 +973,297 @@ class TestReadCurrentTolerance:
         _, lanes, steps = _bisect_counts(
             lambda: fused._read_fixed_point(delta, stored_zero_at_q, n))
         assert (lanes, steps) == (n, 30 * n)
+
+
+def _solve_with_stored_start(cell, deltas, stored_zero_at_q):
+    """The read state, and the lanes its Newton pass converges, with every
+    lane started at the stored state."""
+    with pytest.MonkeyPatch.context() as mp:
+        _pin_stored_start(mp)
+        return (cell.solve_read_state(deltas, stored_zero_at_q),
+                _newton_lanes(cell, deltas, stored_zero_at_q))
+
+
+def _first_order_error(cell, state, deltas, stored_zero_at_q):
+    """``|dI/dv_low * (J^-1 f)_low|`` at ``state``: the first-order
+    distance of its read current (the low node's access current) from the
+    exact root's, with ``J^-1 f`` the Newton step the residuals ask for."""
+    v_q, v_qb = (np.asarray(v, dtype=np.float64) for v in state)
+    n = int(v_q.shape[0])
+    d_flat = {name: np.broadcast_to(np.asarray(deltas.get(name, 0.0), dtype=np.float64),
+                                    (n,))
+              for name in DEVICE_NAMES}
+    terms, residuals = cell._read_state_residual(d_flat, n)
+    fq, fqb, j11, j12, j21, j22 = residuals(v_q, v_qb, terms)
+    det = j11 * j22 - j12 * j21
+    if stored_zero_at_q:
+        low, v_low, step = "_l", v_q, (j22 * fq - j12 * fqb) / det
+    else:
+        low, v_low, step = "_r", v_qb, (j11 * fqb - j21 * fq) / det
+    _, _, _, di_dv = cell.devices["ax" + low].current_and_derivs(
+        cell.vdd, cell.vdd, v_low, 0.0, d_flat["ax" + low]
+    )
+    return np.abs(di_dv * step)
+
+
+#: Slack on the first-order bound: relative, for the second-order terms
+#: of the Newton steps (measured up to 2.5e-4 on the ~1.2M-lane bench),
+#: and absolute, 1 fA (3e-11 of the 35 uA spec), for lanes whose currents
+#: move by femtoamps or less.
+_FIRST_ORDER_SLACK = 1e-3
+_FIRST_ORDER_FLOOR = 1e-15
+
+
+def _assert_start_contract(cell, deltas, stored_zero_at_q):
+    """The predicted start against the stored one: the same lanes reach
+    the fixed point and are bit-identical there, no lane changes pass/fail,
+    and every Newton-accepted read current moves by at most the two
+    solutions' first-order errors, within the slack.  Returns the Newton
+    lanes."""
+    want, newton_want = _solve_with_stored_start(cell, deltas, stored_zero_at_q)
+    got = cell.solve_read_state(deltas, stored_zero_at_q)
+    newton = _newton_lanes(cell, deltas, stored_zero_at_q)
+    np.testing.assert_array_equal(newton, newton_want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g[~newton], w[~newton])
+    i_got = _low_read_current(cell, got, deltas, stored_zero_at_q)
+    i_want = _low_read_current(cell, want, deltas, stored_zero_at_q)
+    np.testing.assert_array_equal(i_got < _READ_SPEC, i_want < _READ_SPEC)
+    bound = _FIRST_ORDER_FLOOR + (1.0 + _FIRST_ORDER_SLACK) * (
+        _first_order_error(cell, got, deltas, stored_zero_at_q)
+        + _first_order_error(cell, want, deltas, stored_zero_at_q)
+    )
+    moved = np.abs(i_got - i_want)
+    assert np.all(moved[newton] <= bound[newton]), np.max(moved[newton] / bound[newton])
+    return newton
+
+
+def _read_counts(fn):
+    """``fn()`` under a fresh recorder: (result, read-path counters)."""
+    recorder = telemetry.Recorder(run_id="read-newton")
+    with telemetry.activate(recorder):
+        result = fn()
+    return result, {key: value for key, value in recorder.counters.items()
+                    if key.startswith("read.")}
+
+
+#: A read-current lane whose stored (~0.473 V) and metastable (~0.487 V)
+#: low-node crossings fall inside one 33-point scan cell, (0.469, 0.513) V:
+#: the scan misses both and the fixed point returns the flipped state.
+_BLIND_SPOT_X = (2.9515, -2.8867)
+
+
+def _loop_map(cell, v_low, delta):
+    """The read loop map ``phi`` with ``q`` low, as the fixed point forms
+    it: low node -> right half-cell response -> left one."""
+    vdd, shape = cell.vdd, np.shape(v_low)
+    far = cell._half_cell_residual("right", v_low, vdd, vdd, delta, shape)
+    v_far = _solve_monotone_node(far, -0.2, vdd + 0.2, shape)
+    near = cell._half_cell_residual("left", v_far, vdd, vdd, delta, shape)
+    return _solve_monotone_node(near, -0.2, vdd + 0.2, shape), v_far
+
+
+def _least_basin_top(cell, delta, n, points, block=128):
+    """Per lane, the top of the least fixed point's basin seen by a
+    ``points``-point scan of ``phi(v) - v``: the last grid point before
+    the scan turns back non-negative after its first negative point (the
+    metastable crossing), or ``inf`` where it never does."""
+    grid = np.linspace(-0.1, cell.vdd + 0.1, points)
+    top = np.empty(n)
+    for s in range(0, n, block):
+        sub = {name: d[s:s + block] for name, d in delta.items()}
+        k = len(sub["pd_l"])
+        phi, _ = _loop_map(cell, np.broadcast_to(grid[:, None], (points, k)), sub)
+        negative = phi - grid[:, None] < 0.0
+        first = np.argmax(negative, axis=0)
+        back = ~negative & (np.arange(points)[:, None] > first)
+        top[s:s + k] = np.where(back.any(axis=0), grid[np.argmax(back, axis=0) - 1],
+                                np.inf)
+    return top
+
+
+class TestPredictedStart:
+    """Each Newton lane starts at its first-order predicted read state.
+    Against the stored start: the lanes that reach the fixed point are the
+    same and bit-identical there, pass/fail never changes, and a lane
+    Newton accepts moves only within the two solutions' first-order
+    errors."""
+
+    @pytest.mark.parametrize("stored_zero_at_q", [True, False])
+    @pytest.mark.parametrize("n", _STRAGGLER_COUNTS)
+    def test_read_upset_lanes(self, cells, n, stored_zero_at_q):
+        fused, _ = cells
+        _assert_start_contract(fused, _read_upset_deltas(n, stored_zero_at_q, seed=n),
+                               stored_zero_at_q)
+
+    @pytest.mark.parametrize("stored_zero_at_q", [True, False])
+    @pytest.mark.parametrize("rows", [4096, 1024])
+    def test_metric_chunk(self, cells, stragglers, rows, stored_zero_at_q):
+        fused, _ = cells
+        deltas = _chunk_with_stragglers(fused, stragglers[stored_zero_at_q], rows)
+        newton = _assert_start_contract(fused, deltas, stored_zero_at_q)
+        assert np.count_nonzero(~newton) >= 5
+
+    def test_mixed_population(self, cells):
+        fused, _ = cells
+        newton = _assert_start_contract(fused, _mixed_population(fused), True)
+        assert np.count_nonzero(~newton) > 5000
+
+    def test_counters_match_residual_spy(self, cells, stragglers, monkeypatch):
+        """``read.newton_lanes`` and ``read.newton_lane_iters`` count the
+        lanes entering the pass and the lanes of every residual
+        evaluation; no lane of a Monte-Carlo chunk is rejected."""
+        fused, _ = cells
+        deltas = _chunk_with_stragglers(fused, stragglers[True], 4096)
+        fused.solve_read_state(deltas)  # the prediction, once per process
+        counts = _spy_active_lanes(fused, monkeypatch)
+        _, got = _read_counts(lambda: fused.solve_read_state(deltas))
+        assert got["read.newton_lanes"] == counts[0] == 4096
+        assert got["read.newton_lane_iters"] == sum(counts)
+        assert got["read.start_rejected"] == 0
+        assert got["read.fixed_point_lanes"] >= 5
+        assert sum(counts) < 3.5 * 4096
+
+    def test_guard_rejects_flipped_root(self, monkeypatch):
+        """Started at the flipped state, the blind-spot lane's Newton pass
+        converges there; the guard rejects it and the stored-start rerun
+        returns the stored state, bit for bit, where the fixed point would
+        have returned the flipped state (``TestFixedPointBasin``)."""
+        problem = read_current_problem()
+        cell = problem.metric.cell
+        deltas = problem.metric.mismatch.deltas(np.array([_BLIND_SPOT_X]))
+        want, _ = _solve_with_stored_start(cell, deltas, True)
+        monkeypatch.setattr(SixTransistorCell, "_read_start",
+                            lambda self, d, stored: self._stored_start(d, not stored))
+        d_flat = {name: np.asarray(deltas.get(name, np.zeros(1)), dtype=np.float64)
+                  for name in DEVICE_NAMES}
+        terms, residuals = cell._read_state_residual(d_flat, 1)
+        v_q, v_qb, left, rejected = cell._read_newton(
+            residuals, terms, *cell._read_start(d_flat, True), guard=True)
+        assert left.size == 0 and v_q[0] > v_qb[0] and rejected.tolist() == [0]
+        got, counts = _read_counts(lambda: cell.solve_read_state(deltas))
+        assert counts["read.start_rejected"] == 1
+        assert counts["read.newton_lanes"] == 2
+        assert "read.fixed_point_lanes" not in counts
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        i_read = _low_read_current(cell, got, deltas, True)
+        assert 48.2e-6 < float(i_read[0]) < 48.4e-6
+
+    def test_guard_rejects_metastable_root(self, monkeypatch):
+        """Started at the blind-spot lane's metastable state, Newton
+        converges to that saddle (Jacobian determinant < 0); the guard
+        rejects it."""
+        problem = read_current_problem()
+        cell = problem.metric.cell
+        deltas = problem.metric.mismatch.deltas(np.array([_BLIND_SPOT_X]))
+        d_flat = {name: np.asarray(deltas.get(name, np.zeros(1)), dtype=np.float64)
+                  for name in DEVICE_NAMES}
+        lo, hi = np.array([0.480]), np.array([0.500])
+        for _ in range(40):  # psi rises through the metastable crossing
+            mid = 0.5 * (lo + hi)
+            rising = _loop_map(cell, mid, d_flat)[0] >= mid
+            lo, hi = np.where(rising, lo, mid), np.where(rising, mid, hi)
+        v_low = 0.5 * (lo + hi)
+        _, v_far = _loop_map(cell, v_low, d_flat)
+        terms, residuals = cell._read_state_residual(d_flat, 1)
+        v_q, v_qb, left, rejected = cell._read_newton(
+            residuals, terms, v_low, v_far, guard=True)
+        assert left.size == 0 and rejected.tolist() == [0]
+        assert abs(float(v_q[0]) - float(v_low[0])) < 1e-3 and v_q[0] < v_qb[0]
+        monkeypatch.setattr(SixTransistorCell, "_read_start",
+                            lambda self, d, stored: (v_low, v_far))
+        got, counts = _read_counts(lambda: cell.solve_read_state(deltas))
+        assert counts["read.start_rejected"] == 1
+        for g, w in zip(got, _solve_with_stored_start(cell, deltas, True)[0]):
+            np.testing.assert_array_equal(g, w)
+
+    def test_guard_rejects_ghost_at_the_fold(self, monkeypatch):
+        """A lane just past the read-upset fold has no stored state, only
+        its ghost: psi stays positive.  From the predicted start Newton
+        meets the residual tolerance there at a positive determinant; the
+        fold margin rejects it, and the stored-start rerun leaves the lane
+        to the fixed point, which finds the flipped state, bit for bit as
+        with the stored start."""
+        problem = read_current_problem()
+        cell = problem.metric.cell
+        # Lane 29,750 of the 400 x 400 fold grid of
+        # benchmarks/bench_read_current_tolerance.py.
+        across = np.linspace(4.05, 4.25, 400)[150]
+        along = np.linspace(-2.5, 2.5, 400)[74]
+        x = np.array([[along + across, along - across]]) / np.sqrt(2.0)
+        deltas = problem.metric.mismatch.deltas(x)
+        d_flat = {name: np.asarray(deltas.get(name, np.zeros(1)), dtype=np.float64)
+                  for name in DEVICE_NAMES}
+        grid = np.linspace(0.46, 0.50, 4001)
+        phi, _ = _loop_map(cell, grid[:, None], d_flat)
+        assert np.min(phi[:, 0] - grid) > 0.0
+        want, newton = _solve_with_stored_start(cell, deltas, True)
+        assert not newton[0] and want[0][0] > want[1][0]
+        got, counts = _read_counts(lambda: cell.solve_read_state(deltas))
+        assert counts["read.start_rejected"] == 1
+        assert counts["read.fixed_point_lanes"] == 1
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        monkeypatch.setattr(cell_module, "_READ_FOLD_MARGIN", 0.0)
+        ghost = cell.solve_read_state(deltas)
+        assert ghost[0][0] < ghost[1][0]
+        assert _low_read_current(cell, ghost, deltas, True)[0] > _READ_SPEC
+
+    def test_metric_fingerprint_unchanged_by_evaluation(self, monkeypatch):
+        """The prediction is cached off the cell, so evaluating a metric
+        does not change the pickle its ledgers are keyed by."""
+        from repro.parallel.ledger import metric_fingerprint
+
+        monkeypatch.setattr(cell_module, "_READ_PREDICTIONS", {})
+        problem = read_current_problem()
+        before = metric_fingerprint(problem.metric, problem.spec)
+        problem.metric(np.zeros((4, 2)))
+        assert cell_module._READ_PREDICTIONS
+        assert metric_fingerprint(problem.metric, problem.spec) == before
+        fresh = read_current_problem()
+        assert metric_fingerprint(fresh.metric, fresh.spec) == before
+
+
+class TestFixedPointBasin:
+    """The 33-point scan of ``_read_fixed_point`` misses a stored and
+    metastable pair that falls inside one 43.75 mV cell and then returns
+    the flipped state (``_BLIND_SPOT_X``).  Such lanes must never reach it:
+    every lane ``solve_read_state`` routes to the fixed point lands in the
+    least fixed point's basin as a fine scan sees it."""
+
+    def test_blind_spot_exists(self):
+        problem = read_current_problem()
+        cell = problem.metric.cell
+        deltas = problem.metric.mismatch.deltas(np.array([_BLIND_SPOT_X]))
+        d_flat = {name: np.asarray(deltas.get(name, np.zeros(1)), dtype=np.float64)
+                  for name in DEVICE_NAMES}
+        top = _least_basin_top(cell, d_flat, 1, 4097)
+        v_q_fp, _ = cell._read_fixed_point(d_flat, True, 1)
+        assert 0.47 < top[0] < 0.49 < 1.1 < v_q_fp[0]
+        v_q, _ = cell.solve_read_state(deltas)
+        assert v_q[0] < top[0]
+
+    def test_fixed_point_lanes_in_least_basin(self):
+        """A grid across the read-upset fold, which runs near
+        ``x1 - x2 = 5.85`` (4.14 sigma from nominal along (1, -1))."""
+        problem = read_current_problem()
+        cell = problem.metric.cell
+        across, along = np.meshgrid(np.linspace(4.09, 4.17, 41),
+                                    np.linspace(-2.0, 2.0, 25))
+        x = np.stack([along + across, along - across], axis=-1).reshape(-1, 2)
+        deltas = problem.metric.mismatch.deltas(x / np.sqrt(2.0))
+        newton = _newton_lanes(cell, deltas, True)
+        v_q, _ = cell.solve_read_state(deltas)
+        routed = {name: np.asarray(deltas.get(name, np.zeros(len(x))))[~newton]
+                  for name in DEVICE_NAMES}
+        n = int(np.count_nonzero(~newton))
+        assert n > 100
+        top = _least_basin_top(cell, routed, n, 2049)
+        assert np.all(v_q[~newton] <= top)
+        # The grid straddles the fold: it holds cells that keep their state.
+        i_read = _low_read_current(cell, (v_q, None), deltas, True)
+        assert 100 < np.count_nonzero(i_read >= _READ_SPEC) < len(x) - 100
 
 
 class TestBatchIndependence:
