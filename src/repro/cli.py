@@ -345,29 +345,21 @@ def _first_stage_kwargs(args, methods) -> dict:
 def _metrics_exporter(args):
     """Live ``/metrics`` + ``/status`` for the run (``--metrics-port``).
 
-    Installs a fresh :class:`~repro.obs.progress.ProgressEngine` as the
-    process-global active engine and binds a loopback exporter for the
-    duration; the handler reads the actives at request time, so the
-    recorder (when one records) shows up on the same endpoint.  Without
-    the flag this yields immediately and every instrumented site keeps
-    its one-``is None``-check fast path.
+    Binds a loopback exporter for the duration; its handler reads the
+    active recorder at request time (:func:`_run_recorder` records
+    whenever the flag is set).  Without the flag this yields
+    immediately.
     """
     port = getattr(args, "metrics_port", None)
     if port is None:
         yield None
         return
-    from repro.obs import ProgressEngine, activate
     from repro.obs.http import start_metrics_server
 
-    engine = ProgressEngine()
-    with activate(engine):
-        server = start_metrics_server(port)
+    with start_metrics_server(port) as server:
         logs.info(f"metrics exporter on {server.url}/metrics "
                   f"(watch with `repro top {server.url}`)")
-        try:
-            yield engine
-        finally:
-            server.close()
+        yield server
 
 
 def _print_verbose_extras(result) -> None:
@@ -400,8 +392,8 @@ def _run_recorder(args) -> Optional["telemetry.Recorder"]:
 
     Tracing flags always record; ``--verbose`` alone records too, so the
     stderr summary has something to say, and ``--metrics-port`` records
-    so the exporter has counters to serve.  ``None`` (the default) keeps
-    every instrumented site on its one-``is None``-check fast path.
+    so the exporter has a live view to serve.  ``None`` (the default)
+    keeps every instrumented site on its one-``is None``-check fast path.
     """
     if (
         _tracing_requested(args)
@@ -558,21 +550,10 @@ def _cmd_serve(args) -> int:
     if args.cache_dir is None:
         logs.warning("no --cache-dir: serving without persistence "
                      "(every job runs cold)")
-    metrics = None
-    if args.metrics_port is not None:
-        # The service installed its progress engine as the process-global
-        # active in its constructor, so the dedicated exporter serves the
-        # same queue the API port does.
-        from repro.obs.http import start_metrics_server
-
-        metrics = start_metrics_server(args.metrics_port)
-        logs.info(f"metrics exporter on {metrics.url}/metrics "
-                  f"(watch with `repro top {metrics.url}`)")
-    try:
+    # The service activated its recorder in its constructor, so the
+    # dedicated exporter serves the same queue the API port does.
+    with _metrics_exporter(args):
         serve_forever(service, host=args.host, port=args.port)
-    finally:
-        if metrics is not None:
-            metrics.close()
     return 0
 
 
@@ -678,11 +659,7 @@ def _cmd_worker(args) -> int:
     from repro.parallel.remote import parse_address, run_worker
 
     host, port = parse_address(args.connect)
-    recorder = (
-        telemetry.Recorder(run_id="repro-worker")
-        if args.metrics_port is not None
-        else None
-    )
+    recorder = _run_recorder(args)
     logs.info(f"joining coordinator at {host}:{port}")
     with _metrics_exporter(args), (
         telemetry.activate(recorder)

@@ -58,7 +58,6 @@ from repro.parallel.workers import (
 )
 from repro.stats.mixture import GaussianMixture
 from repro.stats.mvnormal import MultivariateNormal
-from repro.obs import progress as _progress
 from repro.telemetry import context as _telemetry
 from repro.utils.rng import (
     SeedLike,
@@ -369,9 +368,6 @@ def _build_first_stage(
     """
     t0 = time.perf_counter()
     stage1_start = counted.checkpoint()
-    engine = _progress.get_active()
-    if engine is not None:
-        engine.stage_begin("first_stage")
     # The span covers everything the paper charges to stage 1: the
     # starting-point search, the chains, the proposal fit and the
     # mixing diagnostics.  Its ``sims`` counter is the same
@@ -440,15 +436,11 @@ def _build_first_stage(
         if n_chains > 1 and n_gibbs >= 4:
             diagnostics = diagnose_chains(chain)
             extras["chain_diagnostics"] = diagnostics
-            if engine is not None:
-                engine.chain_diagnostics(
-                    diagnostics.max_rhat, diagnostics.min_ess
-                )
+            _telemetry.gauge("chain.max_rhat", diagnostics.max_rhat)
+            _telemetry.gauge("chain.min_ess", diagnostics.min_ess)
 
         n_first_stage = counted.checkpoint() - stage1_start
         stage_span.add("sims", n_first_stage)
-    if engine is not None:
-        engine.stage_end("first_stage")
     return FirstStageArtifact(
         coordinate_system=coordinate_system,
         proposal=proposal,

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.mc.indicator import FailureSpec
 from repro.mc.results import ConvergenceTrace, EstimationResult
-from repro.obs import progress as _progress
 from repro.parallel.executor import ParallelExecutor, resolve_executor
 from repro.parallel.ledger import (
     metric_fingerprint,
@@ -220,9 +219,6 @@ def importance_sampling_estimate(
         nominal = MultivariateNormal.standard(dimension)
 
     pool = resolve_executor(executor, n_workers, backend)
-    engine = _progress.get_active()
-    if engine is not None:
-        engine.stage_begin("second_stage")
     with _telemetry.span(
         "second_stage", method=method, samples=int(n_samples)
     ) as stage_span:
@@ -236,8 +232,6 @@ def importance_sampling_estimate(
         # Replayed ledger shards were paid for by an earlier run.
         stage_span.add("sims", sims_executed)
         stage_span.add("failures", int(n_failures))
-    if engine is not None:
-        engine.stage_end("second_stage")
 
     result_extras = dict(extras or {})
     if resume_record is not None:

@@ -22,7 +22,6 @@ from typing import Callable, Optional
 
 from repro.mc.indicator import FailureSpec
 from repro.mc.results import ConvergenceTrace, EstimationResult
-from repro.obs import progress as _progress
 from repro.parallel.executor import ParallelExecutor, resolve_executor
 from repro.parallel.ledger import metric_fingerprint, open_ledger, seed_key
 from repro.parallel.sharding import checkpoint_grid, merge_mc_shards, plan_shards
@@ -96,9 +95,6 @@ def brute_force_monte_carlo(
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     dimension = dimension if dimension is not None else getattr(metric, "dimension")
     pool = resolve_executor(executor, n_workers, backend)
-    engine = _progress.get_active()
-    if engine is not None:
-        engine.stage_begin("mc")
     with _telemetry.span("mc.run", samples=int(n_samples)) as stage_span:
         shard_size = int(shard_size)
         shards = plan_shards(n_samples, shard_size)
@@ -164,8 +160,6 @@ def brute_force_monte_carlo(
         sims_executed = int(sum(r.n_sims for r in results))
         stage_span.add("sims", sims_executed)
         stage_span.add("failures", int(failures))
-    if engine is not None:
-        engine.stage_end("mc")
     estimate = failures / n_samples
     extras = {
         "n_failures": failures,

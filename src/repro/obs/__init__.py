@@ -1,37 +1,19 @@
-"""Live run observability: progress/ETA, Prometheus exposition, fleet health.
+"""Live exporters over the active recorder: Prometheus, HTTP, ``repro top``.
 
-``repro.obs`` is the *live* counterpart to :mod:`repro.telemetry`'s
-post-hoc recorder: a process-global :class:`ProgressEngine` subscribes to
-executor completions, ledger replays and stage transitions, and an HTTP
-exporter (:mod:`repro.obs.http`) serves the current state as Prometheus
-text exposition (``GET /metrics``) and JSON (``GET /status``) while the
-run is still going.  ``repro top`` renders that endpoint as a refreshing
-terminal dashboard.
-
-Like telemetry, observability sits **outside the determinism contract**:
-the engine observes shard results, it never touches RNG streams or shard
-content, so estimates are bit-identical with obs enabled or disabled.
-When no engine is active every hook reduces to a single ``is None``
-check — the hot path pays nothing.
+The live state itself — stage progress and ETA, throughput, streaming
+convergence, chain diagnostics, fleet health — is the active
+:class:`~repro.telemetry.Recorder`'s live view
+(:mod:`repro.telemetry.live`).  This package only serves it: an HTTP
+exporter (:mod:`repro.obs.http`) answers ``GET /metrics`` with Prometheus
+text exposition (:mod:`repro.obs.prometheus`) and ``GET /status`` with
+the recorder's :meth:`~repro.telemetry.Recorder.status` document while
+the run is still going, and ``repro top`` (:mod:`repro.obs.top`) renders
+that endpoint as a refreshing terminal dashboard.
 """
 
-from repro.obs.progress import (
-    ProgressEngine,
-    activate,
-    enabled,
-    get_active,
-    set_active,
-    stage_for,
-)
 from repro.obs.prometheus import parse_exposition, render_exposition
 
 __all__ = [
-    "ProgressEngine",
-    "activate",
-    "enabled",
-    "get_active",
-    "set_active",
-    "stage_for",
     "render_exposition",
     "parse_exposition",
 ]

@@ -4,17 +4,16 @@
 daemon thread serving
 
 * ``GET /metrics`` — Prometheus text exposition of the process-global
-  active :class:`~repro.obs.progress.ProgressEngine` and active
-  :class:`~repro.telemetry.Recorder` (both read at request time, so a
+  active :class:`~repro.telemetry.Recorder` (read at request time, so a
   scrape mid-run sees live state), and
 * ``GET /status``  — the same state as one JSON document (what
   ``repro top`` and ``repro status`` poll).
 
-The server never touches the run: handlers only *read* engine/recorder
-snapshots under their own locks.  The service HTTP server exposes the
-same two routes (see :mod:`repro.service.server`); this module is for
-``estimate`` / ``compare`` / ``worker`` processes that otherwise have no
-HTTP surface.
+The server never touches the run: handlers only *read* the recorder's
+:meth:`~repro.telemetry.Recorder.status` document.  The service HTTP
+server exposes the same two routes (see :mod:`repro.service.server`);
+this module is for ``estimate`` / ``compare`` / ``worker`` processes
+that otherwise have no HTTP surface.
 """
 
 from __future__ import annotations
@@ -22,33 +21,22 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Tuple
 
-from repro.obs import progress as _progress
 from repro.obs.prometheus import render_exposition
 from repro.telemetry import context as _telemetry
 
 EXPOSITION_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
-def obs_status(engine=None, recorder=None) -> dict:
-    """One JSON-able document with everything a dashboard needs."""
-    if engine is None:
-        engine = _progress.get_active()
+def obs_status(recorder=None) -> dict:
+    """The ``/status`` document of ``recorder`` (default: the active one)."""
     if recorder is None:
         recorder = _telemetry.get_active()
-    status = {"snapshot": None, "counters": {}, "gauges": {}}
-    if engine is not None:
-        status["snapshot"] = engine.snapshot()
-    if recorder is not None:
-        with recorder._lock:
-            status["counters"] = dict(recorder.counters)
-            status["gauges"] = {
-                name: value
-                for name, value in recorder.gauges.items()
-                if isinstance(value, (int, float))
-            }
-    return status
+    if recorder is None:
+        return {"snapshot": None, "counters": {}, "gauges": {},
+                "histograms": {}}
+    return recorder.status()
 
 
 class _MetricsHandler(BaseHTTPRequestHandler):
@@ -67,10 +55,7 @@ class _MetricsHandler(BaseHTTPRequestHandler):
     def do_GET(self):  # noqa: N802 - stdlib handler naming
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         if path == "/metrics":
-            text = render_exposition(
-                engine=_progress.get_active(),
-                recorder=_telemetry.get_active(),
-            )
+            text = render_exposition(_telemetry.get_active())
             self._send(200, EXPOSITION_CONTENT_TYPE, text.encode())
         elif path in ("/status", "/"):
             body = json.dumps(obs_status()).encode()
@@ -119,12 +104,3 @@ def start_metrics_server(
 ) -> MetricsServer:
     """Bind and start serving ``/metrics`` + ``/status`` immediately."""
     return MetricsServer(host, int(port))
-
-
-def maybe_start_metrics_server(
-    port: Optional[int], host: str = "127.0.0.1"
-) -> Optional[MetricsServer]:
-    """CLI helper: ``None`` port means observability stays off."""
-    if port is None:
-        return None
-    return start_metrics_server(port, host=host)

@@ -1,8 +1,9 @@
 """Prometheus text-format exposition of progress, fleet and recorder state.
 
-:func:`render_exposition` turns the live :class:`~repro.obs.progress.
-ProgressEngine` snapshot plus an optional :class:`~repro.telemetry.
-Recorder` into the Prometheus text exposition format (version 0.0.4):
+:func:`render_exposition` turns a :class:`~repro.telemetry.Recorder`'s
+:meth:`~repro.telemetry.Recorder.status` document — its live view plus
+its counters, gauges and histograms — into the Prometheus text
+exposition format (version 0.0.4):
 ``# HELP`` / ``# TYPE`` headers followed by ``name{labels} value``
 samples.  :func:`parse_exposition` is the strict inverse used by the
 round-trip tests — every emitted line must parse.
@@ -98,7 +99,7 @@ def _render_progress(w: _Writer, snapshot: dict) -> None:
     w.family("repro_up", "gauge", "The repro process is serving metrics.",
              {}, 1)
     w.family("repro_uptime_seconds", "gauge",
-             "Seconds since the progress engine was created.",
+             "Seconds since the recorder was created.",
              {}, snapshot.get("uptime_s", 0.0))
     w.family("repro_sims_per_second", "gauge",
              "EWMA of live simulation throughput (replays excluded).",
@@ -196,57 +197,50 @@ def _render_fleet(w: _Writer, fleet: Optional[dict]) -> None:
                  labels, worker.get("sims_completed", 0))
 
 
-def _render_recorder(w: _Writer, recorder) -> None:
-    if recorder is None:
-        return
-    with recorder._lock:
-        counters = dict(recorder.counters)
-        gauges = dict(recorder.gauges)
-        histograms = {k: list(v) for k, v in recorder.histograms.items()}
+def _render_recorder(w: _Writer, status: dict) -> None:
+    counters = status.get("counters", {})
+    gauges = status.get("gauges", {})
+    histograms = status.get("histograms", {})
     for name in sorted(counters):
         w.family("repro_events_total", "counter",
                  "Recorder counters, keyed by their dotted repro name.",
                  {"name": name}, counters[name])
     for name in sorted(gauges):
-        try:
-            value = float(gauges[name])
-        except (TypeError, ValueError):
-            continue
         w.family("repro_gauge", "gauge",
                  "Recorder gauges (last value wins), keyed by name.",
-                 {"name": name}, value)
+                 {"name": name}, gauges[name])
     for name in sorted(histograms):
-        n, total, lo, hi = histograms[name]
+        h = histograms[name]
         w.declare("repro_observation", "summary",
                   "Recorder histograms, keyed by name.")
-        for q, value in recorder.percentiles(name).items():
+        for q, value in h["quantiles"].items():
             w.sample("repro_observation",
                      {"name": name, "quantile": _fmt(q)}, value)
-        w.sample("repro_observation_sum", {"name": name}, total)
-        w.sample("repro_observation_count", {"name": name}, n)
+        w.sample("repro_observation_sum", {"name": name}, h["sum"])
+        w.sample("repro_observation_count", {"name": name}, h["count"])
         w.family("repro_observation_min", "gauge",
                  "Smallest recorded observation per histogram.",
-                 {"name": name}, lo)
+                 {"name": name}, h["min"])
         w.family("repro_observation_max", "gauge",
                  "Largest recorded observation per histogram.",
-                 {"name": name}, hi)
+                 {"name": name}, h["max"])
 
 
 def render_exposition(
-    engine=None,
     recorder=None,
     extra_gauges: Optional[Dict[str, float]] = None,
 ) -> str:
-    """Render the current process state as Prometheus text exposition.
+    """Render ``recorder``'s live status as Prometheus text exposition.
 
-    Any argument may be ``None``; an empty exposition still carries the
-    ``repro_up 1`` liveness sample so scrapers always get valid output.
+    With no recorder the exposition still carries the ``repro_up 1``
+    liveness sample, so scrapers always get valid output.
     """
     w = _Writer()
-    snapshot = engine.snapshot() if engine is not None else {}
+    status = recorder.status() if recorder is not None else {}
+    snapshot = status.get("snapshot") or {}
     _render_progress(w, snapshot)
     _render_fleet(w, snapshot.get("fleet"))
-    _render_recorder(w, recorder)
+    _render_recorder(w, status)
     for name in sorted(extra_gauges or {}):
         if not _NAME_RE.fullmatch(name):
             raise ValueError(f"invalid metric name: {name!r}")

@@ -35,7 +35,6 @@ from concurrent.futures import (
 from contextlib import contextmanager
 from typing import Callable, List, Optional, Sequence
 
-from repro.obs import progress as _progress
 from repro.telemetry import context as _telemetry
 
 #: Recognised backend names.  ``"remote"`` fans shards out to
@@ -277,31 +276,28 @@ class ParallelExecutor:
         ledger uses to persist checkpoints while the run is still going.
         The returned list keeps serial (task) order regardless.
 
-        When a progress engine is active (:mod:`repro.obs`), every
-        completion is additionally reported to it, and the remote
-        coordinator's fleet snapshot is attached for the exporter.  The
-        engine only observes results after they exist, so mapped output
-        is bit-identical with observability on or off.  Last, every
+        When a telemetry recorder is active, its live view sees the map
+        start through the ``parallel.map`` span and every completion
+        through :meth:`~repro.telemetry.Recorder.shard_results`, and a
+        remote coordinator's fleet snapshot is attached to it.  The view
+        only observes results after they exist, so mapped output is
+        bit-identical with a recorder active or not.  Last, every
         completion runs the thread's :meth:`cancellation_hook`, if any.
         """
         tasks = list(tasks)
         if not tasks:
             return []
-        engine = _progress.get_active()
-        if engine is not None:
-            stage = _progress.stage_for(fn)
-            engine.map_started(stage, len(tasks))
+        name = getattr(fn, "__name__", str(fn))
+        recorder = _telemetry.get_active()
+        if recorder is not None:
             if self.backend == "remote":
-                engine.attach_fleet(
-                    self._ensure_coordinator().fleet_snapshot
-                )
+                recorder.fleet = self._ensure_coordinator().fleet_snapshot
             caller_cb = on_result
 
-            def on_result(result, _cb=caller_cb, _stage=stage,
-                          _engine=engine):
+            def on_result(result, _cb=caller_cb):
                 if _cb is not None:
                     _cb(result)
-                _engine.shard_done(_stage, result)
+                recorder.shard_results(name, (result,))
 
         check = getattr(self._hooks, "check", None)
         if check is not None:
@@ -314,7 +310,7 @@ class ParallelExecutor:
 
         with _telemetry.span(
             "parallel.map",
-            fn=getattr(fn, "__name__", str(fn)),
+            fn=name,
             tasks=len(tasks),
             backend=self.backend,
             workers=self.n_workers,

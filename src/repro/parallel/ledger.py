@@ -43,19 +43,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs import progress as _progress
 from repro.telemetry import context as _telemetry
 
 #: On-disk schema tag, bumped only on incompatible format changes.
 LEDGER_SCHEMA = "repro-ledger-v1"
-
-#: Ledger kind -> progress-engine stage name (see repro.obs.progress).
-_STAGE_BY_KIND = {
-    "mc": "mc",
-    "is": "second_stage",
-    "gibbs": "first_stage",
-    "blockade": "blockade",
-}
 
 
 def host_stamp() -> dict:
@@ -373,10 +364,10 @@ class ShardLedger:
     def split(self, tasks: Sequence) -> Tuple[List[object], List[object]]:
         """Partition shard tasks into (replayed results, tasks still to run).
 
-        Resume accounting lands both in telemetry — counters for the
-        fold, first-class gauges (``ledger.shards_replayed``,
-        ``ledger.sims_saved``, ``ledger.rows_dropped``) for exporters —
-        and in the active progress engine, which credits replayed shards
+        Resume accounting lands in telemetry: counters for the fold,
+        first-class gauges (``ledger.shards_replayed``,
+        ``ledger.sims_saved``, ``ledger.rows_dropped``) for exporters,
+        and the replayed results for the live view, which credits them
         toward completion without letting them inflate the live
         sims/sec rate.
         """
@@ -399,10 +390,7 @@ class ShardLedger:
         _telemetry.gauge("ledger.shards_replayed", len(replayed))
         _telemetry.gauge("ledger.sims_saved", sims_saved)
         _telemetry.gauge("ledger.rows_dropped", int(self.n_dropped))
-        engine = _progress.get_active()
-        if engine is not None and replayed:
-            engine.shards_replayed(_STAGE_BY_KIND.get(self.kind, self.kind),
-                                   replayed)
+        _telemetry.shard_results(self.kind, replayed, replayed=True)
         return replayed, todo
 
     # ----------------------------------------------------------- record

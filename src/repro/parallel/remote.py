@@ -55,7 +55,6 @@ import time
 import traceback
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.obs import progress as _progress
 from repro.parallel.ledger import host_stamp
 from repro.telemetry import context as _telemetry
 from repro.telemetry import logs
@@ -662,9 +661,9 @@ def run_worker(
                     # /metrics endpoint.
                     _telemetry.count("worker.tasks_completed", 1)
                     _telemetry.observe("worker.task_seconds", wall)
-                    engine = _progress.get_active()
-                    if engine is not None:
-                        engine.shard_done(_progress.stage_for(fn), result)
+                    _telemetry.shard_results(
+                        getattr(fn, "__name__", str(fn)), (result,)
+                    )
                 elif kind == "ping":
                     conn.send(("pong",))
                 elif kind in ("drain", "shutdown"):

@@ -11,12 +11,13 @@ and after every shard) and per-job timeouts ride the same hook.
 Every finished job's telemetry manifest is kept on the job record and —
 when the cache directory is set — written to ``<cache>/jobs/<id>.json``
 so CI and operators can audit hit rates and first-stage savings without
-scraping logs.
+scraping logs.  For its whole lifetime the service keeps one telemetry
+:class:`~repro.telemetry.Recorder` active: ``GET /jobs`` progress,
+``/metrics`` and ``/status`` all read it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import threading
 import time
@@ -25,13 +26,12 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.obs import progress as _progress
-from repro.obs.progress import ProgressEngine
 from repro.parallel.executor import ParallelExecutor
 from repro.service.cache import ArtifactCache
 from repro.service.jobs import Job, JobCancelled, JobRequest, JobState
 from repro.service.runner import execute_job
-from repro.telemetry import logs
+from repro.telemetry import Recorder, logs
+from repro.telemetry import context as _telemetry
 
 
 class YieldService:
@@ -53,12 +53,13 @@ class YieldService:
     default_timeout:
         Per-job wall-clock limit (seconds) when the request carries
         none; ``None`` means unlimited.
-    observability:
-        Install a live :class:`~repro.obs.progress.ProgressEngine` for
-        the service's lifetime (default).  Each job-worker thread is
-        scoped by job id, so ``GET /jobs`` reports per-job progress and
-        ``GET /metrics`` exposes the whole queue.  Observing never
-        changes job results; ``False`` turns the engine off entirely.
+
+    The service activates its :attr:`recorder` until :meth:`close`.
+    Each job's ``service.job`` span scopes the recorder's live view by
+    job id, so ``GET /jobs`` reports per-job progress and ``GET
+    /metrics`` exposes the whole queue.  Recording never changes job
+    results.  The recorder keeps every span and every job's stage
+    tallies for the service's lifetime (docs/SERVICE.md).
     """
 
     def __init__(
@@ -68,7 +69,6 @@ class YieldService:
         n_workers: int = 1,
         backend: str = "serial",
         default_timeout: Optional[float] = None,
-        observability: bool = True,
     ):
         if n_job_workers < 1:
             raise ValueError(
@@ -92,12 +92,9 @@ class YieldService:
         )
         self._closed = False
         self.started_at = time.time()
-        #: Live progress engine for this service (None when disabled).
-        self.progress: Optional[ProgressEngine] = None
-        self._previous_engine: Optional[ProgressEngine] = None
-        if observability:
-            self.progress = ProgressEngine()
-            self._previous_engine = _progress.set_active(self.progress)
+        #: The service's telemetry recorder, active while it is open.
+        self.recorder = Recorder(run_id="repro-service")
+        self._previous_recorder = _telemetry.set_active(self.recorder)
 
     # ------------------------------------------------------------ submit
     def submit(self, request: Union[JobRequest, dict]) -> Job:
@@ -150,20 +147,14 @@ class YieldService:
                 return f"timed out after {timeout:g}s"
             return None
 
-        scope = (
-            self.progress.scoped(job.id)
-            if self.progress is not None
-            else contextlib.nullcontext()
-        )
         try:
-            with scope:
-                result, manifest = execute_job(
-                    job.request,
-                    cache=self.cache,
-                    executor=self.executor,
-                    should_abort=should_abort,
-                    job_id=job.id,
-                )
+            result, manifest = execute_job(
+                job.request,
+                cache=self.cache,
+                executor=self.executor,
+                should_abort=should_abort,
+                job_id=job.id,
+            )
         except JobCancelled as exc:
             with self._lock:
                 job.state = JobState.CANCELLED
@@ -201,10 +192,9 @@ class YieldService:
 
     def _with_progress(self, status: dict) -> dict:
         """Attach the live per-job stage snapshot to a status record."""
-        if self.progress is not None:
-            stages = self.progress.job_snapshot(status["id"])
-            if stages:
-                status["progress"] = stages
+        stages = self.recorder.job_progress(status["id"])
+        if stages:
+            status["progress"] = stages
         return status
 
     def status(self, job_id: str) -> dict:
@@ -297,8 +287,8 @@ class YieldService:
                 event.set()
         self._workers.shutdown(wait=True, cancel_futures=True)
         self.executor.close()
-        if self.progress is not None and _progress.get_active() is self.progress:
-            _progress.set_active(self._previous_engine)
+        if _telemetry.get_active() is self.recorder:
+            _telemetry.set_active(self._previous_recorder)
 
     def __enter__(self) -> "YieldService":
         return self

@@ -35,7 +35,6 @@ from urllib.parse import parse_qs, urlparse
 from repro.obs.http import EXPOSITION_CONTENT_TYPE, obs_status
 from repro.obs.prometheus import render_exposition
 from repro.service.scheduler import YieldService
-from repro.telemetry import context as _telemetry
 from repro.telemetry import logs
 
 DEFAULT_HOST = "127.0.0.1"
@@ -102,10 +101,7 @@ class _Handler(BaseHTTPRequestHandler):
             elif parts == ["metrics"]:
                 self._send_metrics(service)
             elif parts == ["status"]:
-                status = obs_status(
-                    engine=service.progress,
-                    recorder=_telemetry.get_active(),
-                )
+                status = obs_status(service.recorder)
                 status["service"] = service.stats()
                 self._send(200, status)
             elif parts == ["jobs"]:
@@ -132,11 +128,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "first_stage_sims_saved", 0
             ),
         }
-        text = render_exposition(
-            engine=service.progress,
-            recorder=_telemetry.get_active(),
-            extra_gauges=extra,
-        )
+        text = render_exposition(service.recorder, extra_gauges=extra)
         body = text.encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", EXPOSITION_CONTENT_TYPE)

@@ -10,8 +10,13 @@ run-wide instrument:
   context-manager **spans** (name, wall time, counters attached at
   exit), thread-safe for the thread backend;
 * the **active-recorder fast path** (:func:`span`, :func:`count`,
-  :func:`gauge`, :func:`observe`) — what the hot paths call; with no
-  recorder activated each reduces to one ``is None`` check;
+  :func:`gauge`, :func:`observe`, :func:`shard_results`) — what the hot
+  paths call; with no recorder activated each reduces to one ``is None``
+  check;
+* the recorder's **live view** (:mod:`repro.telemetry.live`): stage
+  progress and ETA, throughput, streaming convergence, chain diagnostics
+  and fleet health, fed from the recorder's own events and read through
+  :meth:`Recorder.status` by the exporters in :mod:`repro.obs`;
 * the **worker protocol** (:func:`ship_to_workers`,
   :class:`ShardTelemetry`, :func:`fold_shard_records`) — worker-side
   recorders travel home inside shard result records and fold into the
@@ -45,6 +50,7 @@ from repro.telemetry.context import (
     get_active,
     observe,
     set_active,
+    shard_results,
     ship_to_workers,
     span,
 )
@@ -73,6 +79,7 @@ __all__ = [
     "count",
     "gauge",
     "observe",
+    "shard_results",
     "NULL_SPAN",
     # worker protocol
     "ship_to_workers",

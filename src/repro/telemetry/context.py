@@ -103,6 +103,16 @@ def observe(name: str, value) -> None:
         recorder.observe(name, value)
 
 
+def shard_results(source: str, results, replayed: bool = False) -> None:
+    """Report shard results to the active recorder (no-op when off).
+
+    See :meth:`repro.telemetry.Recorder.shard_results`.
+    """
+    recorder = _active
+    if recorder is not None:
+        recorder.shard_results(source, results, replayed)
+
+
 def enabled() -> bool:
     """True when a recorder is active in this process."""
     return _active is not None
@@ -119,6 +129,12 @@ def ship_to_workers(executor) -> bool:
     return _active is not None and executor.cross_process
 
 
+class _ShardRecorder(Recorder):
+    """A shard task's recorder: its record ships home; no live view."""
+
+    _LIVE = False
+
+
 class ShardTelemetry:
     """Worker-side recorder scope for one shard task.
 
@@ -128,7 +144,8 @@ class ShardTelemetry:
     inherits the parent's recorder object as a stale copy, so checking
     "is a recorder already active?" would silently record into an object
     that dies with the worker.  The previous (possibly inherited) value
-    is restored on exit so pooled workers stay clean between tasks.
+    is restored on exit so pooled workers stay clean between tasks.  The
+    task's recorder keeps no live view: only its record matters.
     """
 
     def __init__(self, enabled: bool, run_id: str = "shard"):
@@ -139,7 +156,7 @@ class ShardTelemetry:
 
     def __enter__(self) -> "ShardTelemetry":
         if self._enabled:
-            self._recorder = Recorder(run_id=self._run_id)
+            self._recorder = _ShardRecorder(run_id=self._run_id)
             self._previous = set_active(self._recorder)
         return self
 

@@ -11,6 +11,12 @@ shard result records to be folded into the parent at merge time — the
 same pattern as :meth:`repro.mc.counter.CountedMetric.add_external`, so
 process-backend runs get exact per-worker attribution.
 
+The recorder also keeps the run's **live view**
+(:class:`~repro.telemetry.live.LiveView`: stage progress, throughput,
+streaming convergence, chain diagnostics), fed from its own span-start,
+span-finish, gauge and shard-result events; :meth:`Recorder.status` is
+the one document ``/metrics``, ``/status`` and ``repro top`` read.
+
 Everything here is RNG-free and additive: recording can never change a
 sampling result, and with no recorder activated every instrumented site
 reduces to one ``is None`` check (see :mod:`repro.telemetry.context`).
@@ -21,13 +27,27 @@ from __future__ import annotations
 import math
 import os
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.telemetry import clock
+from repro.telemetry.live import SPANS, LiveView
 
 #: Retained observations per histogram before stride-doubling decimation
 #: kicks in (see :meth:`Recorder.observe`).
 _RESERVOIR_CAP = 512
+
+
+def _quantiles(
+    samples, qs: Sequence[float] = (0.5, 0.95)
+) -> Dict[float, float]:
+    samples = sorted(samples)
+    if not samples:
+        return {}
+    out = {}
+    for q in qs:
+        rank = max(int(math.ceil(float(q) * len(samples))) - 1, 0)
+        out[float(q)] = samples[min(rank, len(samples) - 1)]
+    return out
 
 
 class Span:
@@ -63,6 +83,7 @@ class Span:
         self.pid = os.getpid()
         self.tid = threading.get_ident()
         self.t_start = self._recorder._now()
+        self._recorder._start_span(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -100,8 +121,14 @@ class Recorder:
     timer:
         Explicit time source; ``None`` (default) reads the shared
         telemetry clock dynamically, so tests that install a fake timer
-        via :func:`repro.telemetry.clock.use_timer` affect spans too.
+        via :func:`repro.telemetry.clock.use_timer` affect spans and the
+        live view too.
     """
+
+    #: Whether the recorder keeps a live view.  A shard task's recorder
+    #: (:class:`repro.telemetry.context.ShardTelemetry`) only ships its
+    #: record home, so it keeps none.
+    _LIVE = True
 
     def __init__(self, run_id: str = "run", timer=None):
         self.run_id = str(run_id)
@@ -122,8 +149,12 @@ class Recorder:
         self.spans: List[dict] = []
         #: Free-form metadata (the run manifest lands here).
         self.meta: Dict[str, object] = {}
+        #: Remote fleet snapshot provider the live view polls (set by a
+        #: ``backend="remote"`` map), or ``None``.
+        self.fleet: Optional[Callable[[], dict]] = None
         self.pid = os.getpid()
         self.t0 = self._now()
+        self._view = LiveView(self._now, self.t0) if self._LIVE else None
 
     def _now(self) -> float:
         return self._timer() if self._timer is not None else clock.now()
@@ -138,6 +169,8 @@ class Recorder:
         """Record the latest value of ``name`` (last write wins)."""
         with self._lock:
             self.gauges[name] = value
+            if self._view is not None:
+                self._view.gauge(name, value)
 
     def observe(self, name: str, value) -> None:
         """Fold ``value`` into the histogram summary for ``name``."""
@@ -165,9 +198,28 @@ class Recorder:
         """Open a span; use as ``with recorder.span("stage") as sp:``."""
         return Span(self, name, attrs)
 
+    def _start_span(self, span: Span) -> None:
+        if self._view is not None and span.name in SPANS:
+            with self._lock:
+                self._view.span_started(span)
+
     def _finish_span(self, span: Span) -> None:
         with self._lock:
             self.spans.append(span.to_event())
+            if self._view is not None and span.name in SPANS:
+                self._view.span_finished(span)
+
+    def shard_results(self, source: str, results, replayed=False) -> None:
+        """Shard results reached the run: live completions, or a replayed
+        ledger prefix (``replayed=True``).
+
+        ``source`` is the shard runner's name or the ledger kind; the
+        live view credits the results to that stage (see
+        :data:`repro.telemetry.live.STAGES`).  Nothing else is recorded.
+        """
+        if self._view is not None:
+            with self._lock:
+                self._view.shard_results(source, results, replayed)
 
     @property
     def n_events(self) -> int:
@@ -243,14 +295,56 @@ class Recorder:
         empty dict for unknown names.
         """
         with self._lock:
-            samples = sorted(self._hist_samples.get(name, ()))
-        if not samples:
-            return {}
-        out = {}
-        for q in qs:
-            rank = max(int(math.ceil(float(q) * len(samples))) - 1, 0)
-            out[float(q)] = samples[min(rank, len(samples) - 1)]
-        return out
+            samples = list(self._hist_samples.get(name, ()))
+        return _quantiles(samples, qs)
+
+    # ------------------------------------------------------------- live
+    def status(self) -> dict:
+        """The live document ``/status``, ``/metrics`` and ``repro top`` read.
+
+        ``snapshot`` is the live view (stages, throughput, convergence,
+        chain diagnostics, fleet); ``counters``, ``gauges`` (numeric
+        ones, as floats) and ``histograms`` (summary plus p50/p95) are
+        the recorder's own metrics, all copied under one lock hold.
+        """
+        view = self._view
+        with self._lock:
+            snapshot = view.snapshot() if view is not None else None
+            counters = dict(self.counters)
+            gauges = {}
+            for name, value in self.gauges.items():
+                try:
+                    gauges[name] = float(value)
+                except (TypeError, ValueError):
+                    continue
+            histograms = {
+                name: {
+                    "count": int(n), "sum": total, "min": lo, "max": hi,
+                    "quantiles": _quantiles(self._hist_samples.get(name, ())),
+                }
+                for name, (n, total, lo, hi) in self.histograms.items()
+            }
+        provider = self.fleet
+        if snapshot is not None and provider is not None:
+            # The provider takes the coordinator's own lock; call it
+            # outside ours so the two locks never interleave.
+            try:
+                snapshot["fleet"] = provider()
+            except Exception:
+                pass
+        return {
+            "snapshot": snapshot,
+            "counters": counters,
+            "gauges": gauges,
+            "histograms": histograms,
+        }
+
+    def job_progress(self, job: str) -> List[dict]:
+        """Live stage snapshots of one ``service.job`` scope."""
+        if self._view is None:
+            return []
+        with self._lock:
+            return self._view.job_snapshot(str(job))
 
     # ------------------------------------------------------------ reporting
     def summary(self) -> str:

@@ -1,12 +1,14 @@
-"""Tests for the live observability layer (repro.obs).
+"""Tests for the live view and its exporters (repro.telemetry.live, repro.obs).
 
-Contract under test: the progress engine is a pure observer — results
-are bit-identical with observability on or off on every backend — and
-its view is trustworthy: progress is monotone even when completions land
-out of order, ETAs are sane when a resumed run replays a shard prefix,
-and the Prometheus exposition parses line by line.
+Contract under test: the recorder's live view is a pure observer —
+results are bit-identical with a recorder active or not on every backend
+— and its view is trustworthy: progress is monotone even when
+completions land out of order, ETAs are sane when a resumed run replays
+a shard prefix, and the Prometheus exposition parses line by line.
 """
 
+import multiprocessing
+import sys
 import threading
 import time
 import urllib.error
@@ -19,14 +21,16 @@ import pytest
 from repro import telemetry
 from repro.mc.importance import importance_sampling_estimate
 from repro.mc.montecarlo import brute_force_monte_carlo
-from repro.obs import ProgressEngine, activate, get_active, stage_for
 from repro.obs.http import obs_status, start_metrics_server
 from repro.obs.prometheus import parse_exposition, render_exposition
 from repro.obs.top import fetch_status, render_dashboard, run_top
 from repro.parallel import ParallelExecutor, run_worker
+from repro.parallel import workers as shard_workers
+from repro.parallel.ledger import _result_type
 from repro.parallel.workers import run_is_shard, run_mc_shard
 from repro.stats.mvnormal import MultivariateNormal
 from repro.synthetic import LinearMetric
+from repro.telemetry.live import STAGE_OF, STAGES
 
 
 @pytest.fixture
@@ -34,12 +38,25 @@ def problem():
     return LinearMetric(np.array([1.0, 0.5]), 2.2).problem("halfspace")
 
 
+@pytest.fixture(autouse=True)
+def _no_leaked_recorder():
+    """Every test must leave the process-local recorder slot empty."""
+    yield
+    assert telemetry.get_active() is None
+
+
 def _start_worker(address):
-    thread = threading.Thread(
+    """A socket worker in its own process, as ``repro worker`` runs one.
+
+    Not a thread: a shard task installs its own recorder as the
+    process-global active one while it runs, which in the coordinator's
+    process would hide the run's recorder from the exporter.
+    """
+    worker = multiprocessing.get_context("spawn").Process(
         target=run_worker, args=(address[0], address[1]), daemon=True
     )
-    thread.start()
-    return thread
+    worker.start()
+    return worker
 
 
 def _mc(problem, executor=None, **kwargs):
@@ -61,6 +78,22 @@ class FakeTimer:
         return self.now
 
 
+@pytest.fixture
+def timer():
+    """A fake shared telemetry clock for the recorders a test builds."""
+    fake = FakeTimer()
+    with telemetry.use_timer(fake):
+        yield fake
+
+
+def _stages(recorder):
+    return recorder.status()["snapshot"]["stages"]
+
+
+def _done(recorder, n_sims, source="run_mc_shard", **fields):
+    recorder.shard_results(source, [SimpleNamespace(n_sims=n_sims, **fields)])
+
+
 # ----------------------------------------------------------------------
 # bit-identity: observing never changes results
 
@@ -69,9 +102,10 @@ class TestBitIdentity:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_mc_identical_on_and_off(self, problem, backend):
         reference = _mc(problem, n_workers=2, backend=backend)
-        with activate(ProgressEngine()) as engine:
+        with telemetry.activate(telemetry.Recorder("obs")) as recorder:
             observed = _mc(problem, n_workers=2, backend=backend)
-        assert engine.n_events > 0  # the hooks actually fired
+        (stage,) = _stages(recorder)  # the view actually saw the run
+        assert stage["shards_done"] == 8
         assert (
             observed.failure_probability == reference.failure_probability
         )
@@ -82,11 +116,11 @@ class TestBitIdentity:
 
     def test_mc_identical_on_remote_backend(self, problem):
         reference = _mc(problem, n_workers=1, backend="serial")
-        with activate(ProgressEngine()) as engine:
+        with telemetry.activate(telemetry.Recorder("obs")) as recorder:
             with ParallelExecutor(
                 backend="remote", min_workers=2, heartbeat=0.5
             ) as ex:
-                threads = [_start_worker(ex.address) for _ in range(2)]
+                workers = [_start_worker(ex.address) for _ in range(2)]
                 observed = _mc(problem, executor=ex)
         assert (
             observed.failure_probability == reference.failure_probability
@@ -95,10 +129,10 @@ class TestBitIdentity:
             observed.trace.estimate, reference.trace.estimate
         )
         # The coordinator's fleet snapshot was attached and reports hosts.
-        fleet = engine.snapshot()["fleet"]
+        fleet = recorder.status()["snapshot"]["fleet"]
         assert fleet is not None and fleet["counts"]["joined"] == 2
-        for thread in threads:
-            thread.join(timeout=5)
+        for worker in workers:
+            worker.join(timeout=30)
 
     def test_second_stage_identical_serial_and_sharded(self, problem):
         proposal = MultivariateNormal(
@@ -114,9 +148,10 @@ class TestBitIdentity:
         for kwargs in ({}, {"n_workers": 2, "backend": "thread",
                             "shard_size": 512}):
             reference = run(**kwargs)
-            with activate(ProgressEngine()) as engine:
+            with telemetry.activate(telemetry.Recorder("obs")) as recorder:
                 observed = run(**kwargs)
-            assert engine.n_events > 0
+            (stage,) = _stages(recorder)
+            assert stage["stage"] == "second_stage"
             assert (
                 observed.failure_probability
                 == reference.failure_probability
@@ -124,19 +159,20 @@ class TestBitIdentity:
             assert observed.relative_error == reference.relative_error
 
     def test_serial_paths_still_report_progress(self, problem):
-        with activate(ProgressEngine()) as engine:
+        with telemetry.activate(telemetry.Recorder("obs")) as recorder:
             _mc(problem)  # default executor: the grid runs inline
-        (stage,) = engine.snapshot()["stages"]
+        (stage,) = _stages(recorder)
         assert stage["stage"] == "mc"
         assert stage["shards_done"] == 8
         assert stage["sims_live"] == 2000
         assert stage["convergence"] is not None
 
     def test_witness_engine_records_zero_events_when_off(self, problem):
-        witness = ProgressEngine()
+        witness = telemetry.Recorder("witness")
         _mc(problem, n_workers=2, backend="thread")
-        assert get_active() is None
+        assert telemetry.get_active() is None
         assert witness.n_events == 0
+        assert _stages(witness) == []
 
 
 # ----------------------------------------------------------------------
@@ -144,37 +180,87 @@ class TestBitIdentity:
 
 
 class TestMonotoneProgress:
-    def test_fraction_never_decreases(self):
-        engine = ProgressEngine(timer=FakeTimer())
-        engine.map_started("mc", 10)
+    def test_fraction_never_decreases(self, timer):
+        recorder = telemetry.Recorder("t")
         seen = []
-        # Completions land in an arbitrary order (remote workers race);
-        # the engine only counts, so order cannot matter.
-        for index in [3, 0, 7, 9, 1, 2, 8, 4, 6, 5]:
-            engine.shard_done("mc", SimpleNamespace(n_sims=100 + index))
-            seen.append(engine.snapshot()["stages"][0]["fraction"])
+        with recorder.span("parallel.map", fn="run_mc_shard", tasks=10):
+            # Completions land in an arbitrary order (remote workers
+            # race); the view only counts, so order cannot matter.
+            for index in [3, 0, 7, 9, 1, 2, 8, 4, 6, 5]:
+                _done(recorder, 100 + index)
+                seen.append(_stages(recorder)[0]["fraction"])
         assert seen == sorted(seen)
         assert seen[-1] == 1.0
 
-    def test_totals_only_grow(self):
-        engine = ProgressEngine(timer=FakeTimer())
-        engine.map_started("mc", 4)
-        state = engine.snapshot()["stages"][0]
-        assert state["shards_total"] == 4
+    def test_totals_only_grow(self, timer):
+        recorder = telemetry.Recorder("t")
+        with recorder.span("parallel.map", fn="run_mc_shard", tasks=4):
+            pass
+        assert _stages(recorder)[0]["shards_total"] == 4
         # A second, smaller map on the same stage must not shrink totals.
-        engine.map_started("mc", 2)
-        assert engine.snapshot()["stages"][0]["shards_total"] == 4
+        with recorder.span("parallel.map", fn="run_mc_shard", tasks=2):
+            pass
+        assert _stages(recorder)[0]["shards_total"] == 4
         for _ in range(5):  # one more completion than planned
-            engine.shard_done("mc", SimpleNamespace(n_sims=10))
-        state = engine.snapshot()["stages"][0]
+            _done(recorder, 10)
+        state = _stages(recorder)[0]
         assert state["shards_done"] == 5
         assert state["shards_total"] == 5  # floored at done, never < done
         assert state["fraction"] == 1.0
 
+    def test_concurrent_completions_lose_no_update(self):
+        """Thread-backend and HTTP threads share one recorder's view."""
+        recorder = telemetry.Recorder("t")
+        n_threads, per_thread = 8, 200
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def complete():
+                for _ in range(per_thread):
+                    _done(recorder, 3, weights=np.ones(2))
+                    recorder.status()
+
+            threads = [
+                threading.Thread(target=complete) for _ in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        (stage,) = _stages(recorder)
+        assert stage["shards_done"] == n_threads * per_thread
+        assert stage["sims_live"] == 3 * n_threads * per_thread
+        assert stage["convergence"]["n"] == 2 * n_threads * per_thread
+
     def test_stage_names_resolved_from_runner_functions(self):
-        assert stage_for(run_mc_shard) == "mc"
-        assert stage_for(run_is_shard) == "second_stage"
-        assert stage_for(len) == "len"  # unknown functions keep their name
+        assert STAGE_OF[run_mc_shard.__name__] == "mc"
+        assert STAGE_OF[run_is_shard.__name__] == "second_stage"
+        assert STAGE_OF["gibbs"] == "first_stage"  # ledger kind
+        assert STAGE_OF["mc.run"] == "mc"  # stage span
+        # Anything else is not a sampling stage and stays out of the view.
+        assert "len" not in STAGE_OF
+        for _, _, runner, kind in STAGES:
+            assert callable(getattr(shard_workers, runner))
+            _result_type(kind)  # a ledger kind the ledger knows
+
+    def test_stage_spans_drive_the_stage_state(self, timer):
+        recorder = telemetry.Recorder("t")
+        with recorder.span("mc.run"):
+            timer.advance(2.0)
+            (stage,) = _stages(recorder)
+            assert stage["stage"] == "mc" and stage["active"]
+            assert stage["elapsed_s"] == 2.0
+        timer.advance(5.0)
+        (stage,) = _stages(recorder)
+        assert not stage["active"]
+        assert stage["elapsed_s"] == 2.0
+        # Maps of functions that run no sampling stage are not tracked.
+        with recorder.span("parallel.map", fn="warm_up", tasks=3):
+            _done(recorder, 7, source="warm_up")
+        assert [s["stage"] for s in _stages(recorder)] == ["mc"]
 
 
 # ----------------------------------------------------------------------
@@ -182,45 +268,49 @@ class TestMonotoneProgress:
 
 
 class TestEta:
-    def test_eta_tracks_remaining_work(self):
-        timer = FakeTimer()
-        engine = ProgressEngine(timer=timer, ewma_tau=1e-9)
-        engine.map_started("mc", 10)
+    # Shards take 100 s and more, far beyond the 5 s EWMA time constant,
+    # so the smoothed rate equals the instantaneous one.
+
+    def test_eta_tracks_remaining_work(self, timer):
+        recorder = telemetry.Recorder("t")
         etas = []
-        for _ in range(10):
-            timer.advance(1.0)
-            engine.shard_done("mc", SimpleNamespace(n_sims=1000))
-            etas.append(engine.snapshot()["stages"][0]["eta_s"])
-        # Steady 1000 sims/s, 1000-sim shards: ETA == remaining shards.
-        assert etas[0] == pytest.approx(9.0, rel=0.01)
-        assert etas[4] == pytest.approx(5.0, rel=0.01)
+        with recorder.span("parallel.map", fn="run_mc_shard", tasks=10):
+            for _ in range(10):
+                timer.advance(100.0)
+                _done(recorder, 100_000)
+                etas.append(_stages(recorder)[0]["eta_s"])
+        # Steady 1000 sims/s, 100,000-sim shards: 100 s per shard left.
+        assert etas[0] == pytest.approx(900.0, rel=0.01)
+        assert etas[4] == pytest.approx(500.0, rel=0.01)
         assert etas[-1] == 0.0
 
-    def test_replayed_prefix_counts_toward_completion_not_rate(self):
-        timer = FakeTimer()
-        engine = ProgressEngine(timer=timer, ewma_tau=1e-9)
+    def test_replayed_prefix_counts_toward_completion_not_rate(self, timer):
+        recorder = telemetry.Recorder("t")
         # Resume: 6 of 10 shards replay instantly from the ledger.
-        engine.shards_replayed(
-            "mc", [SimpleNamespace(n_sims=1000) for _ in range(6)]
+        recorder.shard_results(
+            "mc", [SimpleNamespace(n_sims=100_000) for _ in range(6)],
+            replayed=True,
         )
-        engine.map_started("mc", 4)
-        state = engine.snapshot()["stages"][0]
-        assert state["shards_total"] == 10
-        assert state["shards_replayed"] == 6
-        assert state["fraction"] == pytest.approx(0.6)
-        assert engine.snapshot()["sims_per_second"] == 0.0  # replays are free
-        timer.advance(2.0)
-        engine.shard_done("mc", SimpleNamespace(n_sims=1000))
-        eta = engine.snapshot()["stages"][0]["eta_s"]
-        # 3 shards left at 500 live sims/s -> ~6 s; replayed sims must not
-        # have inflated the rate (which would predict a ~3x shorter ETA).
-        assert eta == pytest.approx(6.0, rel=0.05)
+        with recorder.span("parallel.map", fn="run_mc_shard", tasks=4):
+            state = _stages(recorder)[0]
+            assert state["shards_total"] == 10
+            assert state["shards_replayed"] == 6
+            assert state["fraction"] == pytest.approx(0.6)
+            # Replays are free.
+            assert recorder.status()["snapshot"]["sims_per_second"] == 0.0
+            timer.advance(200.0)
+            _done(recorder, 100_000)
+            eta = _stages(recorder)[0]["eta_s"]
+        # 3 shards left at 500 live sims/s -> ~600 s; replayed sims must
+        # not have inflated the rate (which would predict a ~3x shorter
+        # ETA).
+        assert eta == pytest.approx(600.0, rel=0.05)
 
     def test_empty_replay_is_a_no_op(self):
-        engine = ProgressEngine(timer=FakeTimer())
-        engine.shards_replayed("mc", [])
-        assert engine.n_events == 0
-        assert engine.snapshot()["stages"] == []
+        recorder = telemetry.Recorder("t")
+        recorder.shard_results("mc", [], replayed=True)
+        assert recorder.n_events == 0
+        assert _stages(recorder) == []
 
 
 # ----------------------------------------------------------------------
@@ -229,22 +319,31 @@ class TestEta:
 
 class TestScoping:
     def test_scoped_stages_keep_separate_tallies(self):
-        engine = ProgressEngine(timer=FakeTimer())
-        with engine.scoped("job-a"):
-            engine.shard_done("mc", SimpleNamespace(n_sims=10))
-        with engine.scoped("job-b"):
-            engine.shard_done("mc", SimpleNamespace(n_sims=20))
-        a = engine.job_snapshot("job-a")
-        b = engine.job_snapshot("job-b")
+        recorder = telemetry.Recorder("t")
+        with recorder.span("service.job", job="job-a"):
+            _done(recorder, 10)
+            # The scope is the job span's thread's: another thread's
+            # completions stay unscoped.
+            other = threading.Thread(target=_done, args=(recorder, 5))
+            other.start()
+            other.join()
+        with recorder.span("service.job", job="job-b"):
+            _done(recorder, 20)
+        a = recorder.job_progress("job-a")
+        b = recorder.job_progress("job-b")
         assert [s["sims_live"] for s in a] == [10]
         assert [s["sims_live"] for s in b] == [20]
-        assert engine.job_snapshot("job-c") == []
+        assert [s["sims_live"] for s in recorder.job_progress("")] == [5]
+        assert recorder.job_progress("job-c") == []
 
     def test_chain_diagnostics_keyed_by_scope(self):
-        engine = ProgressEngine(timer=FakeTimer())
-        with engine.scoped("job-a"):
-            engine.chain_diagnostics(1.01, 432.0)
-        chain = engine.snapshot()["chain"]
+        recorder = telemetry.Recorder("t")
+        with recorder.span("service.job", job="job-a"):
+            recorder.gauge("chain.max_rhat", 1.01)
+            chain = recorder.status()["snapshot"]["chain"]
+            assert chain == {}  # shown once both gauges have arrived
+            recorder.gauge("chain.min_ess", 432.0)
+        chain = recorder.status()["snapshot"]["chain"]
         assert chain == {"job-a": {"max_rhat": 1.01, "min_ess": 432.0}}
 
 
@@ -255,10 +354,9 @@ class TestScoping:
 class TestExposition:
     def test_every_line_parses_and_values_round_trip(self, problem):
         recorder = telemetry.Recorder("expo")
-        engine = ProgressEngine()
-        with activate(engine), telemetry.activate(recorder):
+        with telemetry.activate(recorder):
             _mc(problem, n_workers=2, backend="thread")
-        text = render_exposition(engine=engine, recorder=recorder)
+        text = render_exposition(recorder)
         samples = parse_exposition(text)  # raises on any malformed line
         assert samples[("repro_up", ())] == 1.0
         assert samples[
@@ -273,9 +371,7 @@ class TestExposition:
         # Recorder counters ride along under the fixed metric families.
         recorder.count("custom.total", 5)
         recorder.gauge("custom.level", 2.5)
-        samples = parse_exposition(
-            render_exposition(engine=engine, recorder=recorder)
-        )
+        samples = parse_exposition(render_exposition(recorder))
         assert samples[
             ("repro_events_total", (("name", "custom.total"),))
         ] == 5.0
@@ -288,19 +384,19 @@ class TestExposition:
             parse_exposition("repro_up one\n")
 
     def test_label_values_escaped(self):
-        engine = ProgressEngine(timer=FakeTimer())
-        with engine.scoped('job"with\\quotes'):
-            engine.shard_done("mc", SimpleNamespace(n_sims=1))
-        samples = parse_exposition(render_exposition(engine=engine))
+        recorder = telemetry.Recorder("t")
+        with recorder.span("service.job", job='job"with\\quotes'):
+            _done(recorder, 1)
+        samples = parse_exposition(render_exposition(recorder))
         keys = [k for k in samples if k[0] == "repro_shards_completed_total"]
         assert keys, samples
 
     def test_extra_gauges_and_convergence_series(self, problem):
-        engine = ProgressEngine()
-        with activate(engine):
+        recorder = telemetry.Recorder("t")
+        with telemetry.activate(recorder):
             _mc(problem, n_workers=2, backend="thread")
         samples = parse_exposition(
-            render_exposition(engine=engine, extra_gauges={"repro_x": 3})
+            render_exposition(recorder, extra_gauges={"repro_x": 3})
         )
         assert samples[("repro_x", ())] == 3.0
         assert ("repro_convergence_estimate", (("stage", "mc"),)) in samples
@@ -346,9 +442,8 @@ class TestRecorderPercentiles:
 
 class TestMetricsServer:
     def test_metrics_and_status_round_trip(self, problem):
-        engine = ProgressEngine()
         recorder = telemetry.Recorder("srv")
-        with activate(engine), telemetry.activate(recorder):
+        with telemetry.activate(recorder):
             _mc(problem, n_workers=2, backend="thread")
             with start_metrics_server(0) as server:
                 with urllib.request.urlopen(
@@ -370,22 +465,21 @@ class TestMetricsServer:
                 urllib.request.urlopen(f"{server.url}/nope", timeout=5)
 
     def test_obs_status_defaults_to_actives(self):
-        engine = ProgressEngine(timer=FakeTimer())
-        engine.shard_done("mc", SimpleNamespace(n_sims=5))
-        with activate(engine):
+        assert obs_status()["snapshot"] is None  # nothing active
+        recorder = telemetry.Recorder("t")
+        _done(recorder, 5)
+        with telemetry.activate(recorder):
             status = obs_status()
         assert status["snapshot"]["stages"][0]["sims_live"] == 5
 
 
 class TestTopDashboard:
     def _status(self):
-        engine = ProgressEngine(timer=FakeTimer())
-        engine.map_started("mc", 8)
-        for _ in range(3):
-            engine.shard_done(
-                "mc", SimpleNamespace(n_sims=100, n_failures=2, count=100)
-            )
-        return obs_status(engine=engine, recorder=None)
+        recorder = telemetry.Recorder("t")
+        with recorder.span("parallel.map", fn="run_mc_shard", tasks=8):
+            for _ in range(3):
+                _done(recorder, 100, n_failures=2, count=100)
+        return obs_status(recorder)
 
     def test_render_dashboard_is_pure_text(self):
         text = render_dashboard(self._status(), url="http://x:1")
@@ -394,8 +488,7 @@ class TestTopDashboard:
         assert "[" in text and "]" in text  # the progress bar
 
     def test_run_top_over_live_server(self, problem, capsys):
-        engine = ProgressEngine()
-        with activate(engine):
+        with telemetry.activate(telemetry.Recorder("t")):
             _mc(problem, n_workers=2, backend="thread")
             with start_metrics_server(0) as server:
                 code = run_top(server.url, interval=0.01, iterations=2)
@@ -416,6 +509,26 @@ class TestTopDashboard:
 # service integration: per-job progress and the /metrics route
 
 
+def _scrape(service):
+    """Parsed ``/metrics``, ``/status`` and ``GET /jobs`` of a service."""
+    from repro.service import ServiceClient, make_server
+
+    server = make_server(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    url = f"http://127.0.0.1:{server.server_address[1]}"
+    try:
+        with urllib.request.urlopen(f"{url}/metrics", timeout=5) as response:
+            text = response.read().decode("utf-8")
+        status = fetch_status(url)
+        jobs = ServiceClient(url).jobs()
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    return parse_exposition(text), status, jobs
+
+
 class TestServiceObservability:
     QUERY = dict(
         problem="iread", method="MC", seed=11,
@@ -423,10 +536,10 @@ class TestServiceObservability:
     )
 
     def test_jobs_carry_progress_and_metrics_served(self, tmp_path):
-        from repro.service import YieldService, make_server
+        from repro.service import YieldService
 
         with YieldService(cache_dir=tmp_path, n_job_workers=1) as service:
-            assert get_active() is service.progress
+            assert telemetry.get_active() is service.recorder
             job = service.submit(dict(self.QUERY))
             service.result(job.id, timeout=120)
             status = service.status(job.id)
@@ -438,45 +551,80 @@ class TestServiceObservability:
                 s for s in service.jobs() if s["id"] == job.id
             ]
             assert listing["progress"] == status["progress"]
-
-            server = make_server(service, port=0)
-            thread = threading.Thread(
-                target=server.serve_forever, daemon=True
-            )
-            thread.start()
-            port = server.server_address[1]
-            try:
-                with urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/metrics", timeout=5
-                ) as response:
-                    text = response.read().decode("utf-8")
-                status = fetch_status(f"http://127.0.0.1:{port}")
-            finally:
-                server.shutdown()
-                server.server_close()
-                thread.join(timeout=5)
-        samples = parse_exposition(text)
+            samples, status, _ = _scrape(service)
         assert samples[("repro_service_jobs_total", ())] == 1.0
         key = (
             "repro_shards_completed_total",
             (("job", job.id), ("stage", "mc")),
         )
         assert samples[key] == 4.0
+        # The service's recorder families ride along.
+        assert samples[
+            ("repro_events_total", (("name", "service.cache.misses"),))
+        ] == 1.0
         assert status["service"]["total_jobs"] == 1
-        # Closing the service uninstalls its engine.
-        assert get_active() is None
+        # Closing the service deactivates its recorder.
+        assert telemetry.get_active() is None
 
-    def test_observability_false_installs_nothing(self, tmp_path):
-        from repro.service import YieldService
+    def test_process_pool_live_view_cold_then_refine(self, tmp_path):
+        """A cold G-S job, then a 4x refine, on a 2-worker process pool."""
+        from repro.service import JobRequest, YieldService
+        from repro.service.runner import execute_job
 
+        cold = dict(
+            problem="iread", method="G-S", seed=3, n_gibbs=8, n_chains=2,
+            chain_jitter=0.0, n_second_stage=256, shard_size=128,
+        )
+        refine = dict(cold, n_second_stage=1024)
+        references = [
+            execute_job(JobRequest.from_dict(query))[0]
+            for query in (cold, refine)
+        ]
         with YieldService(
-            cache_dir=tmp_path, n_job_workers=1, observability=False
+            cache_dir=tmp_path, n_job_workers=1, n_workers=2,
+            backend="process",
         ) as service:
-            assert service.progress is None
-            assert get_active() is None
-            job = service.submit(dict(self.QUERY))
-            service.result(job.id, timeout=120)
-            assert "progress" not in service.status(job.id)
+            jobs = []
+            for query, reference in zip((cold, refine), references):
+                job = service.submit(dict(query))
+                result = service.result(job.id, timeout=300)
+                assert (
+                    result.failure_probability
+                    == reference.failure_probability
+                )
+                assert result.relative_error == reference.relative_error
+                assert result.n_second_stage == reference.n_second_stage
+                np.testing.assert_array_equal(
+                    result.trace.estimate, reference.trace.estimate
+                )
+                jobs.append(job)
+            samples, _, listings = _scrape(service)
+            counters = service.recorder.counters
+        progress = {
+            listing["id"]: {s["stage"]: s for s in listing["progress"]}
+            for listing in listings
+        }
+        cold_id, refine_id = (job.id for job in jobs)
+        assert set(progress[cold_id]) == {"first_stage", "second_stage"}
+        for stage in progress[cold_id].values():
+            assert stage["scope"] == cold_id and stage["fraction"] == 1.0
+        (refined,) = progress[refine_id].values()
+        assert refined["stage"] == "second_stage"
+        assert refined["fraction"] == 1.0
+        assert refined["shards_replayed"] == 2  # the cold job's 256 samples
+        assert refined["shards_done"] == 6
+        assert samples[(
+            "repro_shards_completed_total",
+            (("job", cold_id), ("stage", "second_stage")),
+        )] == 2.0
+        assert samples[(
+            "repro_shards_replayed_total",
+            (("job", refine_id), ("stage", "second_stage")),
+        )] == 2.0
+        # Pool workers shipped their shard records home, the cold job's
+        # ledger rows carry them, and the refine replayed those rows.
+        assert counters["ledger.snapshots_folded"] == 2
+        assert counters["replayed.metric.sims"] == 256
 
 
 # ----------------------------------------------------------------------
@@ -498,14 +646,13 @@ class _SlowMetric:
 
 class TestLiveScrape:
     def test_mid_run_scrape_has_progress_and_fleet_series(self, problem):
-        engine = ProgressEngine()
         slow = _SlowMetric(problem.metric, problem.dimension, 0.05)
         text = None
-        with activate(engine):
+        with telemetry.activate(telemetry.Recorder("live")):
             with start_metrics_server(0) as server, ParallelExecutor(
                 backend="remote", min_workers=2, heartbeat=0.5
             ) as ex:
-                threads = [_start_worker(ex.address) for _ in range(2)]
+                workers = [_start_worker(ex.address) for _ in range(2)]
                 done = threading.Event()
 
                 def run():
@@ -542,5 +689,5 @@ class TestLiveScrape:
         assert "repro_convergence_estimate" in families
         assert "repro_worker_heartbeat_age_seconds" in families
         assert "repro_workers_connected" in families
-        for thread in threads:
-            thread.join(timeout=5)
+        for worker in workers:
+            worker.join(timeout=30)

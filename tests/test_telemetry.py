@@ -156,6 +156,8 @@ class TestActiveRecorderFastPath:
             shard = telemetry.ShardTelemetry(True, "s")
             with shard:
                 assert telemetry.get_active() is not stale
+                # Only the record ships home: no live view is built.
+                assert telemetry.get_active().status()["snapshot"] is None
                 telemetry.count("sims", 3)
             assert telemetry.get_active() is stale
         assert shard.record()["counters"] == {"sims": 3}
@@ -356,6 +358,87 @@ class TestFoldExactness:
         _traced_gibbs(problem, 2, "process", False)
         assert rec.n_events == 0
         assert telemetry.get_active() is None
+
+
+class TestPerfbenchNameContract:
+    """The library's spans and counters are the ones perfbench reads.
+
+    The benchmark opens its own spans around the layers below the
+    library's stage boundaries (``perfbench/instrument.py``); a library
+    span of the same name would double its per-layer counts, and a
+    renamed span or counter would silently zero one.
+    """
+
+    #: Spans only perfbench's wrappers may open.
+    BENCH_ONLY = (
+        "gibbs.start_point", "gibbs.chain", "bisect.search",
+        "stats.proposal_fit", "mc.is_weights", "service.cache_get",
+        "service.cache_put",
+    )
+    SPANS = (
+        "gibbs.first_stage", "second_stage", "mc.run", "merge.mc_shards",
+        "merge.chain_shards", "ledger.record", "parallel.map",
+        "service.job",
+    )
+    COUNTERS = (
+        "newton.lane_solves", "newton.lane_iters", "bisect.searches",
+        "bisect.rounds", "bisect.sims", "ledger.shards_recorded",
+        "service.cache.hits", "service.cache.misses",
+    )
+
+    def test_traced_runs_open_the_names_perfbench_reads(
+        self, problem, tmp_path
+    ):
+        from repro.service import JobRequest
+        from repro.service.cache import ArtifactCache
+        from repro.service.runner import execute_job
+        from repro.sram.problems import read_noise_margin_problem
+
+        rnm = read_noise_margin_problem()
+
+        def golden():
+            return brute_force_monte_carlo(
+                problem.metric, problem.spec, 2000, dimension=2, rng=5,
+                shard_size=500, checkpoint_dir=tmp_path / "mc",
+                n_workers=2, backend="process",
+            )
+
+        golden()
+        (path,) = (tmp_path / "mc").glob("mc-*.jsonl")
+        path.write_text("\n".join(path.read_text().splitlines()[:3]) + "\n")
+        job = JobRequest(
+            problem="iread", method="MC", seed=1, n_second_stage=512,
+            shard_size=256,
+        )
+        cache = ArtifactCache(tmp_path / "cache")
+        rec = telemetry.Recorder("contract")
+        with telemetry.activate(rec):
+            gibbs_importance_sampling(
+                rnm.metric, rnm.spec, coordinate_system="spherical",
+                n_gibbs=4, n_chains=2, doe_budget=200, n_second_stage=256,
+                shard_size=128, rng=3, n_workers=2, backend="process",
+                checkpoint_dir=tmp_path / "gs",
+            )
+            assert golden().extras["resume"]["shards_replayed"] == 2
+            for job_id in ("cold", "warm"):
+                execute_job(job, cache=cache, job_id=job_id)
+
+        names = {event["name"] for event in rec.spans}
+        assert not [
+            name for name in names
+            if name.startswith("sram.") or name in self.BENCH_ONLY
+        ]
+        assert set(self.SPANS) <= names
+        assert any(name.startswith("shard.") for name in names)
+        maps = [e for e in rec.spans if e["name"] == "parallel.map"]
+        assert all({"fn", "workers"} <= set(e["attrs"]) for e in maps)
+        assert {"run_gibbs_shard", "run_is_shard", "run_mc_shard"} <= {
+            e["attrs"]["fn"] for e in maps
+        }
+        jobs = [e for e in rec.spans if e["name"] == "service.job"]
+        assert [e["attrs"]["job"] for e in jobs] == ["cold", "warm"]
+        for name in self.COUNTERS:
+            assert rec.counters.get(name, 0) > 0, name
 
 
 class TestExport:
