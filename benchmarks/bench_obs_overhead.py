@@ -12,10 +12,8 @@ executor) in four modes:
 * ``on``       — a :class:`~repro.telemetry.Recorder` active, which keeps
   the live view;
 * ``scraped``  — recorder active *and* a loopback ``/metrics`` exporter
-  polled at 10 Hz (150 times a 15 s Prometheus scrape interval) by a
-  poller in its own process, as a Prometheus server would be: an
-  in-process poller thread would charge the run for the client's own
-  Python work and GIL traffic, which no real scraper puts there;
+  polled at 10 Hz by a background thread (150 times a 15 s Prometheus
+  scrape interval);
 * ``off2``     — ``off`` again: the noise floor.
 
 The inline (serial) executor is deliberate: it reports exactly the same
@@ -24,18 +22,23 @@ thread-scheduling noise.  Wall-clock drift on a shared box is
 time-correlated, so every round runs all four modes back to back, in an
 order rotated by one each round, and each mode's overhead is its
 **median per-round ratio** to that round's ``off`` run.  ``off2``'s
-median ratio measures what a mode that costs nothing reads, so a mode
-fails only when its median ratio exceeds ``off2``'s by more than
-``OVERHEAD_CEILING`` (2%).
+median ratio measures what a mode that costs nothing reads, and the
+interquartile range of ``off2``'s per-round ratios measures how far the
+same work strays on this host at this moment (over 6 rounds it is about
+two standard errors of the difference of two medians).  A mode fails
+when its median ratio exceeds ``off2``'s by more than
+``OVERHEAD_CEILING`` (2%) plus that spread: on a quiet host the gate is
+2%, and on a noisy one it fails only on an overhead the run could tell
+from noise.
 
 Headline numbers land in ``BENCH_obs_overhead.json`` at the repo root.
 """
 
 import json
 import statistics
-import subprocess
-import sys
+import threading
 import time
+import urllib.request
 from pathlib import Path
 
 from benchmarks._shared import bench_metadata, problem, scaled, write_report
@@ -46,27 +49,11 @@ from repro.obs.http import start_metrics_server
 
 JSON_PATH = Path(__file__).parent.parent / "BENCH_obs_overhead.json"
 
-#: Largest allowed excess of a mode's median ratio over ``off2``'s.
+#: Largest allowed excess of a mode's median ratio over ``off2``'s,
+#: beyond the spread of ``off2``'s own per-round ratios.
 OVERHEAD_CEILING = 0.02
 ROUNDS = 6
 MODES = ("off", "on", "scraped", "off2")
-
-#: The scraper: polls the URL in argv[1] at 10 Hz, announcing its first
-#: successful scrape on stdout.
-_POLLER = """
-import sys, time, urllib.request
-ready = False
-while True:
-    try:
-        urllib.request.urlopen(sys.argv[1], timeout=5).read()
-    except OSError:
-        pass
-    else:
-        if not ready:
-            print("ready", flush=True)
-            ready = True
-    time.sleep(0.1)
-"""
 
 
 def _fingerprint(result):
@@ -88,22 +75,31 @@ def _run_once(mode, prob, kwargs):
     """One timed run in ``mode``; returns (seconds, result fingerprint)."""
     if mode in ("off", "off2"):
         return _timed(prob, kwargs)
-    with telemetry.activate(telemetry.Recorder(f"bench-{mode}")):
+    recorder = telemetry.Recorder(f"bench-{mode}")
+    with telemetry.activate(recorder):
         if mode == "on":
             return _timed(prob, kwargs)
         assert mode == "scraped"
-        with start_metrics_server(0) as server:
-            scraper = subprocess.Popen(
-                [sys.executable, "-c", _POLLER, f"{server.url}/metrics"],
-                stdout=subprocess.PIPE, text=True,
-            )
+        with start_metrics_server(0, recorder) as server:
+            stop = threading.Event()
+
+            def hammer():
+                while not stop.is_set():
+                    try:
+                        urllib.request.urlopen(
+                            f"{server.url}/metrics", timeout=5
+                        ).read()
+                    except OSError:
+                        pass
+                    stop.wait(0.1)  # 10 Hz, already aggressive
+
+            scraper = threading.Thread(target=hammer, daemon=True)
+            scraper.start()
             try:
-                scraper.stdout.readline()  # its start-up is not timed
                 return _timed(prob, kwargs)
             finally:
-                scraper.terminate()
-                scraper.wait(timeout=30)
-                scraper.stdout.close()
+                stop.set()
+                scraper.join(timeout=5)
 
 
 def run():
@@ -132,14 +128,16 @@ def run():
     # The determinism half of the contract: every run of every mode
     # computed the same estimate to the bit.
     assert len(fingerprints) == 1, fingerprints
-    ratio = {
-        mode: statistics.median(
-            t / off for t, off in zip(times[mode], times["off"])
-        )
+    per_round = {
+        mode: [t / off for t, off in zip(times[mode], times["off"])]
         for mode in MODES[1:]
     }
+    ratio = {mode: statistics.median(r) for mode, r in per_round.items()}
+    quartiles = statistics.quantiles(per_round["off2"], n=4)
+    noise = quartiles[2] - quartiles[0]
+    allowed = OVERHEAD_CEILING + noise
     excess = {m: ratio[m] - ratio["off2"] for m in ("on", "scraped")}
-    failed = [m for m, value in excess.items() if value > OVERHEAD_CEILING]
+    failed = [m for m, value in excess.items() if value > allowed]
 
     payload = {
         "environment": bench_metadata(),
@@ -154,6 +152,8 @@ def run():
         "median_ratio_vs_off": ratio,
         "excess_over_off2": excess,
         "overhead_ceiling": OVERHEAD_CEILING,
+        "off2_ratio_iqr": noise,
+        "allowed_excess": allowed,
         "failed_modes": failed,
         "results_identical_across_modes": True,
     }
@@ -177,7 +177,8 @@ def run():
         )
         + "\n\nresults bit-identical across all modes: yes\n"
         f"acceptance: 'on' and 'scraped' at most "
-        f"{100 * OVERHEAD_CEILING:.0f}% beyond off2: "
+        f"{100 * OVERHEAD_CEILING:.0f}% + off2's per-round IQR "
+        f"({100 * noise:.2f}%) = {100 * allowed:.2f}% beyond off2: "
         f"{'failed by ' + ', '.join(failed) if failed else 'passed'}\n"
         f"JSON record: {JSON_PATH.name}"
     )
@@ -186,7 +187,7 @@ def run():
     # leaves its numbers.
     assert not failed, (
         f"{failed} beyond off2's {100 * (ratio['off2'] - 1):+.2f}% by more "
-        f"than {100 * OVERHEAD_CEILING:.0f}%: "
+        f"than {100 * allowed:.2f}%: "
         + ", ".join(f"{m} {100 * excess[m]:+.2f}%" for m in failed)
     )
 

@@ -342,13 +342,12 @@ def _first_stage_kwargs(args, methods) -> dict:
 
 
 @contextlib.contextmanager
-def _metrics_exporter(args):
+def _metrics_exporter(args, recorder):
     """Live ``/metrics`` + ``/status`` for the run (``--metrics-port``).
 
-    Binds a loopback exporter for the duration; its handler reads the
-    active recorder at request time (:func:`_run_recorder` records
-    whenever the flag is set).  Without the flag this yields
-    immediately.
+    Binds a loopback exporter serving ``recorder`` for the duration
+    (:func:`_run_recorder` records whenever the flag is set).  Without
+    the flag this yields immediately.
     """
     port = getattr(args, "metrics_port", None)
     if port is None:
@@ -356,7 +355,7 @@ def _metrics_exporter(args):
         return
     from repro.obs.http import start_metrics_server
 
-    with start_metrics_server(port) as server:
+    with start_metrics_server(port, recorder) as server:
         logs.info(f"metrics exporter on {server.url}/metrics "
                   f"(watch with `repro top {server.url}`)")
         yield server
@@ -443,7 +442,7 @@ def _cmd_estimate(args) -> int:
         min_workers=args.workers or 1,
     )
     recorder = _run_recorder(args)
-    with _metrics_exporter(args), (
+    with _metrics_exporter(args, recorder), (
         telemetry.activate(recorder)
         if recorder is not None
         else contextlib.nullcontext()
@@ -494,7 +493,7 @@ def _cmd_compare(args) -> int:
         return 2
     first_stage = _first_stage_kwargs(args, args.methods)
     recorder = _run_recorder(args)
-    with _metrics_exporter(args), (
+    with _metrics_exporter(args, recorder), (
         telemetry.activate(recorder)
         if recorder is not None
         else contextlib.nullcontext()
@@ -550,9 +549,9 @@ def _cmd_serve(args) -> int:
     if args.cache_dir is None:
         logs.warning("no --cache-dir: serving without persistence "
                      "(every job runs cold)")
-    # The service activated its recorder in its constructor, so the
-    # dedicated exporter serves the same queue the API port does.
-    with _metrics_exporter(args):
+    # The dedicated exporter serves the same recorder, and so the same
+    # queue, as the API port does.
+    with _metrics_exporter(args, service.recorder):
         serve_forever(service, host=args.host, port=args.port)
     return 0
 
@@ -661,7 +660,7 @@ def _cmd_worker(args) -> int:
     host, port = parse_address(args.connect)
     recorder = _run_recorder(args)
     logs.info(f"joining coordinator at {host}:{port}")
-    with _metrics_exporter(args), (
+    with _metrics_exporter(args, recorder), (
         telemetry.activate(recorder)
         if recorder is not None
         else contextlib.nullcontext()

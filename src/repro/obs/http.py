@@ -3,11 +3,15 @@
 :func:`start_metrics_server` binds a tiny stdlib HTTP server in a
 daemon thread serving
 
-* ``GET /metrics`` — Prometheus text exposition of the process-global
-  active :class:`~repro.telemetry.Recorder` (read at request time, so a
-  scrape mid-run sees live state), and
+* ``GET /metrics`` — Prometheus text exposition of the
+  :class:`~repro.telemetry.Recorder` it was started with (read at
+  request time, so a scrape mid-run sees live state), and
 * ``GET /status``  — the same state as one JSON document (what
   ``repro top`` and ``repro status`` poll).
+
+The server keeps serving that recorder whichever one is active: a
+socket worker's shard task installs its own recorder as the active one
+while it runs, and the worker's exporter must not lose its view then.
 
 The server never touches the run: handlers only *read* the recorder's
 :meth:`~repro.telemetry.Recorder.status` document.  The service HTTP
@@ -54,11 +58,12 @@ class _MetricsHandler(BaseHTTPRequestHandler):
 
     def do_GET(self):  # noqa: N802 - stdlib handler naming
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
+        recorder = self.server.recorder
         if path == "/metrics":
-            text = render_exposition(_telemetry.get_active())
+            text = render_exposition(recorder)
             self._send(200, EXPOSITION_CONTENT_TYPE, text.encode())
         elif path in ("/status", "/"):
-            body = json.dumps(obs_status()).encode()
+            body = json.dumps(obs_status(recorder)).encode()
             self._send(200, "application/json", body)
         else:
             self._send(404, "application/json",
@@ -68,9 +73,11 @@ class _MetricsHandler(BaseHTTPRequestHandler):
 class MetricsServer:
     """A bound-and-serving metrics endpoint (daemon thread)."""
 
-    def __init__(self, host: str, port: int):
+    def __init__(self, host: str, port: int, recorder):
         self._httpd = ThreadingHTTPServer((host, port), _MetricsHandler)
         self._httpd.daemon_threads = True
+        #: The recorder every request reads.
+        self._httpd.recorder = recorder
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             name="repro-metrics",
@@ -100,7 +107,7 @@ class MetricsServer:
 
 
 def start_metrics_server(
-    port: int, host: str = "127.0.0.1"
+    port: int, recorder, host: str = "127.0.0.1"
 ) -> MetricsServer:
-    """Bind and start serving ``/metrics`` + ``/status`` immediately."""
-    return MetricsServer(host, int(port))
+    """Bind and start serving ``recorder``'s ``/metrics`` + ``/status``."""
+    return MetricsServer(host, int(port), recorder)

@@ -39,21 +39,30 @@ from repro.stats.confidence import Z_99
 
 #: The one stage table: each sampling stage's exported label, the span
 #: that marks it, the shard runner its ``parallel.map`` runs and the
-#: ledger kind its persisted rows carry.
+#: ledger kind its persisted rows carry.  The last row is the method
+#: panel of ``compare_methods`` and ``run_trials``: each of its tasks
+#: runs a whole estimator, whose estimate is its second stage (Table I
+#: counts MC's samples there too), so a panel map reports its tasks as
+#: second-stage shards.  On a process pool that is the only progress the
+#: run's view gets, because the methods' own stages run in the workers;
+#: inline or on threads their stages report too, beside the panel's.
 STAGES = (
     ("first_stage", "gibbs.first_stage", "run_gibbs_shard", "gibbs"),
     ("second_stage", "second_stage", "run_is_shard", "is"),
     ("mc", "mc.run", "run_mc_shard", "mc"),
     ("blockade", "blockade.screen", "run_blockade_shard", "blockade"),
+    ("second_stage", None, "_run_method_task", None),
 )
 
 #: Stage span, shard runner or ledger kind -> the stage it reports
 #: under.  Anything else is not a sampling stage and stays out of the
 #: view.
-STAGE_OF = {name: row[0] for row in STAGES for name in row[1:]}
+STAGE_OF = {name: row[0] for row in STAGES for name in row[1:] if name}
 
 #: Span names the view reacts to; every other span skips it entirely.
-SPANS = frozenset(["service.job", "parallel.map"] + [r[1] for r in STAGES])
+SPANS = frozenset(
+    ["service.job", "parallel.map"] + [r[1] for r in STAGES if r[1]]
+)
 
 #: Chain-diagnostic gauges -> their key in the per-scope chain record.
 _CHAIN_GAUGES = {"chain.max_rhat": "max_rhat", "chain.min_ess": "min_ess"}

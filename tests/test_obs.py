@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.analysis.experiments import _run_method_task, run_trials
+from repro.cli import main as cli_main
 from repro.mc.importance import importance_sampling_estimate
 from repro.mc.montecarlo import brute_force_monte_carlo
 from repro.obs.http import obs_status, start_metrics_server
@@ -50,7 +52,7 @@ def _start_worker(address):
 
     Not a thread: a shard task installs its own recorder as the
     process-global active one while it runs, which in the coordinator's
-    process would hide the run's recorder from the exporter.
+    process would catch the coordinator's own telemetry calls meanwhile.
     """
     worker = multiprocessing.get_context("spawn").Process(
         target=run_worker, args=(address[0], address[1]), daemon=True
@@ -240,11 +242,36 @@ class TestMonotoneProgress:
         assert STAGE_OF[run_is_shard.__name__] == "second_stage"
         assert STAGE_OF["gibbs"] == "first_stage"  # ledger kind
         assert STAGE_OF["mc.run"] == "mc"  # stage span
+        # A method-panel task reports as one second-stage shard.
+        assert STAGE_OF[_run_method_task.__name__] == "second_stage"
         # Anything else is not a sampling stage and stays out of the view.
         assert "len" not in STAGE_OF
         for _, _, runner, kind in STAGES:
+            if kind is None:  # the panel row: no span, no ledger rows
+                assert runner == _run_method_task.__name__
+                continue
             assert callable(getattr(shard_workers, runner))
             _result_type(kind)  # a ledger kind the ledger knows
+
+    def test_process_pool_panel_reports_its_tasks(self, problem):
+        recorder = telemetry.Recorder("panel")
+        with telemetry.activate(recorder):
+            trials = run_trials(
+                problem, "MC", 3, seed=4, n_workers=2, backend="process",
+                n_second_stage=1000,
+            )
+        # The methods' own stages ran in the pool's workers; the run's
+        # view still counts each finished trial.
+        (stage,) = _stages(recorder)
+        assert stage["stage"] == "second_stage"
+        assert stage["shards_total"] == stage["shards_done"] == 3
+        assert stage["fraction"] == 1.0
+        serial = run_trials(
+            problem, "MC", 3, seed=4, backend="serial", n_second_stage=1000
+        )
+        assert [t.failure_probability for t in trials] == [
+            t.failure_probability for t in serial
+        ]
 
     def test_stage_spans_drive_the_stage_state(self, timer):
         recorder = telemetry.Recorder("t")
@@ -445,7 +472,7 @@ class TestMetricsServer:
         recorder = telemetry.Recorder("srv")
         with telemetry.activate(recorder):
             _mc(problem, n_workers=2, backend="thread")
-            with start_metrics_server(0) as server:
+            with start_metrics_server(0, recorder) as server:
                 with urllib.request.urlopen(
                     f"{server.url}/metrics", timeout=5
                 ) as response:
@@ -460,7 +487,7 @@ class TestMetricsServer:
         assert isinstance(status["counters"], dict)
 
     def test_unknown_route_404s(self):
-        with start_metrics_server(0) as server:
+        with start_metrics_server(0, None) as server:
             with pytest.raises(urllib.error.HTTPError):
                 urllib.request.urlopen(f"{server.url}/nope", timeout=5)
 
@@ -488,9 +515,10 @@ class TestTopDashboard:
         assert "[" in text and "]" in text  # the progress bar
 
     def test_run_top_over_live_server(self, problem, capsys):
-        with telemetry.activate(telemetry.Recorder("t")):
+        recorder = telemetry.Recorder("t")
+        with telemetry.activate(recorder):
             _mc(problem, n_workers=2, backend="thread")
-            with start_metrics_server(0) as server:
+            with start_metrics_server(0, recorder) as server:
                 code = run_top(server.url, interval=0.01, iterations=2)
         assert code == 0
         out = capsys.readouterr().out
@@ -648,8 +676,9 @@ class TestLiveScrape:
     def test_mid_run_scrape_has_progress_and_fleet_series(self, problem):
         slow = _SlowMetric(problem.metric, problem.dimension, 0.05)
         text = None
-        with telemetry.activate(telemetry.Recorder("live")):
-            with start_metrics_server(0) as server, ParallelExecutor(
+        recorder = telemetry.Recorder("live")
+        with telemetry.activate(recorder):
+            with start_metrics_server(0, recorder) as server, ParallelExecutor(
                 backend="remote", min_workers=2, heartbeat=0.5
             ) as ex:
                 workers = [_start_worker(ex.address) for _ in range(2)]
@@ -691,3 +720,97 @@ class TestLiveScrape:
         assert "repro_workers_connected" in families
         for worker in workers:
             worker.join(timeout=30)
+
+
+class _GatedMetric:
+    """Picklable metric for a one-call-per-shard run on one worker.
+
+    The first shard's call returns at once; every later call touches
+    ``blocked`` and waits until ``release`` exists, so a test can act
+    while a shard task is provably running.
+    """
+
+    def __init__(self, metric, dimension, gate_dir):
+        self.metric = metric
+        self.dimension = dimension
+        self.gate_dir = gate_dir
+
+    def __call__(self, x):
+        first = self.gate_dir / "first"
+        if first.exists():
+            (self.gate_dir / "blocked").touch()
+            deadline = time.monotonic() + 60
+            while not (self.gate_dir / "release").exists():
+                assert time.monotonic() < deadline, "never released"
+                time.sleep(0.01)
+        else:
+            first.touch()
+        return self.metric(x)
+
+
+def _free_port():
+    import socket
+
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+class TestWorkerExporter:
+    def test_scrape_during_a_shipped_task_reads_the_worker(
+        self, problem, tmp_path
+    ):
+        """``repro worker --metrics-port`` keeps its view while it runs a
+        task whose telemetry ships home (the task installs its own
+        recorder as the active one for its duration)."""
+        gated = _GatedMetric(problem.metric, problem.dimension, tmp_path)
+        port = _free_port()
+        url = f"http://127.0.0.1:{port}"
+        with telemetry.activate(telemetry.Recorder("coordinator")):
+            with ParallelExecutor(
+                backend="remote", min_workers=1, heartbeat=0.5
+            ) as ex:
+                host, coordinator_port = ex.address
+                worker = multiprocessing.get_context("spawn").Process(
+                    target=cli_main,
+                    args=([
+                        "worker", "--connect", f"{host}:{coordinator_port}",
+                        "--metrics-port", str(port),
+                    ],),
+                    daemon=True,
+                )
+                worker.start()
+                runner = threading.Thread(
+                    target=brute_force_monte_carlo,
+                    args=(gated, problem.spec, 500),
+                    kwargs=dict(
+                        dimension=problem.dimension, rng=9, chunk_size=250,
+                        shard_size=250, executor=ex,
+                    ),
+                    daemon=True,
+                )
+                runner.start()
+                try:
+                    deadline = time.monotonic() + 60
+                    while not (tmp_path / "blocked").exists():
+                        assert time.monotonic() < deadline, "no second task"
+                        time.sleep(0.01)
+                    # The worker is inside its second shard task now.
+                    status = fetch_status(url)
+                    with urllib.request.urlopen(
+                        f"{url}/metrics", timeout=5
+                    ) as response:
+                        text = response.read().decode("utf-8")
+                finally:
+                    (tmp_path / "release").touch()
+                    runner.join(timeout=60)
+        worker.join(timeout=30)
+        assert status["snapshot"] is not None
+        assert status["counters"]["worker.tasks_completed"] == 1
+        (stage,) = status["snapshot"]["stages"]
+        assert (stage["stage"], stage["shards_done"]) == ("mc", 1)
+        samples = parse_exposition(text)
+        assert samples[
+            ("repro_shards_completed_total", (("stage", "mc"),))
+        ] == 1.0
+        assert samples[("repro_uptime_seconds", ())] > 0.0
