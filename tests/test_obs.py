@@ -8,6 +8,7 @@ a shard prefix, and the Prometheus exposition parses line by line.
 """
 
 import multiprocessing
+import socket
 import sys
 import threading
 import time
@@ -749,8 +750,6 @@ class _GatedMetric:
 
 
 def _free_port():
-    import socket
-
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         return sock.getsockname()[1]
