@@ -7,7 +7,13 @@ rows time what the metrics actually run — ``fused`` (both VTC sides
 in one Newton loop, stacked device evaluation) against ``oracle`` (the
 per-side, per-device kernel kept in tests/test_sram_cell.py) — at the row
 counts of single Gibbs simulations (1, 2, 4 rows: ms/call) and of the
-metric chunk (4,096 rows: µs/row).  The read-state tiny calls use
+metric chunk (4,096 rows: µs/row).  The ``rnm_margin`` rows time the
+read margin's extraction from the solved butterfly at the same row
+counts: ``lobe_margins``, which evaluates only the stored-0 lobe and
+counts curve points below the line levels with one sorted search, against
+the two-lobe comparison count it replaced (kept in
+tests/test_sram_butterfly.py), asserted bit-identical on the stored-0
+margin.  The read-state tiny calls use
 read-upset samples, whose unconverged Newton lanes take the fixed-point
 straggler path; its 4,096-row chunk uses Monte-Carlo samples.  The
 ``read_upset_fixed_point`` rows time that straggler path alone — the
@@ -53,9 +59,11 @@ import pytest
 
 from benchmarks._shared import SCALE, bench_metadata, interleaved_min, write_report
 from repro.devices.mosfet import _interp_f_and_deriv
+from repro.sram.butterfly import lobe_margins
 from repro.sram.metrics import ReadCurrentMetric, ReadNoiseMarginMetric
 from repro.sram.problems import fragile_cell
 from tests.test_devices_mosfet import _logaddexp_interp
+from tests.test_sram_butterfly import _lobe_margins_reference
 from tests.test_sram_cell import (
     SequentialReadCell,
     _assert_read_current_contract,
@@ -91,13 +99,14 @@ INTERP_ULPS = 4.0
 def _sram_kernels(rows, seed=23):
     """``{kernel: {variant: call}}`` for one row count, outputs checked.
 
-    The RNM VTC pair solves the read butterfly's two sides; the read
-    state is the read-current metric's DC solve.  Tiny read-state calls
-    sit in the read-upset wedge (the straggler path), the chunk is a
-    Monte-Carlo batch.  The VTC pair must match the oracle bit for bit;
-    the read state must keep both of its contracts: the read-current stop
-    against the oracle with the Newton start pinned to the stored state,
-    and the predicted start against that pinned start.
+    The RNM VTC pair solves the read butterfly's two sides, and the RNM
+    margin extracts the read margin from that butterfly; the read state
+    is the read-current metric's DC solve.  Tiny read-state calls sit in
+    the read-upset wedge (the straggler path), the chunk is a Monte-Carlo
+    batch.  The VTC pair and the margin must match their oracles bit for
+    bit; the read state must keep both of its contracts: the read-current
+    stop against the oracle with the Newton start pinned to the stored
+    state, and the predicted start against that pinned start.
     """
     rng = np.random.default_rng(seed + rows)
     rnm = ReadNoiseMarginMetric()
@@ -112,6 +121,7 @@ def _sram_kernels(rows, seed=23):
     else:
         x = rng.standard_normal((rows, 2))
     read_deltas = iread.mismatch.deltas(x)
+    butterfly = cell.half_cell_vtc(("left", "right"), grid, (vdd, vdd), vtc_deltas)
     kernels = {
         "rnm_vtc_pair": {
             "fused": lambda: cell.half_cell_vtc(
@@ -122,6 +132,10 @@ def _sram_kernels(rows, seed=23):
                 for side in ("left", "right")
             ),
         },
+        "rnm_margin": {
+            "fused": lambda: lobe_margins(grid, *butterfly),
+            "oracle": lambda: _lobe_margins_reference(grid, *butterfly),
+        },
         "iread_read_state": {
             "fused": lambda: fragile.solve_read_state(read_deltas),
             "oracle": lambda: oracle_fragile.solve_read_state(read_deltas),
@@ -130,6 +144,8 @@ def _sram_kernels(rows, seed=23):
     rnm_pair, read_state = kernels["rnm_vtc_pair"], kernels["iread_read_state"]
     for got, want in zip(rnm_pair["fused"](), rnm_pair["oracle"]()):
         np.testing.assert_array_equal(got, want)
+    margin = kernels["rnm_margin"]
+    assert margin["fused"]().tobytes() == margin["oracle"]()[0].tobytes()
     with pytest.MonkeyPatch.context() as mp:
         _pin_stored_start(mp)
         _assert_read_current_contract(
@@ -216,7 +232,9 @@ def bench_sram_kernels():
 def test_backend_kernel_throughput():
     sram = bench_sram_kernels()
     payload = {
-        "workload": "RNM VTC pair (81-point grid, both sides), iread read "
+        "workload": "RNM VTC pair (81-point grid, both sides), RNM margin "
+                    "extraction (stored-0 lobe, sorted-level count, vs the "
+                    "two-lobe comparison count), iread read "
                     "state (Newton from each lane's first-order predicted "
                     "state) and its read-upset fixed point (bisection "
                     "stopped at a 1 pA read-current bracket); fused kernel "

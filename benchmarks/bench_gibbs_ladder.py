@@ -24,9 +24,11 @@ Timing is fully interleaved min-of-k (each round times every variant
 once in rotation), the convention established by
 ``bench_backend_kernels``: on a shared container it is the only scheme
 with stable ratios.  A separate instrumented pass per variant records
-the telemetry counters — ``bisect.rounds`` per sample and
-``newton.lane_iters`` / ``newton.lane_solves`` — so the mechanism behind
-the speedup is visible in the JSON, not just the headline.
+the telemetry counters — ``bisect.rounds`` per sample,
+``newton.lane_iters`` / ``newton.lane_solves`` (iterations per Newton
+lane) and ``newton.loop_iters`` / ``newton.solves`` (loop iterations per
+solve, which set a one- or two-row solve's cost) — so the mechanism
+behind the speedup is visible in the JSON, not just the headline.
 
 Headline numbers land in ``BENCH_gibbs_ladder.json`` at the repository
 root with the shared environment stamp.  The asserted floor —
@@ -102,15 +104,17 @@ def run():
         with telemetry.activate(recorder):
             chain = sampler.run(r0, alpha0, n_gibbs, np.random.default_rng(7))
         n = chain.n_samples
-        solves = recorder.counters.get("newton.lane_solves", 0)
+        counters = recorder.counters
+        lanes = counters.get("newton.lane_solves", 0)
+        solves = counters.get("newton.solves", 0)
         stats[name] = {
             "sims_per_sample": (counted.count - count0) / n,
-            "bisect_rounds_per_sample": recorder.counters.get(
-                "bisect.rounds", 0
-            ) / n,
-            "newton_iters_per_solve": (
-                recorder.counters.get("newton.lane_iters", 0) / solves
-                if solves else 0.0
+            "bisect_rounds_per_sample": counters.get("bisect.rounds", 0) / n,
+            "newton_iters_per_lane": (
+                counters.get("newton.lane_iters", 0) / lanes if lanes else 0.0
+            ),
+            "newton_loop_iters_per_solve": (
+                counters.get("newton.loop_iters", 0) / solves if solves else 0.0
             ),
         }
 
@@ -159,7 +163,7 @@ def test_gibbs_ladder_throughput():
 
     table = format_table(
         ["variant", "samples/s", "vs base", "sims/sample",
-         "rounds/sample", "newton it/solve"],
+         "rounds/sample", "newton it/lane", "loop it/solve"],
         [
             [
                 r["variant"],
@@ -167,7 +171,8 @@ def test_gibbs_ladder_throughput():
                 f"{r['speedup_vs_baseline']:.2f}x",
                 f"{r['sims_per_sample']:.1f}",
                 f"{r['bisect_rounds_per_sample']:.1f}",
-                f"{r['newton_iters_per_solve']:.2f}",
+                f"{r['newton_iters_per_lane']:.2f}",
+                f"{r['newton_loop_iters_per_solve']:.2f}",
             ]
             for r in records
         ],

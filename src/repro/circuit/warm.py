@@ -11,7 +11,12 @@ The carrier is keyed twice:
 * a **lane id** per batch row — the Gibbs samplers tag every indicator
   batch with the chain index behind each row (:func:`set_lanes`), and the
   metric layer claims the tags (:meth:`SolverStateCarrier.take_lanes`)
-  before evaluating;
+  before evaluating.  The interval search
+  (:func:`repro.gibbs.bounds.batched_failure_interval`) also tags each
+  row with the side of the bracket it probes (:func:`set_sides`), so a
+  chain keeps one lane per side: a left probe is seeded from that
+  chain's previous left probe, a right probe from its previous right
+  probe, never across the chain's point;
 * a **solve key** per physical sub-problem — e.g. the left half-cell VTC
   vs the right one — so states from different circuits never cross.
 
@@ -57,15 +62,30 @@ def use_carrier(carrier: Optional["SolverStateCarrier"]):
         _local.carrier = previous
 
 
-def set_lanes(lane_ids) -> None:
+def set_lanes(lane_ids, rows=None) -> None:
     """Tag the next metric evaluation's rows with per-row lane ids.
 
-    No-op when no carrier is active.  Samplers tag every batch without
-    caring whether the metric underneath consumes solver state.
+    ``lane_ids`` names the chain of every row the sampler's indicator was
+    handed; ``rows`` (a mask or index) selects those that reach the
+    metric, when the indicator filters some out.  No-op when no carrier is
+    active.  Samplers tag every batch without caring whether the metric
+    underneath consumes solver state.
     """
     carrier = get_active()
     if carrier is not None:
-        carrier.set_lanes(lane_ids)
+        carrier.set_lanes(lane_ids, rows)
+
+
+def set_sides(sides) -> None:
+    """Tag the rows of the next indicator call with their search side.
+
+    ``sides`` holds 0 (left bracket) or 1 (right bracket) per row, aligned
+    with the rows handed to the indicator, or is ``None`` to clear the
+    tag.  No-op when no carrier is active.
+    """
+    carrier = get_active()
+    if carrier is not None:
+        carrier.set_sides(sides)
 
 
 class SolverStateCarrier:
@@ -76,16 +96,28 @@ class SolverStateCarrier:
     and returns it only when its length matches the evaluated batch — a
     stale tag from a call that never reached the metric can therefore
     never mis-seed an unrelated batch.
+
+    While a side tag (:meth:`set_sides`) covers the tagged rows, a row of
+    chain ``c`` on side ``s`` gets the lane id ``-1 - (2 c + s)``: the
+    search sides keep lanes of their own, disjoint from the plain chain
+    lanes ``c >= 0`` of untagged evaluations.
     """
 
     def __init__(self) -> None:
         self._store: Dict[object, Dict[int, np.ndarray]] = {}
         self._lanes: Optional[np.ndarray] = None
+        self._sides: Optional[np.ndarray] = None
         self._chunk_lanes: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------ lane tags
-    def set_lanes(self, lane_ids) -> None:
-        self._lanes = np.asarray(lane_ids, dtype=np.intp).reshape(-1)
+    def set_sides(self, sides) -> None:
+        self._sides = None if sides is None else np.asarray(sides, dtype=np.intp)
+
+    def set_lanes(self, lane_ids, rows=None) -> None:
+        lanes = np.asarray(lane_ids, dtype=np.intp).reshape(-1)
+        if self._sides is not None and self._sides.size == lanes.size:
+            lanes = -1 - (2 * lanes + self._sides)
+        self._lanes = lanes if rows is None else lanes[rows]
 
     def take_lanes(self, n_rows: int) -> Optional[np.ndarray]:
         """Claim the pending lane tag for an ``n_rows``-row evaluation."""

@@ -23,7 +23,10 @@ Implementation details that matter for cost accounting:
   strongly sublinear in batch size;
 * the returned boundaries are the innermost points *verified to fail*, so
   the truncated conditional never puts mass on territory the search has
-  not confirmed — the chain provably stays inside the sampled region.
+  not confirmed — the chain provably stays inside the sampled region;
+* every row handed to ``fails`` carries the side of the bracket it probes
+  (:func:`repro.circuit.warm.set_sides`), so a chain's Newton warm start
+  seeds each probe from the same side's previous probe.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.circuit import warm as _warm
 from repro.telemetry import context as _telemetry
 
 
@@ -89,6 +93,16 @@ def ladder_rounds(bisect_iters: int, ladder_width: int) -> int:
     if ladder_width == 1:
         return bisect_iters
     return math.ceil(bisect_iters / math.log2(ladder_width + 1))
+
+
+def _probe(fails, chain_idx, values, sides) -> np.ndarray:
+    """``fails(chain_idx, values)`` with each row tagged by its bracket side
+    (0 left, 1 right) for the Newton warm start, as a boolean array."""
+    _warm.set_sides(sides)
+    try:
+        return np.asarray(fails(chain_idx, values), dtype=bool)
+    finally:
+        _warm.set_sides(None)
 
 
 def failure_interval(
@@ -200,9 +214,9 @@ def batched_failure_interval(
 
     # Endpoint check: (lo, hi) per chain, one batch of 2C points.
     chain_idx = np.repeat(np.arange(n_chains), 2)
-    endpoint_fail = np.asarray(
-        fails(chain_idx, np.tile(np.array([lo, hi], dtype=float), n_chains)),
-        dtype=bool,
+    endpoint_fail = _probe(
+        fails, chain_idx, np.tile(np.array([lo, hi], dtype=float), n_chains),
+        np.tile(np.arange(2), n_chains),
     ).reshape(n_chains, 2)
     per_chain = np.full(n_chains, 2, dtype=int)
 
@@ -238,12 +252,11 @@ def batched_failure_interval(
                 right_fail[r_idx, None]
                 + (right_pass[r_idx] - right_fail[r_idx])[:, None] * frac
             )
-        outcome = np.asarray(
-            fails(
-                np.concatenate([np.repeat(l_idx, k), np.repeat(r_idx, k)]),
-                np.concatenate([l_pts.ravel(), r_pts.ravel()]),
-            ),
-            dtype=bool,
+        outcome = _probe(
+            fails,
+            np.concatenate([np.repeat(l_idx, k), np.repeat(r_idx, k)]),
+            np.concatenate([l_pts.ravel(), r_pts.ravel()]),
+            np.repeat(np.arange(2), (l_idx.size * k, r_idx.size * k)),
         )
         per_chain[l_idx] += k
         per_chain[r_idx] += k

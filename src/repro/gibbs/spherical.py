@@ -169,8 +169,8 @@ class SphericalGibbs:
             out = np.zeros(values.size, dtype=bool)
             if safe.any():
                 # Only the safe rows reach the metric, so the lane tag
-                # must cover exactly those rows.
-                _warm.set_lanes(chain_idx[safe])
+                # must select exactly those rows.
+                _warm.set_lanes(chain_idx, rows=safe)
                 # Same operation order as the scalar indicator so a C=1
                 # lockstep run stays bit-identical to the sequential path.
                 points = (
@@ -195,7 +195,7 @@ class SphericalGibbs:
             points = np.zeros_like(candidates)
             points[safe] = r * candidates[safe] / norms[safe, np.newaxis]
             out = np.zeros(values.size, dtype=bool)
-            _warm.set_lanes(np.zeros(int(safe.sum()), dtype=np.intp))
+            _warm.set_lanes(np.zeros(values.size, dtype=np.intp), rows=safe)
             out[safe] = self.spec.indicator(self.metric(points[safe]))
             return out
 

@@ -22,20 +22,34 @@ The right inverter (input ``v_q``, output ``v_qb``) plots as
 ``y = vtc_right(x)``; the left inverter (input ``v_qb``, output ``v_q``)
 plots as ``x = vtc_left(y)``.  The lobe at ``c = y - x > 0`` corresponds to
 the state storing 0 at ``q``; the ``c < 0`` lobe to storing 1.
+
+Performance note: the read and hold margins call :func:`lobe_margins` once
+per simulator call, at one or two rows inside a Gibbs conditional and at
+4,096 rows in a Monte-Carlo chunk.  It evaluates only the stored-0 lobe
+(the 60 positive levels of the default 121), the one lobe the metrics
+read, and :func:`_interp_increasing` finds each level's bracketing curve
+samples with one sorted search plus a per-row cumulative histogram
+(:func:`_count_below_levels`), not a (levels x grid x rows) comparison.
+Both are bit-identical to the two-lobe comparison count they replaced
+(``tests/test_sram_butterfly.py`` keeps it as the oracle); on a 2-vCPU VM
+(numpy 2.4) a two-row call took 0.15 ms against 0.31 ms and a 4,096-row
+chunk 43 ms against 110 ms (``benchmarks/bench_backend_kernels.py``,
+``rnm_margin``).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
 
 
-#: Batch size from which :func:`_count_below` sums over the grid axis in
-#: place rather than along a trailing copy of it.  Counting 121 levels on an
-#: 81-point grid (2-vCPU VM, numpy 2.4), the trailing sum took 37 us at 2
-#: rows against 207 us in place, was even at 32 rows, and took 1.1 ms
-#: against 0.35 ms at 64.
+#: Batch size from which :func:`_count_below` (per-row levels: the write
+#: margin) sums over the grid axis in place rather than along a trailing
+#: copy of it.  Counting 121 levels on an 81-point grid (2-vCPU VM, numpy
+#: 2.4), the trailing sum took 37 us at 2 rows against 207 us in place, was
+#: even at 32 rows, and took 1.1 ms against 0.35 ms at 64.
 _TRAILING_COUNT_MAX_BATCH = 32
 
 
@@ -57,6 +71,52 @@ def _count_below(z, c):
     return np.sum(z[None, ...] < c[:, None, ...], axis=1, dtype=count_dtype)
 
 
+def _count_below_levels(z, levels):
+    """:func:`_count_below` for one level set shared by the whole batch.
+
+    ``z`` is ``(P, rows)`` and ``levels`` a ``(Q,)`` array in any order;
+    returns ``(Q, rows)``.  Each sample's bin — the number of levels at or
+    below it — comes from one ``np.searchsorted`` over the sorted levels:
+    the sample lies strictly below exactly the sorted levels from its bin
+    on.  A per-row cumulative histogram of the bins is then every level's
+    count, in ``O(P)`` work per row instead of the ``O(P Q)`` comparisons
+    of :func:`_count_below`, and equal to it: both compare the same floats.
+    """
+    rows = z.shape[1]
+    q = levels.shape[0]
+    order = np.argsort(levels, kind="stable")
+    bins = np.searchsorted(levels, z, side="right", sorter=order)
+    bins += np.arange(0, rows * (q + 1), q + 1)
+    hist = np.bincount(bins.ravel(), minlength=rows * (q + 1))
+    counts = np.empty((q, rows), dtype=hist.dtype)
+    counts[order] = np.cumsum(np.reshape(hist, (rows, q + 1))[:, :q], axis=1).T
+    return counts
+
+
+def _crossings(z, grid, c, k):
+    """Abscissae where the ``(P, rows)`` samples ``z`` cross levels ``c``.
+
+    ``c`` is ``(Q, 1)`` or ``(Q, rows)`` and ``k`` holds, per level and
+    row, the count of samples strictly below it: the crossing's upper
+    bracket index.  Each crossing interpolates linearly inside its
+    bracket, clamped to the curve's ends; returns ``(Q, rows)``.
+    """
+    p, rows = z.shape
+    k = np.minimum(np.maximum(k, 1), p - 1).astype(np.intp, copy=False)
+    # Bracket ends gathered from the flat, row-major samples.
+    upper = k * rows + np.arange(rows)
+    z_flat = z.reshape(p * rows)
+    z0 = z_flat[upper - rows]
+    dz = z_flat[upper] - z0
+    g0 = grid[k - 1]
+    # The crossing's fraction of its bracket, divided only where the
+    # bracket rises (elsewhere 0).
+    num = c - z0
+    frac = np.divide(num, dz, out=np.zeros_like(num), where=dz > 0)
+    np.clip(frac, 0.0, 1.0, out=frac)
+    return g0 + frac * (grid[k] - g0)
+
+
 def _interp_increasing(z, grid, c):
     """Inverse-interpolate a batched monotone function.
 
@@ -65,21 +125,10 @@ def _interp_increasing(z, grid, c):
     1-D array ``c``, the interpolated abscissa where ``z`` crosses that
     level, with endpoint clamping — shape ``(C, *batch)``.
     """
-    p = z.shape[0]
-    batch_ndim = z.ndim - 1
-    c_col = np.reshape(c, (-1, 1) + (1,) * batch_ndim)
-    # Count of z-samples strictly below each level: the upper bracket index.
-    k = _count_below(z, c_col[:, 0, ...])
-    k = np.clip(k, 1, p - 1)
-    z0 = np.take_along_axis(z[None, ...], (k - 1)[:, None, ...], axis=1)[:, 0, ...]
-    z1 = np.take_along_axis(z[None, ...], k[:, None, ...], axis=1)[:, 0, ...]
-    g0 = grid[k - 1]
-    g1 = grid[k]
-    dz = z1 - z0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(dz > 0, (c_col[:, 0, ...] - z0) / np.where(dz > 0, dz, 1.0), 0.0)
-    frac = np.clip(frac, 0.0, 1.0)
-    return g0 + frac * (g1 - g0)
+    p, batch = z.shape[0], z.shape[1:]
+    z = z.reshape(p, math.prod(batch))
+    k = _count_below_levels(z, c)
+    return _crossings(z, grid, c.reshape(-1, 1), k).reshape((-1,) + batch)
 
 
 def _interp_increasing_batched(z, grid, c):
@@ -88,17 +137,10 @@ def _interp_increasing_batched(z, grid, c):
     ``z`` is ``(P, *batch)`` strictly increasing along axis 0; ``c`` is
     ``(Q, *batch)``.  Returns ``(Q, *batch)``.
     """
-    p = z.shape[0]
-    k = np.clip(_count_below(z, c), 1, p - 1)
-    z0 = np.take_along_axis(z[None, ...], (k - 1)[:, None, ...], axis=1)[:, 0, ...]
-    z1 = np.take_along_axis(z[None, ...], k[:, None, ...], axis=1)[:, 0, ...]
-    g0 = grid[k - 1]
-    g1 = grid[k]
-    dz = z1 - z0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(dz > 0, (c - z0) / np.where(dz > 0, dz, 1.0), 0.0)
-    frac = np.clip(frac, 0.0, 1.0)
-    return g0 + frac * (g1 - g0)
+    p, batch = z.shape[0], z.shape[1:]
+    rows = math.prod(batch)
+    z, c = z.reshape(p, rows), c.reshape(-1, rows)
+    return _crossings(z, grid, c, _count_below(z, c)).reshape((-1,) + batch)
 
 
 def slope_transforms(grid, vtc_left, vtc_right) -> Tuple[np.ndarray, np.ndarray]:
@@ -160,15 +202,15 @@ def line_family_sides(
 
 
 def lobe_margins(grid, vtc_left, vtc_right, n_lines: int = 121):
-    """Signed largest-square sides of both butterfly lobes.
+    """Signed largest-square side of the stored-0 lobe, of the batch shape.
 
-    Returns ``(margin_pos, margin_neg)``, each of the batch shape:
-
-    * ``margin_pos`` — lobe at ``c > 0`` (state storing 0 at ``q``);
-    * ``margin_neg`` — lobe at ``c < 0`` (state storing 1 at ``q``).
-
-    A margin is positive when its lobe exists (its value is the usual SNM of
-    that state) and negative when mismatch has destroyed the state.
+    The lobe sits at ``c > 0`` (the state storing 0 at ``q``), so only the
+    positive half of the ``n_lines`` line levels spanning ``[-span, span]``
+    is evaluated.  The margin is positive when the lobe exists (its value
+    is the usual SNM of that state) and negative when mismatch has
+    destroyed the state.  The ``c < 0`` lobe (storing 1) is the stored-0
+    lobe of the mirrored butterfly, ``lobe_margins(grid, vtc_right,
+    vtc_left)``.
     """
     grid = np.asarray(grid, dtype=np.float64)
     span = float(grid[-1] - grid[0])
@@ -177,31 +219,24 @@ def lobe_margins(grid, vtc_left, vtc_right, n_lines: int = 121):
             "n_lines must be an odd integer >= 5 so that c=0 is excluded symmetrically"
         )
     c_levels = np.linspace(-span, span, n_lines)
+    c_levels = c_levels[c_levels > 1e-12]
     transforms = slope_transforms(grid, vtc_left, vtc_right)
     t = line_family_sides(grid, vtc_left, vtc_right, c_levels, transforms)
 
     # A line level is only meaningful where it genuinely crosses BOTH curves;
     # outside, the interpolation clamps to curve endpoints and would inject
     # spurious t = 0 entries that mask negative (failed-lobe) margins.
-    batch_ndim = vtc_left.ndim - 1
+    # The crossed levels lie strictly inside both transforms' ranges.
     z_left, z_right = transforms
-    c_col = np.reshape(c_levels, (-1,) + (1,) * batch_ndim)
-    valid = (
-        (c_col > np.min(z_right, axis=0))
-        & (c_col < np.max(z_right, axis=0))
-        & (c_col > np.min(z_left, axis=0))
-        & (c_col < np.max(z_left, axis=0))
+    c_col = c_levels.reshape((-1,) + (1,) * (vtc_left.ndim - 1))
+    valid = (c_col > np.maximum(z_right.min(axis=0), z_left.min(axis=0))) & (
+        c_col < np.minimum(z_right.max(axis=0), z_left.max(axis=0))
     )
-    pos = np.reshape(c_levels > 1e-12, (-1,) + (1,) * batch_ndim)
-    neg = np.reshape(c_levels < -1e-12, (-1,) + (1,) * batch_ndim)
-    margin_pos = np.max(np.where(valid & pos, t, -np.inf), axis=0)
-    margin_neg = np.max(np.where(valid & neg, -t, -np.inf), axis=0)
+    margin = np.where(valid, t, -np.inf).max(axis=0)
     # A lobe with no valid level at all is maximally collapsed: report the
     # worst representable margin instead of -inf so downstream arithmetic
     # (surrogate fits, binary searches) stays finite.
-    margin_pos = np.where(np.isfinite(margin_pos), margin_pos, -span)
-    margin_neg = np.where(np.isfinite(margin_neg), margin_neg, -span)
-    return margin_pos, margin_neg
+    return np.where(np.isfinite(margin), margin, -span)
 
 
 def write_margin(grid, vtc_left_write, vtc_right, y_cap_fraction: float = 0.5):

@@ -133,8 +133,7 @@ class ReadNoiseMarginMetric(SramMetric):
     def _evaluate_chunk(self, deltas) -> np.ndarray:
         vdd = self.cell.vdd
         vtc_left, vtc_right = self._warm_vtc("rnm", (vdd, vdd), deltas)
-        margin_pos, _ = lobe_margins(self.grid, vtc_left, vtc_right, self.n_lines)
-        return margin_pos
+        return lobe_margins(self.grid, vtc_left, vtc_right, self.n_lines)
 
 
 class WriteNoiseMarginMetric(SramMetric):
@@ -172,8 +171,7 @@ class HoldNoiseMarginMetric(SramMetric):
     def _evaluate_chunk(self, deltas) -> np.ndarray:
         vdd = self.cell.vdd
         vtc_left, vtc_right = self._warm_vtc("hold", (vdd, vdd), deltas, wl_voltage=0.0)
-        margin_pos, _ = lobe_margins(self.grid, vtc_left, vtc_right, self.n_lines)
-        return margin_pos
+        return lobe_margins(self.grid, vtc_left, vtc_right, self.n_lines)
 
 
 class ReadCurrentMetric(SramMetric):

@@ -17,9 +17,11 @@ Four contracts are pinned here:
    with the cold-start oracle (:class:`ColdStartMetric`) to tight
    ``allclose`` bounds and exact simulation accounting, while solving
    fewer Newton lanes.  The carrier itself is unit-tested (one-shot
-   lanes, all-or-nothing seeds, chunk scoping).
-4. **Telemetry** — the ``bisect.rounds`` and ``newton.lane_*`` counters
-   appear under an active recorder and nothing is recorded without one.
+   lanes, all-or-nothing seeds, chunk scoping, one lane per chain and
+   search side, seeded through the interval search).
+4. **Telemetry** — the ``bisect.rounds``, ``newton.lane_*`` and
+   ``newton.loop_iters`` counters appear under an active recorder and
+   nothing is recorded without one.
 """
 
 import numpy as np
@@ -353,6 +355,70 @@ class TestSolverStateCarrier:
             carrier.seed("k", np.array([7, 8])), [[10.0, 20.0]]
         )
 
+    def test_side_tags_give_each_chain_a_lane_per_side(self):
+        """Side-tagged rows get lanes of their own, disjoint from the plain
+        chain lanes; ``rows`` keeps the rows that reach the metric."""
+        carrier = SolverStateCarrier()
+        carrier.set_sides(np.array([0, 1, 0, 1]))
+        carrier.set_lanes(np.array([0, 0, 3, 3]))
+        np.testing.assert_array_equal(carrier.take_lanes(4), [-1, -2, -7, -8])
+        carrier.set_lanes(np.array([0, 0, 3, 3]), rows=np.array([1, 0, 0, 1], bool))
+        np.testing.assert_array_equal(carrier.take_lanes(2), [-1, -8])
+        carrier.set_sides(None)
+        carrier.set_lanes(np.array([0, 3]))
+        np.testing.assert_array_equal(carrier.take_lanes(2), [0, 3])
+
+
+class TestSearchSideSeeds:
+    """Through :func:`batched_failure_interval`: every probe of a chain's
+    interval search is seeded from that chain's previous probe on the same
+    side of the bracket — never from the other side, across its point."""
+
+    @staticmethod
+    def _probes(ladder_width):
+        """Each indicator call's rows as ``(chain, value, seed)``, where the
+        seed is what the carrier handed that row (``nan`` when cold); a
+        probe's stored "state" is its own coordinate value."""
+        carrier = SolverStateCarrier()
+        bounds = np.array([[-1.0, 2.0], [-3.0, 0.5]])
+        calls = []
+
+        def fails(chain_idx, values):
+            carrier.set_lanes(chain_idx)  # the sampler's per-chain tag
+            carrier.begin_chunk(carrier.take_lanes(values.size))
+            seeds = carrier.chunk_seed("v")
+            carrier.chunk_store("v", values[np.newaxis, :])
+            carrier.end_chunk()
+            calls.append((
+                chain_idx.copy(), values.copy(),
+                np.full(values.size, np.nan) if seeds is None else seeds[0],
+            ))
+            lo, hi = bounds[chain_idx, 0], bounds[chain_idx, 1]
+            return (values >= lo) & (values <= hi)
+
+        with use_carrier(carrier):
+            batched_failure_interval(
+                fails, np.array([0.0, -1.0]), -ZETA, ZETA,
+                bisect_iters=5, ladder_width=ladder_width,
+            )
+        return calls
+
+    @pytest.mark.parametrize("ladder_width", [1, 3])
+    def test_left_probe_seeded_from_previous_left_probe(self, ladder_width):
+        current = {0: 0.0, 1: -1.0}
+        last = {}  # (chain, side) -> last probed value
+        calls = self._probes(ladder_width)
+        assert len(calls) > 2
+        for n, (chains, values, seeds) in enumerate(calls):
+            sides = [int(v > current[int(c)]) for c, v in zip(chains, values)]
+            if n == 0:
+                assert np.isnan(seeds).all()  # endpoint check: nothing stored
+            else:
+                want = [last[(int(c), s)] for c, s in zip(chains, sides)]
+                np.testing.assert_array_equal(seeds, want)
+            for c, s, v in zip(chains, sides, values):
+                last[(int(c), s)] = v
+
 
 # --------------------------------------------------------------------------
 # 6. Warm-start tolerance batteries
@@ -436,6 +502,25 @@ class TestTelemetryCounters:
         assert recorder.counters["newton.lane_solves"] > 0
         assert recorder.counters["newton.lane_iters"] >= \
             recorder.counters["newton.lane_solves"]
+
+    def test_newton_loop_counters(self, cell):
+        """``newton.loop_iters`` adds each solve's loop iterations once per
+        solve, beside ``newton.solves``, and the ``--verbose`` summary
+        lists it; with no recorder active nothing counts it."""
+        metric = ReadNoiseMarginMetric(cell)
+        deltas = np.zeros((2, metric.dimension))
+        recorder = telemetry.Recorder(run_id="t")
+        with telemetry.activate(recorder):
+            metric.evaluate(deltas)
+        counters = recorder.counters
+        assert counters["newton.solves"] == 2  # cold: coarse + full grid
+        assert counters["newton.solves"] <= counters["newton.loop_iters"]
+        assert counters["newton.loop_iters"] <= 26 * counters["newton.solves"]
+        assert counters["newton.loop_iters"] <= counters["newton.lane_iters"]
+        assert "newton.loop_iters" in recorder.summary()
+        witness = telemetry.Recorder(run_id="witness")
+        metric.evaluate(deltas)
+        assert "newton.loop_iters" not in witness.counters
 
     def test_no_recorder_no_events(self, cell):
         witness = telemetry.Recorder(run_id="witness")

@@ -287,19 +287,23 @@ class TestCoordinator:
         with RemoteCoordinator(
             min_workers=1, heartbeat=0.5, connect_timeout=30
         ) as coord:
-            first = _start_worker(coord.address)
-            late_started = threading.Event()
+            workers = [_start_worker(coord.address)]
 
             def start_late():
                 time.sleep(0.3)
-                _start_worker(coord.address)
-                late_started.set()
+                workers.append(_start_worker(coord.address))
 
-            threading.Thread(target=start_late, daemon=True).start()
-            results = coord.map(_square, list(range(20)))
-            assert results == [i * i for i in range(20)]
-            late_started.wait(timeout=5)
-        first.join(timeout=5)
+            late = threading.Thread(target=start_late, daemon=True)
+            late.start()
+            # Eight 0.4 s shards keep one worker busy for 3.2 s, well past
+            # the late start, so the map is still running when it dials in.
+            results = coord.map(_slow_square, list(range(8)))
+            assert results == [i * i for i in range(8)]
+            late.join(timeout=5)
+            assert coord.workers_joined == 2
+        for thread in workers:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
 
 
 class TestRemoteExecutor:
