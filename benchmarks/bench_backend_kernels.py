@@ -17,10 +17,12 @@ margin.  The read-state tiny calls use
 read-upset samples, whose unconverged Newton lanes take the fixed-point
 straggler path; its 4,096-row chunk uses Monte-Carlo samples.  The
 ``read_upset_fixed_point`` rows time that straggler path alone — the
-least-fixed-point construction with its speculative bisection tree,
-stopped once a lane's bracket bounds its read current within
-``_READ_CURRENT_TOL``, against the oracle's 30 sequential steps — at 1,
-8, 64 and ~870 straggler lanes (one- and few-row Gibbs simulations, and
+least-fixed-point construction with its residual-sign scan (one far solve
+per distinct far-side mismatch row, one near residual per grid point) and
+its speculative bisection tree, stopped once a lane's bracket bounds its
+read current within ``_READ_CURRENT_TOL``, against the oracle's two Newton
+solves per scan point and 30 sequential steps — at 1, 8, 64 and ~870
+straggler lanes (one- and few-row Gibbs simulations, and
 an importance-sampling shard).  RNM outputs are asserted bit-identical to
 the oracle's.  The read-state and fixed-point rows are asserted to the
 read-current contract instead: every lane's read current within
@@ -236,10 +238,12 @@ def test_backend_kernel_throughput():
                     "extraction (stored-0 lobe, sorted-level count, vs the "
                     "two-lobe comparison count), iread read "
                     "state (Newton from each lane's first-order predicted "
-                    "state) and its read-upset fixed point (bisection "
-                    "stopped at a 1 pA read-current bracket); fused kernel "
-                    "vs the pre-change oracle (stored-state Newton start, "
-                    "30 sequential bisection steps).  ekv_interp: the EKV "
+                    "state) and its read-upset fixed point (residual-sign "
+                    "scan with one far solve per far-side mismatch row, "
+                    "bisection stopped at a 1 pA read-current bracket); "
+                    "fused kernel vs the pre-change oracle (stored-state "
+                    "Newton start, two Newton solves per scan point, 30 "
+                    "sequential bisection steps).  ekv_interp: the EKV "
                     "interpolation F, F' vs its logaddexp form",
         "environment": bench_metadata(),
         "tiny_rows": list(TINY_ROWS),

@@ -18,9 +18,13 @@ Every lane's read state is solved in the metric's 4,096-row chunks.
 
 Stop contract, with the start pinned to the stored state: against
 ``SequentialReadCell`` (the pre-change read path with its 30 sequential
-bisection steps, kept in tests/test_sram_cell.py), every read current
-within the tolerance of the oracle's, no pass/fail change at the 35 uA
-spec, and the lanes the Newton pass converges bit-identical.
+bisection steps and its scan's two Newton solves per grid point, kept in
+tests/test_sram_cell.py), every read current within the tolerance of the
+oracle's, no pass/fail change at the 35 uA spec, and the lanes the Newton
+pass converges bit-identical.  With the tolerance at ``-inf`` as well,
+every lane, fixed-point lanes included, is the oracle's bit for bit: the
+check on the fixed point's residual-sign scan, whose grid points inside
+``_READ_SCAN_BAND`` are Newton-solved (``read.scan_newton_points``).
 
 Start contract, the predicted start against the pinned one: the same
 lanes reach the fixed point and are bit-identical there, no pass/fail
@@ -31,11 +35,11 @@ first-order distance of a solution's read current from the exact root's
 covers second-order terms and the floor (1 fA) femtoamp-level moves.  Both solves are also
 bit-identical in 1,024-row chunks (batch composition).
 
-The report gives, per population, the stop's stragglers, steps and
-largest current change, then the start's guard rejections, Newton
-lane-iterations per lane under each start, the largest and median current
-change, its largest ratio to ``eps_new + eps_pinned`` and each solve's
-wall time.
+The report gives, per population, the stop's stragglers, steps, scan
+points Newton-solved and largest current change, then the start's guard
+rejections, Newton lane-iterations per lane under each start, the largest
+and median current change, its largest ratio to ``eps_new + eps_pinned``
+and each solve's wall time.
 """
 
 import time
@@ -132,6 +136,11 @@ def stop_contract(cell, oracle, mismatch, x, deltas, spec):
     t0 = time.perf_counter()
     full = solve(oracle, mismatch, x)
     t_full = time.perf_counter() - t0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cell_module, "_READ_CURRENT_TOL", -np.inf)
+        exact, t_exact, _ = counted_solve(cell, mismatch, x)
+    differ = np.flatnonzero(np.any(exact.view(np.int64) != full.view(np.int64), axis=0))
+    assert differ.size == 0, f"lanes {differ[:10]} differ from the oracle with the stop off"
     newton = newton_lanes(cell, mismatch, x)
     i_stop = _low_read_current(cell, stopped, deltas, True)
     i_full = _low_read_current(cell, full, deltas, True)
@@ -145,8 +154,9 @@ def stop_contract(cell, oracle, mismatch, x, deltas, spec):
     assert lanes == np.count_nonzero(~newton)
     failures = int(np.count_nonzero(i_full < spec))
     stats = dict(lanes=lanes, steps=counters.get("read.bisect_steps", 0),
+                 points=counters.get("read.scan_newton_points", 0),
                  failures=failures, change=change, flips=flips,
-                 t_stop=t_stop, t_full=t_full,
+                 t_stop=t_stop, t_exact=t_exact, t_full=t_full,
                  iters=counters.get("read.newton_lane_iters", 0),
                  rejected=counters.get("read.start_rejected", 0))
     return stopped, newton, stats
@@ -195,7 +205,7 @@ def run():
     tol = cell_module._READ_CURRENT_TOL
     cell.solve_read_state(mismatch.deltas(np.zeros((1, 2))))  # the prediction
     stop_rows, start_rows = [], []
-    stop_tot, start_tot = np.zeros(9), np.zeros(5)
+    stop_tot, start_tot = np.zeros(11), np.zeros(5)
     worst_all = max_all = 0.0
     for label, x in populations(prob).items():
         deltas = mismatch.deltas(x)
@@ -208,8 +218,9 @@ def run():
         stop_rows.append([
             label, f"{n:,}", f"{routed:,}",
             f"{stop['steps'] / routed:.2f}" if routed else "-",
+            f"{stop['points']:,}",
             f"{stop['failures']:,}", f"{stop['change']:.1e}", stop["flips"],
-            f"{stop['t_stop']:.1f}", f"{stop['t_full']:.1f}",
+            f"{stop['t_stop']:.1f}", f"{stop['t_exact']:.1f}", f"{stop['t_full']:.1f}",
         ])
         start_rows.append([
             label, f"{n - routed:,}", stop["rejected"], start["rejected"],
@@ -218,18 +229,20 @@ def run():
             f"{start['worst']:.7f}", f"{stop['t_stop']:.1f}", f"{start['t_pred']:.1f}",
         ])
         stop_tot += (n, routed, stop["steps"], stop["failures"], stop["t_stop"],
-                     stop["t_full"], stop["iters"], stop["flips"], stop["rejected"])
+                     stop["t_full"], stop["iters"], stop["flips"], stop["rejected"],
+                     stop["points"], stop["t_exact"])
         start_tot += (start["rejected"], start["iters"], start["moved"],
                       start["t_pred"], n - routed)
         worst_all = max(worst_all, start["worst"])
         max_all = max(max_all, start["max"])
     (n, routed, steps, failures, t_stop, t_full, iters_pinned, flips,
-     rejected_pinned) = stop_tot
+     rejected_pinned, points, t_exact) = stop_tot
     rejected, iters_pred, moved, t_pred, newton_total = start_tot
     stop_rows.append([
         "all", f"{int(n):,}", f"{int(routed):,}", f"{steps / routed:.2f}",
-        f"{int(failures):,}", f"{max(float(r[5]) for r in stop_rows):.1e}",
-        int(flips), f"{t_stop:.1f}", f"{t_full:.1f}",
+        f"{int(points):,}", f"{int(failures):,}",
+        f"{max(float(r[6]) for r in stop_rows):.1e}",
+        int(flips), f"{t_stop:.1f}", f"{t_exact:.1f}", f"{t_full:.1f}",
     ])
     start_rows.append([
         "all", f"{int(newton_total):,}", int(rejected_pinned), int(rejected),
@@ -242,14 +255,20 @@ def run():
         "sequential oracle:",
         format_table(
             ["population", "lanes", "stragglers", "steps/straggler",
-             "failures", "max |dI| (A)", "flips", "cell s", "oracle s"],
+             "scan Newton points", "failures", "max |dI| (A)", "flips",
+             "cell s", "exact s", "oracle s"],
             stop_rows,
         ),
         "",
         f"Tolerance {tol:g} A against the {spec:g} A spec.  Every read "
         "current within it, no pass/fail change, Newton-converged lanes "
         "bit-identical, 1,024-row chunks bit-identical to 4,096-row ones.  "
-        "The oracle takes 30 steps per straggler by construction.",
+        "The oracle takes 30 steps per straggler by construction.  With "
+        "the tolerance at -inf (exact s) every lane, fixed-point lanes "
+        "included, is the oracle's bit for bit.  Scan Newton points: the "
+        "fixed point's scan points whose near residual fell inside the "
+        f"{cell_module._READ_SCAN_BAND:g} A band, Newton-solved; the "
+        "residual's sign decided the rest.",
         "",
         "Start contract, the predicted start against the pinned one "
         "(|dI| over Newton-accepted lanes):",

@@ -687,6 +687,18 @@ def _read_upset_deltas(n, stored_zero_at_q, seed):
     return deltas
 
 
+def _metric_upset_deltas(cell, n, stored_zero_at_q, seed):
+    """Mismatch of ``n`` read-upset samples drawn through the read-current
+    metric's own mismatch: only ``pd_l`` and ``ax_l`` vary (mirrored to
+    ``pd_r`` and ``ax_r`` when ``q`` stores 1), so every lane has the same
+    far side."""
+    x = np.array([5.0, -4.0]) + 0.3 * np.random.default_rng(seed).standard_normal((n, 2))
+    deltas = ReadCurrentMetric(cell).mismatch.deltas(x)
+    if stored_zero_at_q:
+        return deltas
+    return {name.replace("_l", "_r"): d for name, d in deltas.items()}
+
+
 def _depth_switch_counts():
     """Straggler counts one below, at and one above the largest count each
     speculative bisection depth serves."""
@@ -792,6 +804,63 @@ class TestReadStateMatchesSequentialOracle:
         for got, want in zip(fused._read_fixed_point(delta, stored_zero_at_q, n),
                              oracle._read_fixed_point(delta, stored_zero_at_q, n)):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("stored_zero_at_q", [True, False])
+    @pytest.mark.parametrize("n", _STRAGGLER_COUNTS)
+    def test_fixed_point_on_metric_mismatch(self, cells, n, stored_zero_at_q):
+        """Read-upset lanes drawn through the read-current metric's own
+        mismatch, where every lane shares the scan's one far solve."""
+        fused, oracle = cells
+        delta = _metric_upset_deltas(fused, n, stored_zero_at_q, seed=n)
+        for got, want in zip(fused._read_fixed_point(delta, stored_zero_at_q, n),
+                             oracle._read_fixed_point(delta, stored_zero_at_q, n)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("stored_zero_at_q", [True, False])
+    @pytest.mark.parametrize("battery", ["metric", "six devices"])
+    @pytest.mark.parametrize("band", [np.inf, 1e-6])
+    def test_scan_band_fallback(self, cells, monkeypatch, band, battery,
+                                stored_zero_at_q):
+        """Grid points whose near residual falls inside the band are
+        Newton-solved: with the band at +inf every point is, with a 1 uA
+        band some are, and the bits stay the oracle's either way."""
+        fused, oracle = cells
+        n = 33
+        delta = (_metric_upset_deltas(fused, n, stored_zero_at_q, seed=7)
+                 if battery == "metric" else _read_upset_deltas(n, stored_zero_at_q, seed=7))
+        monkeypatch.setattr(cell_module, "_READ_SCAN_BAND", band)
+        got, counts = _read_counts(lambda: fused._read_fixed_point(delta, stored_zero_at_q, n))
+        for g, w in zip(got, oracle._read_fixed_point(delta, stored_zero_at_q, n)):
+            np.testing.assert_array_equal(g, w)
+        points = counts["read.scan_newton_points"]
+        if band == np.inf:
+            assert points == cell_module._READ_SCAN_POINTS * n
+        else:
+            assert 0 < points < cell_module._READ_SCAN_POINTS * n
+
+    @pytest.mark.parametrize("stored_zero_at_q", [True, False])
+    def test_scan_shares_far_solve(self, cells, monkeypatch, stored_zero_at_q):
+        """The scan's far solve (the fixed point's first Newton solve)
+        covers one grid column per distinct far-side mismatch row: 33
+        lanes for 870 stragglers without far-side mismatch, 33 x 870 with
+        it per lane."""
+        fused, _ = cells
+        shapes = []
+        solve = cell_module._solve_monotone_node
+
+        def spied(residual, lo, hi, shape, **kwargs):
+            shapes.append(tuple(shape))
+            return solve(residual, lo, hi, shape, **kwargs)
+
+        monkeypatch.setattr(cell_module, "_solve_monotone_node", spied)
+        n = 870
+        for delta, columns in (
+            (_metric_upset_deltas(fused, n, stored_zero_at_q, seed=n), 1),
+            (_read_upset_deltas(n, stored_zero_at_q, seed=n), n),
+        ):
+            shapes.clear()
+            fused._read_fixed_point(delta, stored_zero_at_q, n)
+            assert shapes[0] == (cell_module._READ_SCAN_POINTS, columns)
 
     @pytest.mark.parametrize("stored_zero_at_q", [True, False])
     @pytest.mark.parametrize("n_stragglers", [1, 2, 8, 33, 870])
@@ -973,6 +1042,20 @@ class TestReadCurrentTolerance:
         _, lanes, steps = _bisect_counts(
             lambda: fused._read_fixed_point(delta, stored_zero_at_q, n))
         assert (lanes, steps) == (n, 30 * n)
+
+    def test_scan_newton_points_counter(self, cells):
+        """``read.scan_newton_points`` counts the scan's grid points inside
+        the residual band, Newton-solved; on the read-upset battery the
+        residual's sign decides every point, and the ``--verbose``
+        summary lists the zero."""
+        fused, _ = cells
+        n = 33
+        delta = _read_upset_deltas(n, True, seed=5)
+        recorder = telemetry.Recorder(run_id="scan-points")
+        with telemetry.activate(recorder):
+            fused._read_fixed_point(delta, True, n)
+        assert recorder.counters["read.scan_newton_points"] == 0
+        assert "read.scan_newton_points" in recorder.summary()
 
 
 def _solve_with_stored_start(cell, deltas, stored_zero_at_q):
@@ -1344,6 +1427,31 @@ class TestBatchIndependence:
         for lane in range(0, n, 7):
             alone, alone_depths = solve(np.arange(lane, lane + 1))
             assert alone_depths <= {8}
+            for got, want in zip(alone, whole):
+                np.testing.assert_array_equal(got, want[lane:lane + 1])
+
+    @pytest.mark.parametrize("stored_zero_at_q", [True, False])
+    def test_straggler_alone_equals_among_other_far_sides(self, stored_zero_at_q):
+        """The scan solves the far side once per distinct far-side
+        mismatch row.  Stragglers whose batch-mates share some of five far
+        rows and carry others equal themselves solved alone, bit for bit:
+        each lane reads its own group's far curve.  Three of the rows
+        weaken the far side enough to move the scan's bracket, so a lane
+        handed another group's curve would show."""
+        cell = fragile_cell()
+        n = 40
+        delta = _read_upset_deltas(n, stored_zero_at_q, seed=10)
+        high = "_r" if stored_zero_at_q else "_l"
+        rows = np.array([[0.0, 0.0, 0.0], [0.4, 0.0, -0.4], [0.6, 0.2, -0.5],
+                         [0.3, -0.3, -0.3], [-0.3, 0.3, 0.3]])
+        rows = rows[np.random.default_rng(10).integers(0, 5, n)]
+        for k, role in enumerate(("pd", "pu", "ax")):
+            delta[role + high] = rows[:, k]
+        whole = cell._read_fixed_point(delta, stored_zero_at_q, n)
+        for lane in range(n):
+            alone = cell._read_fixed_point(
+                {name: d[lane:lane + 1] for name, d in delta.items()},
+                stored_zero_at_q, 1)
             for got, want in zip(alone, whole):
                 np.testing.assert_array_equal(got, want[lane:lane + 1])
 
