@@ -35,11 +35,18 @@ first-order distance of a solution's read current from the exact root's
 covers second-order terms and the floor (1 fA) femtoamp-level moves.  Both solves are also
 bit-identical in 1,024-row chunks (batch composition).
 
+The predicted-start pass stops at its 10th iteration
+(``_READ_PREDICTED_ITERATIONS``).  Every population is also solved with
+that pass run to 14 iterations, as the stored-start pass is, and every
+lane must be bit-identical to the default solve; that solve's census
+gives the last iteration at which the pass converged a lane and the last
+at which its guard accepted one.
+
 The report gives, per population, the stop's stragglers, steps, scan
 points Newton-solved and largest current change, then the start's guard
 rejections, Newton lane-iterations per lane under each start, the largest
-and median current change, its largest ratio to ``eps_new + eps_pinned``
-and each solve's wall time.
+and median current change, its largest ratio to ``eps_new + eps_pinned``,
+the 14-iteration census and each solve's wall time.
 """
 
 import time
@@ -52,6 +59,7 @@ from repro import telemetry
 from repro.analysis.tables import format_table
 from repro.gibbs.two_stage import fit_first_stage
 from repro.sram import cell as cell_module
+from repro.sram.cell import SixTransistorCell
 from repro.sram.problems import read_current_problem
 from tests.test_sram_cell import (
     _FIRST_ORDER_FLOOR,
@@ -128,6 +136,42 @@ def counted_solve(cell, mismatch, x):
     return state, time.perf_counter() - t0, recorder.counters
 
 
+def fourteen_iteration_solve(cell, mismatch, x):
+    """The read state with the predicted-start pass run to 14 iterations,
+    and the last iteration at which that pass converged a lane and the last
+    at which its guard accepted one (0 where none did)."""
+    last = {"converged": 0, "accepted": 0}
+    newton = SixTransistorCell._read_newton
+
+    def census(self, residuals, lane_terms, vq, vqb, guard=None):
+        if guard is None:
+            return newton(self, residuals, lane_terms, vq, vqb, guard)
+        calls = 0
+
+        def observed(vq, vqb, terms):
+            # The pass's own convergence test and guard, per evaluation.
+            nonlocal calls
+            calls += 1
+            fq, fqb, j11, j12, j21, j22 = out = residuals(vq, vqb, terms)
+            tol = cell_module._READ_TOL
+            converged = (np.abs(fq) < tol) & (np.abs(fqb) < tol)
+            low, high = (vq, vqb) if guard else (vqb, vq)
+            stored = ((j11 * j22 - j12 * j21
+                       >= cell_module._READ_FOLD_MARGIN * (j11 * j22)) & (low < high))
+            for key, lanes in (("converged", converged), ("accepted", converged & stored)):
+                if lanes.any():
+                    last[key] = max(last[key], calls)
+            return out
+
+        return newton(self, observed, lane_terms, vq, vqb, guard)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cell_module, "_READ_PREDICTED_ITERATIONS", 14)
+        mp.setattr(SixTransistorCell, "_read_newton", census)
+        state = solve(cell, mismatch, x)
+    return state, last["converged"], last["accepted"]
+
+
 def stop_contract(cell, oracle, mismatch, x, deltas, spec):
     """The tolerance stop against the oracle, start pinned: the pinned
     solve, its Newton lanes and the report cells."""
@@ -187,7 +231,12 @@ def start_contract(cell, mismatch, x, deltas, spec, pinned, newton_pinned):
     resolved = moved > _FIRST_ORDER_FLOOR
     worst = float(np.max(moved[resolved] / eps[resolved])) if resolved.any() else 0.0
     np.testing.assert_array_equal(solve(cell, mismatch, x, chunk=1024), got)
-    return dict(
+    full, last_converged, last_accepted = fourteen_iteration_solve(cell, mismatch, x)
+    differ = np.flatnonzero(np.any(full.view(np.int64) != got.view(np.int64), axis=0))
+    assert differ.size == 0, (
+        f"lanes {differ[:10]} differ with the predicted pass run to 14 iterations"
+    )
+    return dict(last_converged=last_converged, last_accepted=last_accepted,
         rejected=counters.get("read.start_rejected", 0),
         iters=counters.get("read.newton_lane_iters", 0),
         moved=int(np.count_nonzero(moved)),
@@ -207,6 +256,7 @@ def run():
     stop_rows, start_rows = [], []
     stop_tot, start_tot = np.zeros(11), np.zeros(5)
     worst_all = max_all = 0.0
+    last_converged = last_accepted = 0
     for label, x in populations(prob).items():
         deltas = mismatch.deltas(x)
         with pytest.MonkeyPatch.context() as mp:
@@ -226,7 +276,8 @@ def run():
             label, f"{n - routed:,}", stop["rejected"], start["rejected"],
             f"{stop['iters'] / n:.2f}", f"{start['iters'] / n:.2f}",
             f"{start['moved']:,}", f"{start['max']:.1e}", f"{start['median']:.1e}",
-            f"{start['worst']:.7f}", f"{stop['t_stop']:.1f}", f"{start['t_pred']:.1f}",
+            f"{start['worst']:.7f}", start["last_converged"], start["last_accepted"],
+            f"{stop['t_stop']:.1f}", f"{start['t_pred']:.1f}",
         ])
         stop_tot += (n, routed, stop["steps"], stop["failures"], stop["t_stop"],
                      stop["t_full"], stop["iters"], stop["flips"], stop["rejected"],
@@ -235,6 +286,8 @@ def run():
                       start["t_pred"], n - routed)
         worst_all = max(worst_all, start["worst"])
         max_all = max(max_all, start["max"])
+        last_converged = max(last_converged, start["last_converged"])
+        last_accepted = max(last_accepted, start["last_accepted"])
     (n, routed, steps, failures, t_stop, t_full, iters_pinned, flips,
      rejected_pinned, points, t_exact) = stop_tot
     rejected, iters_pred, moved, t_pred, newton_total = start_tot
@@ -247,7 +300,8 @@ def run():
     start_rows.append([
         "all", f"{int(newton_total):,}", int(rejected_pinned), int(rejected),
         f"{iters_pinned / n:.2f}", f"{iters_pred / n:.2f}", f"{int(moved):,}",
-        f"{max_all:.1e}", "-", f"{worst_all:.7f}", f"{t_stop:.1f}", f"{t_pred:.1f}",
+        f"{max_all:.1e}", "-", f"{worst_all:.7f}", last_converged, last_accepted,
+        f"{t_stop:.1f}", f"{t_pred:.1f}",
     ])
     env = bench_metadata()
     report = "\n".join([
@@ -276,7 +330,8 @@ def run():
             ["population", "Newton lanes", "rejected pinned",
              "rejected predicted", "iters/lane pinned",
              "iters/lane predicted", "moved", "max |dI| (A)",
-             "median |dI| (A)", "max |dI|/eps", "pinned s", "predicted s"],
+             "median |dI| (A)", "max |dI|/eps", "last converged (14)",
+             "last accepted (14)", "pinned s", "predicted s"],
             start_rows,
         ),
         "",
@@ -285,8 +340,13 @@ def run():
         "read current within %g A + (1 + %g) * eps, eps = eps_new + "
         "eps_pinned and each eps = |dI/dv_low * (J^-1 f)_low| at its "
         "solution (max |dI|/eps over lanes that moved by more than %g A); "
-        "1,024-row chunks bit-identical to 4,096-row ones."
-        % (_FIRST_ORDER_FLOOR, _FIRST_ORDER_SLACK, _FIRST_ORDER_FLOOR),
+        "1,024-row chunks bit-identical to 4,096-row ones.  The "
+        "predicted-start pass stops at iteration %d; run to 14, every lane "
+        "is bit-identical to the default solve, and the last two columns "
+        "give the last iteration at which that pass converged a lane and "
+        "the last at which its guard accepted one."
+        % (_FIRST_ORDER_FLOOR, _FIRST_ORDER_SLACK, _FIRST_ORDER_FLOOR,
+           cell_module._READ_PREDICTED_ITERATIONS),
         "",
         "Environment: %d cores (nproc %d), python %s, numpy %s, %s, %s, "
         "bench_scale %g." % (

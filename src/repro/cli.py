@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --checkpoint-dir: replay a matching "
                             "ledger (default); --no-resume truncates it "
                             "and starts over")
-        p.add_argument("--verbose", action="store_true",
+        p.add_argument("-v", "--verbose", action="store_true",
                        help="print chain diagnostics, the ledger record "
                             "and the telemetry summary (stderr)")
         p.add_argument("--trace", metavar="PATH", default=None,

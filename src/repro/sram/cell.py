@@ -74,18 +74,29 @@ all its stragglers share one 33-lane solve), and it decides each grid
 point from the sign of one near-node residual, Newton-solving only points
 inside ``_READ_SCAN_BAND``.  On 65,536 N((3, -3), I) read-current rows,
 in 4,096-row chunks, that cut the read-state solve from 1.99 s to 0.63 s
-on the same VM.
+on the same VM.  A Gibbs simulation's few stragglers pay dispatch instead,
+and a third measure serves them: lanes without far-side mismatch (every
+lane of the read-current metric) read the far response from
+``_FAR_RESPONSES``, a per-process memo of the nominal far half-cell at the
+scan points and the scan cells' midpoints, so neither the scan nor the
+final loop-map evaluation of a lane that never bisected solves the far
+node.  With the predicted pass's cap below, a 6-row call with 5 such
+stragglers fell from 3.2 ms to 1.9 ms on the same VM, its fixed point
+from 1.7 ms to 0.74 ms.
 
 Lanes never interact, a grouped far lane sees the very inputs it sees
-alone, and every speculative midpoint is formed from its own bracket
-exactly as the sequential step forms it, so all ten measures are
-bit-identical per lane to the per-side, per-device, sequential solve; the
-residual's sign is the converged root's decision wherever it lies outside
-the band (:meth:`SixTransistorCell._read_fixed_point` says why).
+alone, a memoized far lane the very inputs it is solved from, and every
+speculative midpoint is formed from its own bracket exactly as the
+sequential step forms it, so all eleven measures are bit-identical per
+lane to the per-side, per-device, sequential solve; the residual's sign is
+the converged root's decision wherever it lies outside the band
+(:meth:`SixTransistorCell._read_fixed_point` says why).
 ``benchmarks/bench_backend_kernels.py`` times them against that solve, kept
 as the oracle in ``tests/test_sram_cell.py``.  Only the Newton lane
-counters see the difference: they count the speculative lanes too, and
-the scan no longer adds two solved lanes per straggler and grid point.
+counters see the difference: they count the speculative lanes too, the
+scan no longer adds two solved lanes per straggler and grid point, and a
+memoized far response is solved once per process and counted as
+``read.far_memo_lanes``, not in ``newton.*``.
 
 Two measures change results, each within a stated bound:
 
@@ -107,7 +118,9 @@ Two measures change results, each within a stated bound:
   are the oracle's.  An accepted lane lands
   within Newton's own tolerance of the root the stored start reaches, and
   on ~1.2M golden, tail and fold-grid lanes none changed pass/fail
-  (``benchmarks/bench_read_current_tolerance.py``).
+  (``benchmarks/bench_read_current_tolerance.py``).  The pass from the
+  predicted start stops at its 10th iteration, the stored-start pass at
+  its 14th, which moved none of those lanes (``_READ_PREDICTED_ITERATIONS``).
 """
 
 from __future__ import annotations
@@ -147,7 +160,7 @@ _MONOTONE_TOL = 2e-12
 
 def _solve_monotone_node(residual, lo: float, hi: float, shape,
                          iterations: int = 26, tol: float = _MONOTONE_TOL,
-                         v0=None):
+                         v0=None, counted: bool = True):
     """Solve ``residual(v) = 0`` for a strictly increasing residual.
 
     ``residual`` maps a *flat* array of node voltages plus an optional
@@ -171,6 +184,9 @@ def _solve_monotone_node(residual, lo: float, hi: float, shape,
     of the bracket midpoint — the grid-continuation warm start of
     :meth:`SixTransistorCell.half_cell_vtc`.  The bracket stays the full
     ``[lo, hi]``, so a poor warm start costs iterations, never correctness.
+
+    ``counted=False`` keeps the solve out of the ``newton.*`` counters: a
+    once-per-process memo fill counts itself.
     """
     n = int(np.prod(shape)) if shape else 1
     lo_act = np.full((n,), float(lo), dtype=np.float64)
@@ -184,7 +200,7 @@ def _solve_monotone_node(residual, lo: float, hi: float, shape,
         )
     v = np.empty((n,), dtype=np.float64)
     active = np.arange(n)
-    recorder = _telemetry.get_active()
+    recorder = _telemetry.get_active() if counted else None
     lane_iters = 0
     loop_iters = 0
     for _ in range(iterations):
@@ -269,6 +285,14 @@ _READ_NEWTON_ITERATIONS = 14
 _READ_SCAN_POINTS = 33
 _READ_BISECT_STEPS = 30
 
+#: Newton iterations of the guarded pass from the predicted start.  Run to
+#: 14 on the ~1.2M lanes of ``benchmarks/bench_read_current_tolerance.py``,
+#: that pass converged no lane after its 10th iteration, and its guard
+#: accepted none after the 8th: lanes converging at the 9th and 10th are
+#: rejected and rerun from the stored start, as before.  Lanes it leaves
+#: unconverged go to the fixed point, where they went after 14.
+_READ_PREDICTED_ITERATIONS = 10
+
 #: Near-node residual (A) at or beyond which the scan of
 #: ``_read_fixed_point`` takes a grid point's decision from the residual's
 #: sign.  A converged near-node solve leaves a residual under
@@ -304,6 +328,11 @@ _READ_FOLD_MARGIN = 0.1
 #: six devices' parameters, VDD and the stored state, and kept off the cell
 #: so that pickling a metric (its ledger fingerprint) never sees them.
 _READ_PREDICTIONS: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+
+#: Nominal far half-cell responses of the fixed point's scan by cell design
+#: and far side (:meth:`SixTransistorCell._nominal_far_response`), kept off
+#: the cell like ``_READ_PREDICTIONS``.
+_FAR_RESPONSES: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
 
 #: Lane count under which the read-state Newton pass evaluates its six
 #: devices in one stacked EKV call instead of six per-device calls.  On the
@@ -814,8 +843,9 @@ class SixTransistorCell:
         :meth:`_read_state_residual`, one column of ``lane_terms`` per lane
         of ``vq``.  Returns ``(v_q, v_qb, left, rejected)``: the converged
         states, the indices of the lanes left unconverged after
-        ``_READ_NEWTON_ITERATIONS`` (their ``v_q``/``v_qb`` entries are
-        unset), and those of the converged lanes the guard rejects.  With
+        ``_READ_NEWTON_ITERATIONS`` iterations, ``_READ_PREDICTED_ITERATIONS``
+        guarded (their ``v_q``/``v_qb`` entries are unset), and those of the
+        converged lanes the guard rejects.  With
         ``guard`` set to ``stored_zero_at_q``, a lane is rejected unless it
         converged at a stable root clear of the read-upset fold (a Jacobian
         determinant of at least ``_READ_FOLD_MARGIN * j11 * j22``: loop gain
@@ -842,7 +872,9 @@ class SixTransistorCell:
         rejected = [active[:0]]
         recorder = _telemetry.get_active()
         lane_iters = 0
-        for _ in range(_READ_NEWTON_ITERATIONS):
+        iterations = (_READ_NEWTON_ITERATIONS if guard is None
+                      else _READ_PREDICTED_ITERATIONS)
+        for _ in range(iterations):
             if recorder is not None:
                 lane_iters += int(active.shape[0])
             fq, fqb, j11, j12, j21, j22 = residuals(vq, vqb, lane_terms)
@@ -988,7 +1020,11 @@ class SixTransistorCell:
         the near node.  It solves the far response ``u = h_far(v)`` once per
         distinct row of far-side mismatches (lanes grouped by the rows'
         bytes, so a group's lanes share every input bit and each gets the
-        curve it would get alone), then evaluates the near node's KCL
+        curve it would get alone), except for rows without mismatch, which
+        read it from :meth:`_nominal_far_response`; so does the final
+        loop-map evaluation of a lane without far-side mismatch that never
+        bisected, whose bracket is still its scan cell and whose midpoint
+        is that cell's.  Then it evaluates the near node's KCL
         residual ``f`` at voltage ``v`` with input ``u``.  ``f`` strictly
         increases in the node voltage and is zero at ``h_near(u)``, so
         psi(v) < 0 exactly where ``f > 0``.  A converged near-node solve
@@ -1039,16 +1075,13 @@ class SixTransistorCell:
         d_access = delta.get("ax" + low, np.zeros(n_batch))
         recorder = _telemetry.get_active()
 
-        def loop_map(v_low, subset=slice(None)):
-            """phi of the batch lanes ``subset``: low-node voltage -> far
-            response -> near response."""
-            shape = np.shape(v_low)
+        def response(side, v_in, subset=slice(None)):
+            """The ``side`` half-cell's node voltage at input ``v_in`` for
+            the batch lanes ``subset``."""
+            shape = np.shape(v_in)
             d = {name: val[subset] for name, val in delta.items()}
-            far_res = self._half_cell_residual(far, v_low, vdd, vdd, d, shape)
-            v_far = _solve_monotone_node(far_res, -0.2, vdd + 0.2, shape)
-            near_res = self._half_cell_residual(near, v_far, vdd, vdd, d, shape)
-            v_near = _solve_monotone_node(near_res, -0.2, vdd + 0.2, shape)
-            return v_near, v_far
+            res = self._half_cell_residual(side, v_in, vdd, vdd, d, shape)
+            return _solve_monotone_node(res, -0.2, vdd + 0.2, shape)
 
         def access_current(v_low, subset=slice(None)):
             """The low node's access current (the read current) at ``v_low``."""
@@ -1057,7 +1090,8 @@ class SixTransistorCell:
         grid = np.linspace(-0.1, vdd + 0.1, _READ_SCAN_POINTS)
         # The far response on the grid depends only on the far side's
         # mismatch: one solve per distinct row of it, rows told apart by
-        # their bytes.
+        # their bytes, and none for rows without mismatch, whose response
+        # the memo holds.
         far_names = [role + high for role in ("pd", "pu", "ax")]
         zeros = np.zeros(n_batch)
         far_rows = np.stack([delta.get(name, zeros) for name in far_names], axis=1)
@@ -1065,12 +1099,21 @@ class SixTransistorCell:
             far_rows.view(np.dtype((np.void, far_rows.strides[0])))[:, 0],
             return_index=True, return_inverse=True,
         )
-        shape = (_READ_SCAN_POINTS, int(first.shape[0]))
-        far_res = self._half_cell_residual(
-            far, grid[:, None], vdd, vdd,
-            {name: far_rows[first, k] for k, name in enumerate(far_names)}, shape,
-        )
-        v_far = _solve_monotone_node(far_res, -0.2, vdd + 0.2, shape)[:, group]
+        nominal = ~np.any(far_rows[first], axis=1)
+        v_far = np.empty((_READ_SCAN_POINTS, int(first.shape[0])), dtype=np.float64)
+        if nominal.any():
+            memo_points, memo_mids = self._nominal_far_response(far, grid)
+            v_far[:, nominal] = memo_points[:, None]
+        solved = first[~nominal]
+        if solved.shape[0]:
+            shape = (_READ_SCAN_POINTS, int(solved.shape[0]))
+            far_res = self._half_cell_residual(
+                far, grid[:, None], vdd, vdd,
+                {name: far_rows[solved, k] for k, name in enumerate(far_names)},
+                shape,
+            )
+            v_far[:, ~nominal] = _solve_monotone_node(far_res, -0.2, vdd + 0.2, shape)
+        nominal, v_far = nominal[group], v_far[:, group]
         # psi(v) = h_near(v_far) - v is negative exactly where the near
         # node's residual, strictly increasing in its voltage, is positive
         # at v.  Points inside the band are Newton-solved.
@@ -1099,7 +1142,8 @@ class SixTransistorCell:
         # bisecting: each round evaluates phi and the read current at every
         # midpoint the next ``depth`` steps can visit in one batched call,
         # then takes the sequential decisions on them.
-        active = np.flatnonzero(~(i_lo - i_hi <= _READ_CURRENT_TOL))
+        bisecting = ~(i_lo - i_hi <= _READ_CURRENT_TOL)
+        active = np.flatnonzero(bisecting)
         taken = steps = 0
         while active.shape[0] and taken < _READ_BISECT_STEPS:
             n_active = int(active.shape[0])
@@ -1120,7 +1164,7 @@ class SixTransistorCell:
                     level_lo = np.reshape(np.stack([level_lo, mid], axis=1), (-1, n_active))
                     level_hi = np.reshape(np.stack([mid, level_hi], axis=1), (-1, n_active))
             mids = np.concat(mids)
-            phi_mid, _ = loop_map(mids, active)
+            phi_mid = response(near, response(far, mids, active), active)
             above = phi_mid >= mids
             i_mid = access_current(mids, active)
             lanes = np.arange(n_active)
@@ -1142,8 +1186,18 @@ class SixTransistorCell:
             lo[active], hi[active], i_lo[active], i_hi[active] = a_lo, a_hi, a_ilo, a_ihi
             active = active[running]
         # One more loop-map evaluation makes (v_low, v_far) an exact
-        # consistent pair at the fixed point.
-        v_low, v_far = loop_map(0.5 * (lo + hi))
+        # consistent pair at the fixed point.  A lane that never bisected
+        # evaluates it at its scan cell's midpoint, where the memo holds
+        # the far response of lanes without far-side mismatch.
+        v_mid = 0.5 * (lo + hi)
+        memo = nominal & ~bisecting
+        v_far = np.empty((n_batch,), dtype=np.float64)
+        if memo.any():
+            v_far[memo] = memo_mids[first_neg[memo] - 1]
+        rest = np.flatnonzero(~memo)
+        if rest.shape[0]:
+            v_far[rest] = response(far, v_mid[rest], rest)
+        v_low = response(near, v_far)
         if recorder is not None:
             recorder.count("read.fixed_point_lanes", n_batch)
             recorder.count("read.scan_newton_points", int(points.shape[0]))
@@ -1151,6 +1205,33 @@ class SixTransistorCell:
         if stored_zero_at_q:
             return v_low, v_far
         return v_far, v_low
+
+    def _nominal_far_response(self, far, grid):
+        """``(at_points, at_midpoints)``: the ``far`` half-cell's response
+        without mismatch at the scan points ``grid`` and at the midpoints
+        of its cells, as :meth:`_read_fixed_point` forms them.
+
+        Solved once per process for each cell design and far side, in
+        ``_FAR_RESPONSES``, never on the cell.  A far lane's solve depends
+        only on its input voltage and far-side mismatch, so these are the
+        bits any lane without far-side mismatch gets solved in a batch.
+        The fill counts its lanes as ``read.far_memo_lanes``, not in
+        ``newton.*``: which process fills it first is up to scheduling.
+        """
+        key = (tuple(self.devices[name].params for name in DEVICE_NAMES),
+               float(self.vdd), far)
+        cached = _FAR_RESPONSES.get(key)
+        if cached is None:
+            vdd = self.vdd
+            v_in = np.concat([grid, 0.5 * (grid[:-1] + grid[1:])])
+            residual = self._half_cell_residual(far, v_in, vdd, vdd, {}, v_in.shape)
+            v = _solve_monotone_node(residual, -0.2, vdd + 0.2, v_in.shape,
+                                     counted=False)
+            cached = _FAR_RESPONSES[key] = (v[:grid.shape[0]], v[grid.shape[0]:])
+            recorder = _telemetry.get_active()
+            if recorder is not None:
+                recorder.count("read.far_memo_lanes", int(v_in.shape[0]))
+        return cached
 
     # ------------------------------------------------------ write timing
     def write_flip_time(

@@ -33,6 +33,10 @@ class TestParser:
         args = build_parser().parse_args(["compare", "--workers", "4"])
         assert args.workers == 4
 
+    @pytest.mark.parametrize("command", ["estimate", "compare"])
+    def test_short_verbose_flag(self, command):
+        assert build_parser().parse_args([command, "-v"]).verbose
+
 
 class TestCommands:
     def test_region_command(self, capsys):
@@ -55,6 +59,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "G-S: P_f" in out
         assert "Gibbs samples" in out
+
+    def test_estimate_short_verbose_prints_summary(self, capsys):
+        code = main([
+            "estimate", "--problem", "iread", "--method", "G-S",
+            "--n-gibbs", "40", "--n-second", "400", "--seed", "1", "-v",
+        ])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "telemetry summary [repro-estimate]" in err
+        assert "read.newton_lanes" in err
 
     def test_estimate_mc(self, capsys):
         code = main([

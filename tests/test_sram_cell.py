@@ -25,7 +25,15 @@ from repro.sram.metrics import (
     ReadNoiseMarginMetric,
     WriteNoiseMarginMetric,
 )
+from repro.sram.corners import corner_technology
 from repro.sram.problems import fragile_cell, read_current_problem
+
+
+@pytest.fixture(autouse=True)
+def cold_far_memo(monkeypatch):
+    """Every test starts with the fixed point's nominal far-response memo
+    empty, so the Newton work it counts does not depend on test order."""
+    monkeypatch.setattr(cell_module, "_FAR_RESPONSES", {})
 
 
 def _solve_monotone_node_reference(residual, lo, hi, shape,
@@ -262,13 +270,17 @@ class SequentialReadCell(ReferenceCell):
         return np.reshape(vq, batch_shape), np.reshape(vqb, batch_shape)
 
     def _read_fixed_point(self, delta, stored_zero_at_q, n_batch,
-                          n_grid=33, bisect_iters=30):
-        """The least-fixed-point construction with sequential bisection."""
+                          n_grid=33, bisect_iters=30, current_tol=None):
+        """The least-fixed-point construction with sequential bisection.
+
+        With ``current_tol`` a lane stops at its first bracket whose
+        low-node access currents differ by at most that much: the
+        read-current stop, taken one step at a time."""
         vdd = self.vdd
         if stored_zero_at_q:
-            near, far = "left", "right"
+            near, far, low = "left", "right", "_l"
         else:
-            near, far = "right", "left"
+            near, far, low = "right", "left", "_r"
 
         def loop_map(v_low):
             """phi: low-node voltage -> far response -> near response."""
@@ -290,12 +302,20 @@ class SequentialReadCell(ReferenceCell):
         first_neg = np.clip(first_neg, 1, n_grid - 1)
         lo = grid[first_neg - 1]
         hi = grid[first_neg]
+        access = self.devices["ax" + low]
+        d_access = delta.get("ax" + low, np.zeros(n_batch))
         for _ in range(bisect_iters):
             mid = 0.5 * (lo + hi)
             phi_mid, _ = loop_map(mid)
             above = phi_mid >= mid
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
+            if current_tol is None:
+                lo = np.where(above, mid, lo)
+                hi = np.where(above, hi, mid)
+                continue
+            i_lo, i_hi = (access.current(vdd, vdd, v, 0.0, d_access) for v in (lo, hi))
+            running = ~(i_lo - i_hi <= current_tol)
+            lo = np.where(running & above, mid, lo)
+            hi = np.where(running & ~above, mid, hi)
         v_low = 0.5 * (lo + hi)
         _, v_far = loop_map(v_low)
         # Evaluate the near node once more so (v_low, v_far) is an exact
@@ -617,7 +637,10 @@ class TestFusedKernelMatchesPerSideOracle:
         fixed-point construction, built on the same residual.  With the
         read-current stop disabled, the result is the sequential
         oracle's, bit for bit, with the Newton pass started at the stored
-        state as the oracle's is."""
+        state as the oracle's is.  These lanes have no far-side mismatch,
+        so each solve reads the nominal far response from the memo, which
+        it fills cold outside the counted Newton work; the oracle fills its
+        own from the per-side residual."""
         monkeypatch.setattr(cell_module, "_READ_CURRENT_TOL", -np.inf)
         _pin_stored_start(monkeypatch)
         fused = fragile_cell()
@@ -628,6 +651,8 @@ class TestFusedKernelMatchesPerSideOracle:
             "ax" + low: np.array([0.0, -0.4, -0.35, -0.45, 0.01, -0.3]),
         }
         got = _newton_counted(lambda: fused.solve_read_state(dv, stored_zero_at_q))
+        assert len(cell_module._FAR_RESPONSES) == 1
+        cell_module._FAR_RESPONSES.clear()
         _assert_same_solves(
             got, _newton_counted(lambda: oracle.solve_read_state(dv, stored_zero_at_q))
         )
@@ -730,6 +755,19 @@ def _pin_stored_start(monkeypatch):
     oracle's pass does, instead of at its first-order predicted state."""
     monkeypatch.setattr(SixTransistorCell, "_read_start",
                         SixTransistorCell._stored_start)
+
+
+def _spy_solve_shapes(monkeypatch):
+    """Record the shape of every ``_solve_monotone_node`` call."""
+    shapes = []
+    solve = cell_module._solve_monotone_node
+
+    def spied(residual, lo, hi, shape, **kwargs):
+        shapes.append(tuple(shape))
+        return solve(residual, lo, hi, shape, **kwargs)
+
+    monkeypatch.setattr(cell_module, "_solve_monotone_node", spied)
+    return shapes
 
 
 def _spy_active_lanes(cell, monkeypatch):
@@ -841,26 +879,28 @@ class TestReadStateMatchesSequentialOracle:
     @pytest.mark.parametrize("stored_zero_at_q", [True, False])
     def test_scan_shares_far_solve(self, cells, monkeypatch, stored_zero_at_q):
         """The scan's far solve (the fixed point's first Newton solve)
-        covers one grid column per distinct far-side mismatch row: 33
-        lanes for 870 stragglers without far-side mismatch, 33 x 870 with
-        it per lane."""
+        covers one grid column per distinct far-side mismatch row with
+        mismatch: 33 x 870 lanes for 870 stragglers with it per lane.  Rows
+        without it read the nominal far response from the memo, whose cold
+        fill is a solve of its 33 scan points and 32 cell midpoints, counted
+        as ``read.far_memo_lanes``; 870 such stragglers run no scan far
+        solve, cold or warm."""
         fused, _ = cells
-        shapes = []
-        solve = cell_module._solve_monotone_node
-
-        def spied(residual, lo, hi, shape, **kwargs):
-            shapes.append(tuple(shape))
-            return solve(residual, lo, hi, shape, **kwargs)
-
-        monkeypatch.setattr(cell_module, "_solve_monotone_node", spied)
-        n = 870
-        for delta, columns in (
-            (_metric_upset_deltas(fused, n, stored_zero_at_q, seed=n), 1),
-            (_read_upset_deltas(n, stored_zero_at_q, seed=n), n),
-        ):
+        shapes = _spy_solve_shapes(monkeypatch)
+        n, points = 870, cell_module._READ_SCAN_POINTS
+        nominal = _metric_upset_deltas(fused, n, stored_zero_at_q, seed=n)
+        for memo in ("cold", "warm"):
             shapes.clear()
-            fused._read_fixed_point(delta, stored_zero_at_q, n)
-            assert shapes[0] == (cell_module._READ_SCAN_POINTS, columns)
+            _, counts = _read_counts(
+                lambda: fused._read_fixed_point(nominal, stored_zero_at_q, n))
+            assert all(shape[0] != points for shape in shapes if len(shape) == 2)
+            assert (shapes[0] == (2 * points - 1,)) == (memo == "cold")
+            assert counts.get("read.far_memo_lanes") == (2 * points - 1 if memo == "cold"
+                                                         else None)
+        shapes.clear()
+        fused._read_fixed_point(_read_upset_deltas(n, stored_zero_at_q, seed=n),
+                                stored_zero_at_q, n)
+        assert shapes[0] == (points, n)
 
     @pytest.mark.parametrize("stored_zero_at_q", [True, False])
     @pytest.mark.parametrize("n_stragglers", [1, 2, 8, 33, 870])
@@ -1056,6 +1096,85 @@ class TestReadCurrentTolerance:
             fused._read_fixed_point(delta, True, n)
         assert recorder.counters["read.scan_newton_points"] == 0
         assert "read.scan_newton_points" in recorder.summary()
+
+
+def _bisected_and_unbisected_deltas(cell, n, stored_zero_at_q, seed):
+    """Read-current metric mismatch of ``n`` fixed-point lanes, none with
+    far-side mismatch: even lanes read-upset (flipped, their current
+    collapsed, so they leave the scan within the read-current stop), odd
+    lanes golden draws (stored state kept, so they bisect to the stop)."""
+    x = np.random.default_rng(seed).standard_normal((n, 2))
+    x[::2] = np.array([5.0, -4.0]) + 0.3 * x[::2]
+    deltas = ReadCurrentMetric(cell).mismatch.deltas(x)
+    if stored_zero_at_q:
+        return deltas
+    return {name.replace("_l", "_r"): d for name, d in deltas.items()}
+
+
+def _fragile_corner_cell(corner):
+    """The read-fragile cell at a global process corner, built as the
+    service builds its corner problems."""
+    cell = fragile_cell()
+    return SixTransistorCell(corner_technology(corner, base=cell.technology),
+                             cell.geometries)
+
+
+class TestNominalFarMemo:
+    """Fixed-point lanes without far-side mismatch read the far half-cell's
+    response from a memo of the nominal far side at the scan points and at
+    the scan cells' midpoints, filled by the first call that needs it.
+    Results are the sequential oracle's, stopped at the read-current
+    tolerance one step at a time, bit for bit, with the memo cold or warm."""
+
+    @pytest.mark.parametrize("stored_zero_at_q", [True, False])
+    @pytest.mark.parametrize("n", _STRAGGLER_COUNTS)
+    def test_cold_and_warm_match_sequential_oracle(self, cells, monkeypatch, n,
+                                                   stored_zero_at_q):
+        fused, oracle = cells
+        delta = _bisected_and_unbisected_deltas(fused, n, stored_zero_at_q, seed=n)
+        bisecting = []
+        depth = cell_module._bisection_depth
+        monkeypatch.setattr(cell_module, "_bisection_depth",
+                            lambda lanes: bisecting.append(lanes) or depth(lanes))
+        shapes = _spy_solve_shapes(monkeypatch)
+        cold = fused._read_fixed_point(delta, stored_zero_at_q, n)
+        assert len(cell_module._FAR_RESPONSES) == 1
+        bisected = bisecting[0] if bisecting else 0
+        if n > 1:
+            assert 0 < bisected < n  # both kinds of lane in one batch
+        shapes.clear()
+        warm = fused._read_fixed_point(delta, stored_zero_at_q, n)
+        # The final loop-map evaluation solves the far side of the lanes
+        # that bisected only; the others read their cell's midpoint.
+        assert shapes[-2:] == [(bisected,), (n,)] if bisected else shapes == [(n,)]
+        want = oracle._read_fixed_point(delta, stored_zero_at_q, n,
+                                        current_tol=cell_module._READ_CURRENT_TOL)
+        for c, w, o in zip(cold, warm, want):
+            np.testing.assert_array_equal(c, o)
+            np.testing.assert_array_equal(w, o)
+
+    def test_memo_keyed_by_cell_design(self):
+        """TT and FF read-fragile cells solved alternately each match their
+        own oracle: each design and far side has its own entry."""
+        fused = {corner: _fragile_corner_cell(corner) for corner in ("TT", "FF")}
+        n = 40
+        for _ in range(2):
+            for stored_zero_at_q in (True, False):
+                for corner, cell in fused.items():
+                    oracle = SequentialReadCell(cell.technology, cell.geometries)
+                    delta = _bisected_and_unbisected_deltas(cell, n, stored_zero_at_q,
+                                                            seed=n)
+                    for got, want in zip(
+                        cell._read_fixed_point(delta, stored_zero_at_q, n),
+                        oracle._read_fixed_point(
+                            delta, stored_zero_at_q, n,
+                            current_tol=cell_module._READ_CURRENT_TOL),
+                    ):
+                        np.testing.assert_array_equal(got, want)
+        memos = cell_module._FAR_RESPONSES
+        assert len(memos) == 4
+        tt, ff = (memos[key][1] for key in memos if key[2] == "right")
+        assert not np.array_equal(tt, ff)
 
 
 def _solve_with_stored_start(cell, deltas, stored_zero_at_q):
@@ -1293,16 +1412,47 @@ class TestPredictedStart:
         assert ghost[0][0] < ghost[1][0]
         assert _low_read_current(cell, ghost, deltas, True)[0] > _READ_SPEC
 
+    def test_predicted_pass_cap_is_exact(self, monkeypatch):
+        """The guarded pass from the predicted start stops at its 10th
+        iteration, where the stored-start pass runs 14.  On the fold grid
+        of ``TestFixedPointBasin`` and on small populations at the four
+        global corners, the default solve equals the solve with that pass
+        run to 14 iterations, bit for bit, and evaluates fewer lanes."""
+        across, along = np.meshgrid(np.linspace(4.09, 4.17, 41),
+                                    np.linspace(-2.0, 2.0, 25))
+        fold = np.stack([along + across, along - across], axis=-1).reshape(-1, 2)
+        gen = np.random.default_rng(14)
+        tails = np.concatenate([np.array([3.0, -3.0]) + gen.standard_normal((1024, 2)),
+                                2.5 * gen.standard_normal((1024, 2))])
+        cases = [(read_current_problem().metric.cell, fold / np.sqrt(2.0))]
+        cases += [(_fragile_corner_cell(corner), tails)
+                  for corner in ("FF", "SS", "FS", "SF")]
+        for cell, x in cases:
+            deltas = ReadCurrentMetric(cell).mismatch.deltas(x)
+            cell._read_prediction(True)  # once per process, counted apart
+            capped, counts = _read_counts(lambda: cell.solve_read_state(deltas))
+            with monkeypatch.context() as mp:
+                mp.setattr(cell_module, "_READ_PREDICTED_ITERATIONS", 14)
+                full, full_counts = _read_counts(lambda: cell.solve_read_state(deltas))
+            for got, want in zip(capped, full):
+                np.testing.assert_array_equal(got, want)
+            assert counts["read.fixed_point_lanes"] > 0
+            assert counts["read.newton_lane_iters"] < full_counts["read.newton_lane_iters"]
+
     def test_metric_fingerprint_unchanged_by_evaluation(self, monkeypatch):
-        """The prediction is cached off the cell, so evaluating a metric
+        """The prediction and the fixed point's nominal far response are
+        cached off the cell, so evaluating a metric, stragglers included,
         does not change the pickle its ledgers are keyed by."""
         from repro.parallel.ledger import metric_fingerprint
 
         monkeypatch.setattr(cell_module, "_READ_PREDICTIONS", {})
         problem = read_current_problem()
         before = metric_fingerprint(problem.metric, problem.spec)
-        problem.metric(np.zeros((4, 2)))
-        assert cell_module._READ_PREDICTIONS
+        x = np.zeros((4, 2))
+        x[2:] = [5.0, -4.0]  # read-upset stragglers: the fixed point runs
+        _, counts = _read_counts(lambda: problem.metric(x))
+        assert counts["read.fixed_point_lanes"] == 2
+        assert cell_module._READ_PREDICTIONS and cell_module._FAR_RESPONSES
         assert metric_fingerprint(problem.metric, problem.spec) == before
         fresh = read_current_problem()
         assert metric_fingerprint(fresh.metric, fresh.spec) == before
