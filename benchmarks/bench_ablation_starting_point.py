@@ -47,7 +47,7 @@ def run():
         )
         chain = result.extras["chain"]
         early_radius = float(
-            np.linalg.norm(chain.samples[:20], axis=1).mean()
+            np.linalg.norm(chain.pooled_samples[:20], axis=1).mean()
         )
         rows.append([
             label, f"{np.linalg.norm(start.x):.2f}",

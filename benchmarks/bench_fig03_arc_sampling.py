@@ -11,7 +11,7 @@ import numpy as np
 
 from benchmarks._shared import write_report
 from repro.analysis.tables import format_table
-from repro.gibbs.inverse_transform import sample_conditional_1d
+from repro.gibbs.inverse_transform import sample_conditional_batch
 from repro.gibbs.spherical import SphericalGibbs
 from repro.mc.indicator import FailureSpec
 from repro.stats.distributions import StandardNormal
@@ -28,14 +28,17 @@ def conditional_arc_samples(alpha_2: float, n: int = 100, seed: int = 3):
     r = 1.0
     points = []
     for _ in range(n):
-        alpha = np.array([1.0, alpha_2])  # failing anchor (first quadrant)
-        fails = sampler._orientation_indicator(r, alpha, 0)
-        a1, _ = sample_conditional_1d(
-            fails, current=1.0, base=StandardNormal(),
-            lo=-8.0, hi=8.0, rng=rng, bisect_iters=10,
+        # One lockstep chain at the failing anchor (first quadrant).
+        alpha = np.array([[1.0, alpha_2]])
+        fails = sampler._orientation_indicator_lockstep(
+            np.array([r]), alpha, 0
         )
-        alpha[0] = a1
-        points.append(r * alpha / np.linalg.norm(alpha))
+        (a1,), _ = sample_conditional_batch(
+            fails, current=alpha[:, 0], base=StandardNormal(),
+            lo=-8.0, hi=8.0, rng=[rng], bisect_iters=10,
+        )
+        alpha[0, 0] = a1
+        points.append(r * alpha[0] / np.linalg.norm(alpha[0]))
     return np.asarray(points)
 
 

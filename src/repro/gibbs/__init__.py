@@ -28,10 +28,7 @@ from repro.gibbs.coordinates import (
     initial_spherical_coordinates,
     spherical_to_cartesian,
 )
-from repro.gibbs.inverse_transform import (
-    sample_conditional_1d,
-    sample_conditional_batch,
-)
+from repro.gibbs.inverse_transform import sample_conditional_batch
 from repro.gibbs.spherical import SphericalGibbs
 from repro.gibbs.starting_point import StartingPoint, find_starting_point
 from repro.gibbs.two_stage import (
@@ -46,7 +43,6 @@ __all__ = [
     "batched_failure_interval",
     "BatchedFailureIntervals",
     "ladder_rounds",
-    "sample_conditional_1d",
     "sample_conditional_batch",
     "CartesianGibbs",
     "SphericalGibbs",

@@ -175,8 +175,8 @@ def batched_failure_interval(
         Batched indicator ``fails(chain_idx, values) -> bool array``:
         evaluates chain ``chain_idx[i]``'s 1-D slice at coordinate value
         ``values[i]`` for all ``i`` in one simulator batch.  Each evaluated
-        value is one transistor-level simulation, exactly as in the scalar
-        search.
+        value is one transistor-level simulation, exactly as for a chain
+        searched alone.
     current:
         ``(C,)`` coordinate values, each assumed to fail on its own chain.
     lo, hi:
@@ -192,11 +192,10 @@ def batched_failure_interval(
         bisection bit-for-bit, per-chain sims accounting included.
 
     With ``ladder_width=1`` the returned intervals and per-chain simulation
-    counts are **identical** to running :func:`failure_interval`
-    independently per chain (the property test in
-    ``tests/test_gibbs_multichain.py`` pins this): a side whose clamp
-    endpoint already fails is excluded from every subsequent batch, so no
-    chain is ever charged for a query the scalar search would not have
+    counts are **identical** to searching each chain alone (the property
+    test in ``tests/test_gibbs_multichain.py`` pins this): a side whose
+    clamp endpoint already fails is excluded from every subsequent batch,
+    so no chain is ever charged for a query its own search would not have
     made.
     """
     k = int(ladder_width)
@@ -237,9 +236,9 @@ def batched_failure_interval(
         l_idx = np.flatnonzero(left_active)
         r_idx = np.flatnonzero(right_active)
         if k == 1:
-            # Keep the historical midpoint formula: 0.5*(a+b) and
-            # a + (b-a)/2 differ in the last ulp for some brackets, and the
-            # default path is contractually bit-identical to it.
+            # Keep this midpoint formula: 0.5*(a+b) and a + (b-a)/2 differ
+            # in the last ulp for some brackets, and this order keeps every
+            # recorded chain bit-identical.
             l_pts = (0.5 * (left_pass[l_idx] + left_fail[l_idx]))[:, None]
             r_pts = (0.5 * (right_fail[r_idx] + right_pass[r_idx]))[:, None]
         else:

@@ -16,10 +16,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.circuit import warm as _warm
-from repro.gibbs.inverse_transform import (
-    sample_conditional_1d,
-    sample_conditional_batch,
-)
+from repro.gibbs.inverse_transform import sample_conditional_batch
 from repro.mc.indicator import FailureSpec
 from repro.stats.distributions import StandardNormal
 from repro.utils.rng import SeedLike, ensure_rng
@@ -27,7 +24,7 @@ from repro.utils.rng import SeedLike, ensure_rng
 
 @dataclass
 class GibbsChain:
-    """Result of a Gibbs run: samples in Cartesian space plus accounting.
+    """One Gibbs chain: samples in Cartesian space plus accounting.
 
     Attributes
     ----------
@@ -64,7 +61,7 @@ class MultiChainGibbs:
     samples:
         ``(C, K, M)`` Cartesian sample tensor: ``C`` chains advanced
         synchronously, each contributing ``K`` samples (one per coordinate
-        update, as in the sequential sampler).
+        update, Algorithm 1 step 5).
     n_simulations:
         Total transistor-level simulations across all chains — batching
         changes how simulations are *issued*, never how many are charged.
@@ -164,19 +161,6 @@ class CartesianGibbs:
         self.ladder_width = int(ladder_width)
         self._normal = StandardNormal()
 
-    def _coordinate_indicator(self, x: np.ndarray, m: int):
-        """Vectorised failure indicator along coordinate ``m`` through ``x``."""
-
-        def fails(values: np.ndarray) -> np.ndarray:
-            values = np.atleast_1d(values)
-            points = np.tile(x, (values.size, 1))
-            points[:, m] = values
-            # Sequential sampler: every row belongs to the one chain.
-            _warm.set_lanes(np.zeros(values.size, dtype=np.intp))
-            return self.spec.indicator(self.metric(points))
-
-        return fails
-
     def _coordinate_indicator_lockstep(self, states: np.ndarray, m: int):
         """Batched indicator along coordinate ``m`` of per-chain states.
 
@@ -199,55 +183,14 @@ class CartesianGibbs:
         rng: SeedLike = None,
         verify_start: bool = True,
     ) -> GibbsChain:
-        """Generate ``n_samples`` Gibbs samples starting from ``x0``.
+        """One chain of :meth:`run_lockstep` from the point ``x0``.
 
-        ``x0`` must lie in the failure region (Algorithm 4 provides it);
-        with ``verify_start`` one simulation confirms this and a
-        ``ValueError`` is raised otherwise — a cheap guard against a bad
-        surrogate optimum silently poisoning the whole chain.
+        The library itself calls :meth:`run_lockstep`; this adapter keeps
+        the one-chain call, and the name perfbench's span wrappers look up.
         """
-        if n_samples < 1:
-            raise ValueError(f"n_samples must be positive, got {n_samples}")
-        rng = ensure_rng(rng)
-        x = np.asarray(x0, dtype=float).reshape(-1).copy()
-        if x.size != self.dimension:
-            raise ValueError(
-                f"starting point has dimension {x.size}, expected {self.dimension}"
-            )
-        n_sims = 0
-        samples = np.empty((n_samples, self.dimension))
-        widths: List[float] = []
-        with _warm.use_carrier(_warm.SolverStateCarrier()):
-            if verify_start:
-                _warm.set_lanes(np.zeros(1, dtype=np.intp))
-                failing = bool(
-                    self.spec.indicator(self.metric(x[np.newaxis, :]))[0]
-                )
-                n_sims += 1
-                if not failing:
-                    raise ValueError("starting point is not in the failure region")
-
-            k = 0
-            m = 0
-            while k < n_samples:
-                fails = self._coordinate_indicator(x, m)
-                new_value, interval = sample_conditional_1d(
-                    fails,
-                    current=float(x[m]),
-                    base=self._normal,
-                    lo=-self.zeta,
-                    hi=self.zeta,
-                    rng=rng,
-                    bisect_iters=self.bisect_iters,
-                    ladder_width=self.ladder_width,
-                )
-                n_sims += interval.n_simulations
-                widths.append(interval.width)
-                x[m] = new_value
-                samples[k] = x
-                k += 1
-                m = (m + 1) % self.dimension
-        return GibbsChain(samples=samples, n_simulations=n_sims, interval_widths=widths)
+        return self.run_lockstep(
+            np.reshape(x0, (1, -1)), n_samples, [rng], verify_start
+        ).chain(0)
 
     def run_lockstep(
         self,
@@ -259,22 +202,24 @@ class CartesianGibbs:
         """Advance ``C`` chains synchronously for ``n_samples`` updates each.
 
         ``x0`` is a ``(C, M)`` matrix of failure-region starting points (a
-        single ``(M,)`` point is promoted to one chain).  Every bisection
+        single ``(M,)`` point is promoted to one chain); with
+        ``verify_start`` one batched simulation confirms they fail and a
+        ``ValueError`` names any that pass — a cheap guard against a bad
+        surrogate optimum silently poisoning a chain.  Every bisection
         step of Algorithm 3 issues one batched metric call covering all
         chains' pending midpoints — up to ``2 C`` points per call — and the
         inverse-transform draw is one vectorised truncated-CDF evaluation,
         so the per-sample wall-clock cost shrinks roughly with ``C`` on a
         vectorised simulator while the simulation *count* stays exactly the
-        sum of ``C`` sequential chains.
+        sum of the ``C`` chains run one at a time.
 
         ``chain_rngs`` gives every chain its own generator (one seed-like
         per chain).  Chain trajectories depend only on their own stream and
         starting point — not on which other chains share the batch — so
         splitting the same chains (with the same streams) across several
         lockstep calls reproduces identical trajectories.  This is the
-        contract the first-stage chain groups build on.  With ``C = 1``
-        and ``chain_rngs=[rng]`` the generated chain is bit-for-bit
-        identical to :meth:`run` under the same ``rng``.
+        contract the first-stage chain groups build on, and the paper's
+        single chain is the ``C = 1`` case.
         """
         if n_samples < 1:
             raise ValueError(f"n_samples must be positive, got {n_samples}")
@@ -282,7 +227,7 @@ class CartesianGibbs:
         if states.ndim != 2 or states.shape[1] != self.dimension:
             raise ValueError(
                 f"starting points have shape {np.shape(x0)}, expected "
-                f"(n_chains, {self.dimension})"
+                f"(n_chains, dimension={self.dimension})"
             )
         n_chains = states.shape[0]
         if len(chain_rngs) != n_chains:

@@ -15,51 +15,12 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from repro.gibbs.bounds import (
-    BatchedFailureIntervals,
-    FailureInterval,
-    batched_failure_interval,
-    failure_interval,
-)
-from repro.stats.truncated import TruncatedDistribution
+from repro.gibbs.bounds import BatchedFailureIntervals, batched_failure_interval
+
+# Unused here: perfbench's span wrappers look ``failure_interval`` up in
+# this module by name.
+from repro.gibbs.bounds import failure_interval  # noqa: F401
 from repro.utils.rng import SeedLike, ensure_rng
-
-
-def sample_conditional_1d(
-    fails: Callable[[np.ndarray], np.ndarray],
-    current: float,
-    base,
-    lo: float,
-    hi: float,
-    rng: SeedLike = None,
-    bisect_iters: int = 5,
-    ladder_width: int = 1,
-) -> Tuple[float, FailureInterval]:
-    """Draw one value from the 1-D Gibbs conditional around ``current``.
-
-    ``base`` is the coordinate's marginal law (StandardNormal for ``x_m`` /
-    ``alpha_m``, Chi(M) for ``r``).  Returns the new coordinate value and
-    the searched interval (whose ``n_simulations`` the caller accumulates).
-
-    Degenerate guard: if the verified interval has collapsed to (numerical)
-    zero width — possible when the failure slice is narrower than the
-    bisection resolution — the current value is kept, costing the search
-    simulations but moving nothing, which mirrors how a SPICE-driven
-    implementation would behave.
-    """
-    rng = ensure_rng(rng)
-    interval = failure_interval(
-        fails, current, lo, hi, bisect_iters, ladder_width=ladder_width
-    )
-    if not interval.lower < interval.upper:
-        return float(current), interval
-    try:
-        trunc = TruncatedDistribution(base, interval.lower, interval.upper)
-    except ValueError:
-        # Zero probability mass at the resolution of the CDF (deep tail):
-        # keep the current value rather than fabricating a draw.
-        return float(current), interval
-    return float(trunc.sample(rng)), interval
 
 
 def sample_conditional_batch(
@@ -74,24 +35,30 @@ def sample_conditional_batch(
 ) -> Tuple[np.ndarray, BatchedFailureIntervals]:
     """Draw one value per lockstep chain from its 1-D Gibbs conditional.
 
-    The vectorised counterpart of :func:`sample_conditional_1d`: the
-    interval search batches every chain's bisection queries into one
-    simulator call per step (see
-    :func:`~repro.gibbs.bounds.batched_failure_interval`), and the
-    inverse-transform draw is one truncated-CDF evaluation across all
-    chains.
+    ``base`` is the coordinate's marginal law (StandardNormal for ``x_m`` /
+    ``alpha_m``, Chi(M) for ``r``).  The interval search batches every
+    chain's bisection queries into one simulator call per step (see
+    :func:`~repro.gibbs.bounds.batched_failure_interval`); each chain's
+    interval is then clipped to the base law's support and sampled by
+    inverse transform.  Returns the new values and the searched intervals
+    (whose per-chain simulations the caller accumulates).
 
     ``rng`` is a sequence of generators, one per chain.  Each chain's
-    inverse-transform uniform comes from its own stream, and per-chain
-    degenerate guards mirror the scalar path exactly — a chain whose
-    verified interval collapsed, or whose interval carries no probability
-    mass at CDF resolution, keeps its current value *and consumes no
-    random draw*.  A chain's trajectory is therefore a function of its own
-    stream and starting point only, independent of how many chains share
-    the lockstep batch, and a single-chain batch is bit-for-bit identical
-    to the sequential sampler under the same generator.  The first-stage
-    chain groups rely on this: any grouping of chains into lockstep calls
-    reproduces the same per-chain trajectories bit for bit.
+    inverse-transform uniform comes from its own stream.  Degenerate
+    guard: a chain whose verified interval collapsed (a failure slice
+    narrower than the bisection resolution), or whose interval carries
+    no probability mass at CDF resolution (deep tail), keeps its current
+    value *and consumes no random draw* — it pays the search simulations
+    but moves nothing, as a SPICE-driven implementation would.  A chain's
+    trajectory is therefore a function of its own stream and starting
+    point only, independent of how many chains share the lockstep batch;
+    the first-stage chain groups rely on this, since any grouping of
+    chains into lockstep calls reproduces the same per-chain trajectories
+    bit for bit.
+
+    The draw keeps its operation order (one ``uniform(F(u), F(v))`` call
+    per chain, then ``ppf`` and a clip to ``[u, v]``): that order keeps
+    every recorded chain bit-identical.
     """
     current = np.asarray(current, dtype=float).reshape(-1)
     if len(rng) != current.size:
@@ -122,6 +89,8 @@ def sample_conditional_batch(
                 )
             ])
             draw = np.asarray(base.ppf(u), dtype=float)
+            # Guard against ppf round-off at extreme tails pushing a draw
+            # a ulp outside the interval.
             new_values[draw_idx] = np.clip(
                 draw, lower[draw_idx], upper[draw_idx]
             )

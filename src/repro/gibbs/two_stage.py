@@ -21,8 +21,11 @@ minimum-norm point, advance synchronously (each bisection step issues one
 batched metric call across the chains of a group), and all chains'
 Cartesian samples are pooled for the ``g_nor`` fit.  Cross-chain mixing
 diagnostics (split Gelman-Rubin ``R-hat``, pooled ESS) land in
-``extras["chain_diagnostics"]``.  ``n_chains=1`` runs the sequential
-sampler.
+``extras["chain_diagnostics"]``.  ``n_chains=1`` runs the paper's single
+chain as one inline lockstep chain on the flow's own stream (not on a
+spawned child), so ``extras["chain"]`` is always a
+:class:`~repro.gibbs.cartesian.MultiChainGibbs` and ``g_nor`` is always
+fitted to its ``pooled_samples``.
 
 The chain groups run on an executor (see :func:`run_first_stage`) —
 inline by default, or fanned out over ``n_workers`` processes: every
@@ -392,14 +395,16 @@ def _build_first_stage(
                     bisect_iters=bisect_iters,
                     ladder_width=ladder_width,
                 )
-                chain = sampler.run(start.x, n_gibbs, rng)
+                chain = sampler.run_lockstep(start.x, n_gibbs, [rng])
             else:
                 sampler = SphericalGibbs(
                     counted, spec, dimension, zeta=zeta,
                     bisect_iters=bisect_iters,
                     ladder_width=ladder_width,
                 )
-                chain = sampler.run(start.r, start.alpha, n_gibbs, rng)
+                chain = sampler.run_lockstep(
+                    start.r, start.alpha, n_gibbs, [rng]
+                )
         else:
             starts_x = _spread_starting_points(
                 counted, spec, start, n_chains, rng, zeta, chain_jitter
@@ -414,14 +419,12 @@ def _build_first_stage(
                 checkpoint_dir=checkpoint_dir, resume=resume,
             )
 
-        fit_samples = (
-            chain.samples if n_chains == 1 else chain.pooled_samples
-        )
         if proposal_fit == "normal":
-            proposal = MultivariateNormal.fit(fit_samples)
+            proposal = MultivariateNormal.fit(chain.pooled_samples)
         elif proposal_fit == "mixture":
             proposal = GaussianMixture.fit(
-                fit_samples, n_components=mixture_components, rng=rng
+                chain.pooled_samples, n_components=mixture_components,
+                rng=rng,
             )
         else:
             raise ValueError(

@@ -8,8 +8,10 @@ Two distributions appear in the paper's 1-D conditional PDFs:
   (Eq. 13).
 
 Both are exposed through one small interface (``pdf`` / ``cdf`` / ``ppf`` /
-``sample``) so :mod:`repro.stats.truncated` can sample truncated versions of
-either by inverse transform without caring which law it holds.
+``sample`` / ``support``) so
+:func:`repro.gibbs.inverse_transform.sample_conditional_batch` can sample
+truncated versions of either by inverse transform without caring which law
+it holds.
 """
 
 from __future__ import annotations

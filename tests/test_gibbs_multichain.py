@@ -5,11 +5,13 @@ Three contracts are pinned here:
 1. the batched interval search is *exactly* the scalar search run per
    chain — same intervals, same per-chain simulation counts (property
    test over random regions and depths);
-2. with one chain the lockstep samplers are bit-for-bit identical to the
-   sequential ``run`` under the same seed — multi-chain mode is a pure
-   execution-strategy change, not a statistical one;
-3. the ``CountedMetric`` accounting of a C-chain lockstep run equals the
-   sum of C scalar-chain runs while issuing far fewer metric *calls*.
+2. the ``CountedMetric`` accounting of a C-chain lockstep run equals the
+   sum of C one-chain runs while issuing far fewer metric *calls*;
+3. the two-stage flow runs every first stage through the lockstep engine,
+   the paper's single chain included.
+
+That a chain's trajectory does not depend on which chains share its
+lockstep batch is pinned in ``tests/test_parallel_first_stage.py``.
 """
 
 import numpy as np
@@ -21,9 +23,10 @@ from repro.gibbs.bounds import batched_failure_interval, failure_interval
 from repro.gibbs.cartesian import CartesianGibbs, MultiChainGibbs
 from repro.gibbs.coordinates import initial_spherical_coordinates
 from repro.gibbs.spherical import SphericalGibbs
-from repro.gibbs.two_stage import gibbs_importance_sampling
+from repro.gibbs.two_stage import fit_first_stage, gibbs_importance_sampling
 from repro.mc.counter import CountedMetric
 from repro.mc.indicator import FailureSpec
+from repro.stats.mvnormal import MultivariateNormal
 from repro.synthetic import LinearMetric, QuadrantMetric
 
 SPEC = FailureSpec(0.0, fail_below=True)
@@ -101,58 +104,13 @@ class TestBatchedSearchParity:
             batched_failure_interval(fails, np.array([]), -8.0, 8.0)
 
 
-# --------------------------------------------------------------------------
-# 2. Single-chain lockstep == sequential, bit for bit
-# --------------------------------------------------------------------------
-
 def _rngs(seed, n_chains):
     """One generator per chain."""
     return [np.random.default_rng(seed + c) for c in range(n_chains)]
 
 
-class TestSingleChainBitEquality:
-    def test_cartesian(self):
-        metric = LinearMetric(np.array([1.0, 0.0]), 3.0)
-        x0 = np.array([3.5, 0.0])
-        sampler = CartesianGibbs(metric, SPEC)
-        seq = sampler.run(x0, 40, np.random.default_rng(7))
-        lock = sampler.run_lockstep(
-            x0, 40, chain_rngs=[np.random.default_rng(7)]
-        )
-        assert lock.n_chains == 1
-        assert np.array_equal(seq.samples, lock.samples[0])
-        assert seq.n_simulations == lock.n_simulations
-        assert np.array_equal(
-            np.asarray(seq.interval_widths), lock.interval_widths[0]
-        )
-
-    def test_spherical(self):
-        metric = LinearMetric(np.array([1.0, 0.0]), 3.0)
-        r0, a0 = initial_spherical_coordinates(np.array([3.5, 0.0]))
-        sampler = SphericalGibbs(metric, SPEC)
-        seq = sampler.run(r0, a0, 40, np.random.default_rng(11))
-        lock = sampler.run_lockstep(
-            r0, a0, 40, chain_rngs=[np.random.default_rng(11)]
-        )
-        assert np.array_equal(seq.samples, lock.samples[0])
-        assert seq.n_simulations == lock.n_simulations
-
-    def test_cartesian_quadrant_region(self):
-        """Bit-parity must also hold when clamp endpoints fail (one-sided
-        searches) — the quadrant region exercises that branch."""
-        metric = QuadrantMetric(np.zeros(2))
-        x0 = np.array([1.0, 1.0])
-        sampler = CartesianGibbs(metric, SPEC)
-        seq = sampler.run(x0, 30, np.random.default_rng(5))
-        lock = sampler.run_lockstep(
-            x0, 30, chain_rngs=[np.random.default_rng(5)]
-        )
-        assert np.array_equal(seq.samples, lock.samples[0])
-        assert seq.n_simulations == lock.n_simulations
-
-
 # --------------------------------------------------------------------------
-# 3. Simulation-count parity and call batching for C > 1
+# 2. Simulation-count parity and call batching for C > 1
 # --------------------------------------------------------------------------
 
 class TestMultiChainAccounting:
@@ -236,7 +194,7 @@ class TestMultiChainAccounting:
 
 
 # --------------------------------------------------------------------------
-# 4. Multi-chain two-stage flow
+# 3. Multi-chain two-stage flow
 # --------------------------------------------------------------------------
 
 class TestMultiChainTwoStage:
@@ -278,6 +236,22 @@ class TestMultiChainTwoStage:
             rng=np.random.default_rng(1),
         )
         assert "chain_diagnostics" not in result.extras
+
+    @pytest.mark.parametrize("coordinate_system", ["cartesian", "spherical"])
+    def test_single_chain_is_one_lockstep_chain(self, coordinate_system):
+        """``n_chains=1`` runs one lockstep chain and fits ``g_nor`` to its
+        pooled samples, like every multi-chain first stage."""
+        metric = LinearMetric(np.array([1.0, 0.0]), 3.0)
+        artifact = fit_first_stage(
+            metric, SPEC, dimension=2, coordinate_system=coordinate_system,
+            n_gibbs=30, n_chains=1, rng=np.random.default_rng(4),
+        )
+        chain = artifact.extras["chain"]
+        assert isinstance(chain, MultiChainGibbs)
+        assert chain.n_chains == 1
+        refit = MultivariateNormal.fit(chain.pooled_samples)
+        np.testing.assert_array_equal(artifact.proposal.mean, refit.mean)
+        np.testing.assert_array_equal(artifact.proposal.cov, refit.cov)
 
     def test_short_chains_skip_diagnostics(self):
         """Split R-hat needs 4 samples/chain; shorter multi-chain runs must

@@ -133,7 +133,9 @@ class TestFirstStageBitIdentity:
         assert 0 < counted.external_count <= counted.count
         assert "via workers" in repr(counted)
 
-    def test_single_chain_keeps_sequential_engine(self, problem):
+    def test_single_chain_runs_inline(self, problem):
+        """The paper's single chain runs inline on the flow's own stream,
+        whatever pool the flow holds."""
         serial = _gibbs(problem, n_chains=1, n_workers=None)
         sharded = _gibbs(problem, n_chains=1, n_workers=2, backend="process")
         np.testing.assert_array_equal(
